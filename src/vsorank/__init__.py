@@ -14,20 +14,27 @@ from .dataset import (
     RankAnnotation,
     SequenceSample,
     SynthConfig,
-    annotation_to_rank_map,
     compute_stats,
     compute_video_stats,
     load_annotation,
     save_annotation,
     synth_generate,
 )
-from .losses import RankTarget, rank_loss, total_loss
-from .metrics import InstanceMask, Matching, mae, match_instances, pearson, sa_sor
+from .losses import RankTarget, rank_loss
+from .metrics import (
+    InstanceMask,
+    Matching,
+    mae,
+    match_instances,
+    pearson,
+    render_rank_map,
+    sa_sor,
+    score_frame,
+)
 from .model import ModelParams, init_model_params, model_forward, model_scores
 from .pgm import PgmError, read_pgm16, write_pgm16
 from .spatial import (
     EmptyFrameError,
-    RoiFeatureBatch,
     SpatialParams,
     spatial_forward,
     spatial_params_init,
@@ -38,8 +45,6 @@ from .temporal import (
     ScoringParams,
     TemporalParams,
     rank_assign,
-    render_rank_map,
-    temporal_forward,
 )
 from .trainer import EvalResult, ModelConfig, TrainReport, build_dataset, evaluate, train
 

@@ -2,16 +2,13 @@
 gradient verification.
 
 Reports go to stdout as JSON; diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on validation failure, 2 on unexpected runtime errors.  The
-``VSOR_THREADS`` environment variable caps per-frame parallelism (0 or unset
-means auto).
+success, 1 on validation failure, 2 on unexpected runtime errors.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -20,7 +17,6 @@ from .dataset import (
     AnnotationError,
     PgmError,
     SynthConfig,
-    annotation_to_rank_map,
     compute_stats,
     compute_video_stats,
     list_sequences,
@@ -29,7 +25,7 @@ from .dataset import (
     synth_generate,
 )
 from .gradcheck import run_suite
-from .metrics import InstanceMask, mae, sa_sor
+from .metrics import render_rank_map, score_frame
 from .model import save_model_params
 from .pgm import write_pgm16
 from .trainer import ModelConfig, build_dataset, train
@@ -39,17 +35,6 @@ __all__ = ["main"]
 
 class CliError(Exception):
     """Input validation failure; maps to exit code 1."""
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("VSOR_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"VSOR_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise CliError(f"VSOR_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _emit(payload) -> None:
@@ -144,19 +129,10 @@ def _train_settings(config: dict, overrides: dict) -> tuple[ModelConfig, SynthCo
 # -- subcommands ---------------------------------------------------------------
 
 
-def _annotation_instances(annotation) -> list[tuple[InstanceMask, int]]:
-    return [
-        (InstanceMask(annotation.instance_map == i, i), annotation.ranks[i])
-        for i in annotation.object_ids()
-    ]
-
-
-def _eval_frame(task):
-    name, idx, gt_ann, pred_ann, iou_threshold = task
-    correlation = sa_sor(
-        _annotation_instances(gt_ann), _annotation_instances(pred_ann), iou_threshold
-    )
-    error = mae(annotation_to_rank_map(pred_ann), annotation_to_rank_map(gt_ann))
+def _eval_frame(name, idx, gt_ann, pred_ann, iou_threshold):
+    correlation, error = score_frame(gt_ann.masks(), gt_ann.ranks_in_id_order(),
+                                     pred_ann.masks(), pred_ann.ranks_in_id_order(),
+                                     iou_threshold)
     return {
         "sequence": name,
         "frame": idx,
@@ -171,7 +147,6 @@ def cmd_eval(args) -> int:
         raise CliError(f"{args.gt}: no sequences found")
     tasks = []
     missing = []
-    dumps = []
     for name in sequences:
         gt_frames = load_annotations(os.path.join(args.gt, name))
         pred_dir = os.path.join(args.pred, name)
@@ -183,21 +158,22 @@ def cmd_eval(args) -> int:
             if idx not in pred_frames:
                 missing.append((name, idx))
                 continue
-            tasks.append((name, idx, gt_ann, pred_frames[idx], args.iou))
+            tasks.append((name, idx, gt_ann, pred_frames[idx]))
     if missing:
         listed = ", ".join(f"{name}/{idx}" for name, idx in sorted(missing))
         raise CliError(f"missing predictions for frames: {listed}")
 
     tasks.sort(key=lambda task: (task[0], task[1]))
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        frames = list(pool.map(_eval_frame, tasks))
+    frames = [_eval_frame(*task, args.iou) for task in tasks]
 
     if args.dump_maps:
         os.makedirs(args.dump_maps, exist_ok=True)
-        for name, idx, gt_ann, pred_ann, _ in tasks:
+        for name, idx, gt_ann, pred_ann in tasks:
             for tag, ann in (("gt", gt_ann), ("pred", pred_ann)):
                 path = os.path.join(args.dump_maps, f"{name}_{idx}_{tag}.pgm")
-                write_pgm16(path, np.round(annotation_to_rank_map(ann) * 65535).astype(np.uint16))
+                rank_map = render_rank_map(ann.masks(), ann.ranks_in_id_order(),
+                                           ann.instance_map.shape)
+                write_pgm16(path, np.round(rank_map * 65535).astype(np.uint16))
 
     defined = [f["sa_sor"] for f in frames if f["sa_sor"] is not None]
     aggregate = {

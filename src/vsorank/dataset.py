@@ -36,7 +36,6 @@ __all__ = [
     "SynthConfig",
     "load_annotation",
     "save_annotation",
-    "annotation_to_rank_map",
     "compute_stats",
     "compute_video_stats",
     "synth_generate",
@@ -88,8 +87,9 @@ class RankAnnotation:
         return sorted(self.ranks)
 
     def masks(self) -> np.ndarray:
-        """Per-object boolean masks, ordered by ascending instance id."""
-        return np.stack([self.instance_map == i for i in self.object_ids()])
+        """Per-object boolean masks (K, H, W), ordered by ascending instance id."""
+        ids = np.array(self.object_ids(), dtype=np.int64)
+        return self.instance_map == ids[:, None, None]
 
     def ranks_in_id_order(self) -> list[int]:
         return [self.ranks[i] for i in self.object_ids()]
@@ -121,15 +121,6 @@ def save_annotation(annotation: RankAnnotation, instance_map_path, ranks_path) -
     with open(ranks_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
-
-
-def annotation_to_rank_map(annotation: RankAnnotation) -> np.ndarray:
-    """Render normalized rank values (K - r + 1) / K onto a zero background."""
-    k = annotation.instance_count
-    rank_map = np.zeros(annotation.instance_map.shape, dtype=np.float64)
-    for instance_id, rank in annotation.ranks.items():
-        rank_map[annotation.instance_map == instance_id] = (k - rank + 1) / k
-    return rank_map
 
 
 # -- statistics --------------------------------------------------------------
@@ -223,6 +214,8 @@ class SynthConfig:
             raise ValueError(
                 f"frame resolution {self.frame_resolution} too small for up to {k_max} objects"
             )
+        if _latent_slack(k_max) <= 0:
+            raise ValueError(f"cannot separate {k_max} saliency levels (K_range {self.K_range})")
         if not 0.0 <= self.rank_swap_prob <= 1.0:
             raise ValueError(f"rank_swap_prob must be in [0, 1], got {self.rank_swap_prob}")
         if self.noise_level < 0.0:
@@ -235,12 +228,15 @@ _LATENT_GAP = 0.12  # minimum separation keeps the rank order unambiguous
 _IID_NOISE_WEIGHT = 0.2
 
 
+def _latent_slack(k: int) -> float:
+    """Room for random offsets once k latents keep their minimum gaps."""
+    span = _LATENT_HI - _LATENT_LO
+    return span - (k - 1) * _LATENT_GAP
+
+
 def _draw_latents(rng: np.random.Generator, k: int) -> np.ndarray:
     """k saliency scalars in [0.2, 1.0], pairwise gaps >= _LATENT_GAP."""
-    span = _LATENT_HI - _LATENT_LO
-    slack = span - (k - 1) * _LATENT_GAP
-    if slack <= 0:
-        raise ValueError(f"cannot separate {k} saliency levels")
+    slack = _latent_slack(k)
     offsets = np.sort(rng.uniform(0.0, slack, size=k))
     ordered = _LATENT_LO + offsets + _LATENT_GAP * np.arange(k)
     return ordered[rng.permutation(k)]
@@ -318,6 +314,10 @@ def synth_generate(config: SynthConfig, seed: int) -> SequenceSample:
 # -- raw tensor files ---------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def write_tensor_file(path, array: np.ndarray) -> None:
     """Raw float64 little-endian data preceded by a one-line JSON shape header."""
     arr = np.ascontiguousarray(array, dtype="<f8")
@@ -330,10 +330,18 @@ def write_tensor_file(path, array: np.ndarray) -> None:
 
 def read_tensor_file(path) -> np.ndarray:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header.get("dtype") != "<f8":
-            raise ValueError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-        shape = tuple(int(s) for s in header["shape"])
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise ValueError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(header, dict) or "dtype" not in header:
+            raise ValueError(f'{path}: header must be an object with "dtype" and "shape"')
+        if header["dtype"] != "<f8":
+            raise ValueError(f"{path}: unsupported dtype {header['dtype']!r}")
+        shape = header.get("shape")
+        if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
+            raise ValueError(f"{path}: shape must be a list of non-negative integers, got {shape!r}")
+        shape = tuple(shape)
         raw = f.read()
     expected = math.prod(shape) * 8
     if len(raw) != expected:
@@ -373,7 +381,14 @@ def _read_manifest(path) -> dict:
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"{path}: no manifest.json")
     with open(manifest_path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise AnnotationError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    frames = manifest.get("frames") if isinstance(manifest, dict) else None
+    if not isinstance(frames, list) or not all(_is_int(idx) for idx in frames):
+        raise AnnotationError(f'{manifest_path}: expected an object with a "frames" list of integers')
+    return manifest
 
 
 def load_annotations(path) -> list[tuple[int, RankAnnotation]]:

@@ -5,6 +5,7 @@ Each check runs over several random seeds at small shapes and records the
 worst relative error between analytic and central-difference gradients.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .autodiff import (
     transpose_last2,
 )
 from .losses import RankTarget, rank_loss
-from .spatial import Projection, RoiFeatureBatch, SpatialParams, projection_init, spatial_forward
+from .spatial import Projection, SpatialParams, projection_init, spatial_forward
 from .temporal import FrameObjects, ScoringParams, TemporalParams, sequence_scores
 
 __all__ = ["CheckResult", "run_suite", "DEFAULT_TOLERANCE"]
@@ -128,15 +129,15 @@ def _spatial_module(rng):
     x = _rand(rng, n, c, h, w)
 
     def relation_sum(t):
-        return spatial_forward(RoiFeatureBatch(t), params).relation.sum()
+        return spatial_forward(t, params).relation.sum()
 
     def full_output_sum(t):
-        out = spatial_forward(RoiFeatureBatch(Tensor(x.data)), SpatialParams(
+        out = spatial_forward(Tensor(x.data), SpatialParams(
             kq_proj=Projection(t, params.kq_proj.bias), v_proj=params.v_proj))
         return out.relation.sum()
 
     def value_path_sum(t):
-        out = spatial_forward(RoiFeatureBatch(Tensor(x.data)), SpatialParams(
+        out = spatial_forward(Tensor(x.data), SpatialParams(
             kq_proj=params.kq_proj, v_proj=Projection(t, params.v_proj.bias)))
         return (out.relation + out.value).sum()
 
@@ -229,11 +230,7 @@ _CHECKS = [
 
 def run_suite(seed: int = 0, runs_per_check: int = 20, corrupt: bool = False) -> list[CheckResult]:
     """All gradient checks; ``corrupt`` perturbs one backward as a negative control."""
-    results = []
-    for name, make_case, tolerance in _CHECKS:
-        if corrupt:
-            with autodiff.fault_injection("matmul"):
-                results.append(_check_many(name, make_case, seed, runs_per_check, tolerance))
-        else:
-            results.append(_check_many(name, make_case, seed, runs_per_check, tolerance))
-    return results
+    fault = autodiff.fault_injection("matmul") if corrupt else contextlib.nullcontext()
+    with fault:
+        return [_check_many(name, make_case, seed, runs_per_check, tolerance)
+                for name, make_case, tolerance in _CHECKS]

@@ -1,9 +1,7 @@
 """Training objective for saliency scores.
 
 The ranking term is a pairwise hinge: every object ranked above another must
-outscore it by at least a margin.  Detector-side terms (box, mask, class) are
-accepted as optional plug-in scalars so the total keeps the shape of the full
-objective even though those heads live outside this toolkit.
+outscore it by at least a margin.
 """
 
 from dataclasses import dataclass
@@ -12,7 +10,7 @@ import numpy as np
 
 from .autodiff import Tensor, matmul, relu
 
-__all__ = ["RankTarget", "rank_loss", "total_loss", "DEFAULT_MARGIN"]
+__all__ = ["RankTarget", "rank_loss", "DEFAULT_MARGIN"]
 
 DEFAULT_MARGIN = 0.5
 
@@ -57,17 +55,3 @@ def rank_loss(scores: Tensor, target: RankTarget, margin: float = DEFAULT_MARGIN
     diffs = matmul(Tensor(selector), scores.reshape(n, 1)).reshape(len(pairs))
     return relu(margin - diffs).mean()
 
-
-def total_loss(rank_term, box_term=None, mask_term=None, cls_term=None):
-    """Unweighted sum of the provided terms; absent detector terms add zero."""
-    total = None
-    for term in (rank_term, box_term, mask_term, cls_term):
-        if term is None:
-            continue
-        value = term.item() if isinstance(term, Tensor) else float(term)
-        if not np.isfinite(value):
-            raise ValueError(f"loss term is not finite: {value}")
-        if not isinstance(term, Tensor):
-            term = value
-        total = term if total is None else total + term
-    return total

@@ -1,9 +1,10 @@
 """Evaluation metrics for ranked instance predictions.
 
-Two metrics are provided:
+Two metrics are provided, and ``score_frame`` computes both for one frame:
 
 * ``mae`` -- mean absolute pixel error between two normalized rank maps,
-  ``(1 / (W * H)) * sum |P(i, j) - G(i, j)|``.
+  ``(1 / (W * H)) * sum |P(i, j) - G(i, j)|``, as painted by
+  ``render_rank_map``.
 * ``sa_sor`` -- segmentation-aware rank correlation.  Predicted instances are
   matched one-to-one to ground-truth instances by IoU (greedy, descending,
   threshold 0.5 by default).  Each ground-truth object contributes its
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import ShapeError
+
 __all__ = [
     "ConstantVectorError",
     "InstanceMask",
@@ -23,8 +26,10 @@ __all__ = [
     "iou",
     "match_instances",
     "pearson",
+    "render_rank_map",
     "mae",
     "sa_sor",
+    "score_frame",
 ]
 
 
@@ -113,6 +118,29 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum() / np.sqrt(squared))
 
 
+def render_rank_map(masks: np.ndarray, ranks, out_shape: tuple[int, int]) -> np.ndarray:
+    """Paint normalized rank values (N - r + 1) / N onto a zero background.
+
+    Masks are painted from least to most salient, so where objects overlap
+    the more salient one wins.
+    """
+    masks = np.asarray(masks, dtype=bool)
+    ranks = np.asarray(ranks)
+    n = len(ranks)
+    if masks.shape[0] != n:
+        raise ShapeError(f"{masks.shape[0]} masks for {n} ranks")
+    out_shape = tuple(out_shape)
+    for i, mask in enumerate(masks):
+        if mask.shape != out_shape:
+            raise ShapeError(f"mask {i} has shape {mask.shape}, expected {out_shape}")
+    rank_map = np.zeros(out_shape, dtype=np.float64)
+    for r in range(n, 0, -1):
+        (idx,) = np.nonzero(ranks == r)
+        for i in idx:
+            rank_map[masks[i]] = (n - r + 1) / n
+    return rank_map
+
+
 def mae(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Mean absolute per-pixel difference of two rank maps."""
     predicted = np.asarray(predicted, dtype=np.float64)
@@ -151,3 +179,20 @@ def sa_sor(gt: list[tuple[InstanceMask, int]], pred: list[tuple[InstanceMask, in
         return pearson(x, y)
     except ConstantVectorError:
         return None
+
+
+def score_frame(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
+                iou_threshold: float = 0.5) -> tuple[float | None, float]:
+    """SA-SOR and rank-map MAE of one frame's ranked instance masks.
+
+    Masks are (N, H, W) stacks whose i-th entry carries the i-th rank; the
+    ground-truth ranks must be a permutation of 1..N.
+    """
+    gt_masks = np.asarray(gt_masks)
+    pred_masks = np.asarray(pred_masks)
+    gt = [(InstanceMask(m, i), int(r)) for i, (m, r) in enumerate(zip(gt_masks, gt_ranks))]
+    pred = [(InstanceMask(m, i), int(r)) for i, (m, r) in enumerate(zip(pred_masks, pred_ranks))]
+    correlation = sa_sor(gt, pred, iou_threshold)
+    error = mae(render_rank_map(pred_masks, pred_ranks, pred_masks.shape[1:]),
+                render_rank_map(gt_masks, gt_ranks, gt_masks.shape[1:]))
+    return correlation, error

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 from .autodiff import Tensor, mean_axis
 from .dataset import FrameSample, read_tensor_file, write_tensor_file
-from .spatial import (
-    RoiFeatureBatch,
-    SpatialParams,
-    spatial_forward,
-    spatial_params_init,
-)
+from .spatial import SpatialParams, spatial_forward, spatial_params_init
 from .temporal import (
     FrameObjects,
     RankedFrame,
@@ -29,7 +24,6 @@ from .temporal import (
     TemporalParams,
     frame_scores,
     rank_assign,
-    render_rank_map,
     scoring_params_init,
     sequence_scores,
     temporal_params_init,
@@ -83,7 +77,7 @@ def _frame_objects(frames: list[FrameSample], params: ModelParams,
     for frame in frames:
         features = Tensor(frame.features, requires_grad=True)
         if use_spatial:
-            attended = spatial_forward(RoiFeatureBatch(features), params.spatial)
+            attended = spatial_forward(features, params.spatial)
             relation, value = attended.relation, attended.value
         else:
             relation = value = features
@@ -109,13 +103,11 @@ def model_scores(frames: list[FrameSample], params: ModelParams,
 
 def model_forward(frames: list[FrameSample], params: ModelParams,
                   variant: str) -> list[RankedFrame]:
-    """Score, rank, and render every frame of a sequence."""
+    """Score and rank every frame of a sequence."""
     results = []
-    for frame, scores in zip(frames, model_scores(frames, params, variant)):
+    for scores in model_scores(frames, params, variant):
         values = scores.data.copy()
-        ranks = rank_assign(values)
-        rank_map = render_rank_map(frame.masks, ranks, frame.masks.shape[1:])
-        results.append(RankedFrame(scores=values, ranks=ranks, rank_map=rank_map))
+        results.append(RankedFrame(scores=values, ranks=rank_assign(values)))
     return results
 
 

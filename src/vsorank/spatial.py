@@ -26,7 +26,6 @@ __all__ = [
     "EmptyFrameError",
     "Projection",
     "projection_init",
-    "RoiFeatureBatch",
     "SpatialParams",
     "SpatialOutput",
     "spatial_params_init",
@@ -68,31 +67,6 @@ def projection_init(out_features: int, in_features: int, rng: np.random.Generato
     )
 
 
-class RoiFeatureBatch:
-    """One frame's stack of per-object feature blocks, shape (N, C, H, W)."""
-
-    def __init__(self, features: Tensor):
-        if features.ndim != 4:
-            raise ShapeError(f"object features must be (N, C, H, W), got {features.shape}")
-        self.features = features
-
-    @property
-    def count(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.features.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.features.shape[3]
-
-
 @dataclass(frozen=True)
 class SpatialParams:
     """Learnable projections: one shared key/query map, one value map (both C->C)."""
@@ -118,8 +92,8 @@ def spatial_params_init(channels: int, rng_seed: int) -> SpatialParams:
     )
 
 
-def spatial_forward(roi: RoiFeatureBatch, params: SpatialParams) -> SpatialOutput:
-    """Run the spatial relation attention over one frame.
+def spatial_forward(x: Tensor, params: SpatialParams) -> SpatialOutput:
+    """Run the spatial relation attention over one frame's (N, C, H, W) object blocks.
 
     Per object, keys and queries are two views of the same projected block,
     so the pre-softmax attention is the Gram matrix of per-position channel
@@ -127,16 +101,16 @@ def spatial_forward(roi: RoiFeatureBatch, params: SpatialParams) -> SpatialOutpu
     object-mean of the value projection), and the result is added back onto
     the input.
     """
-    if roi.count == 0:
+    if x.ndim != 4:
+        raise ShapeError(f"object features must be (N, C, H, W), got {x.shape}")
+    n, c, h, w = x.shape
+    if n == 0:
         raise EmptyFrameError("cannot attend over a frame with zero objects")
-    if params.kq_proj.in_features != roi.channels:
+    if params.kq_proj.in_features != c:
         raise ShapeError(
-            f"channel mismatch: features have {roi.channels} channels, "
+            f"channel mismatch: features have {c} channels, "
             f"projection expects {params.kq_proj.in_features}"
         )
-
-    x = roi.features
-    n, c, h, w = x.shape
     hw = h * w
 
     kq = conv1x1(x, params.kq_proj.weight, params.kq_proj.bias)  # (N, C, H, W)

@@ -5,7 +5,7 @@ T stacked maps attend over each other (a T x T attention), producing a mixed
 context map per frame.  Fusing each object's relation block with its frame's
 context map, embedding the object's initial mask, and applying a fully
 connected head yields a saliency score per object.  Scores are differentiable;
-rank assignment and rank-map rendering operate on their detached values.
+rank assignment operates on their detached values.
 """
 
 from dataclasses import dataclass
@@ -38,9 +38,7 @@ __all__ = [
     "temporal_mix",
     "frame_scores",
     "sequence_scores",
-    "temporal_forward",
     "rank_assign",
-    "render_rank_map",
     "downsample_mask",
 ]
 
@@ -92,13 +90,11 @@ class FrameObjects:
 class RankedFrame:
     """Scored and ranked objects of one frame.
 
-    ``ranks`` is a permutation of 1..N with 1 for the most salient object;
-    ``rank_map`` holds (N - r + 1) / N at each object's pixels, 0 elsewhere.
+    ``ranks`` is a permutation of 1..N with 1 for the most salient object.
     """
 
     scores: np.ndarray  # (N,)
     ranks: np.ndarray  # (N,), int
-    rank_map: np.ndarray  # (frame_h, frame_w)
 
 
 def temporal_params_init(channels: int, rng_seed: int) -> TemporalParams:
@@ -190,18 +186,6 @@ def sequence_scores(frames: list[FrameObjects], temporal: TemporalParams,
     ]
 
 
-def temporal_forward(frames: list[FrameObjects], temporal: TemporalParams,
-                     scoring: ScoringParams) -> list[RankedFrame]:
-    """Score, rank, and render every frame of a sequence."""
-    results = []
-    for frame, scores in zip(frames, sequence_scores(frames, temporal, scoring)):
-        values = scores.data.copy()
-        ranks = rank_assign(values)
-        rank_map = render_rank_map(frame.masks, ranks, frame.masks.shape[1:])
-        results.append(RankedFrame(scores=values, ranks=ranks, rank_map=rank_map))
-    return results
-
-
 def rank_assign(scores) -> np.ndarray:
     """Rank objects by score, 1 for the highest; ties broken by lower index."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -213,29 +197,6 @@ def rank_assign(scores) -> np.ndarray:
     ranks = np.empty(scores.size, dtype=np.int64)
     ranks[order] = np.arange(1, scores.size + 1)
     return ranks
-
-
-def render_rank_map(masks: np.ndarray, ranks: np.ndarray, out_shape: tuple[int, int]) -> np.ndarray:
-    """Paint normalized rank values (N - r + 1) / N onto a zero background.
-
-    Masks are painted from least to most salient, so where objects overlap
-    the more salient one wins.
-    """
-    masks = np.asarray(masks)
-    ranks = np.asarray(ranks)
-    n = len(ranks)
-    if masks.shape[0] != n:
-        raise ShapeError(f"{masks.shape[0]} masks for {n} ranks")
-    out_shape = tuple(out_shape)
-    for i, mask in enumerate(masks):
-        if mask.shape != out_shape:
-            raise ShapeError(f"mask {i} has shape {mask.shape}, expected {out_shape}")
-    rank_map = np.zeros(out_shape, dtype=np.float64)
-    for r in range(n, 0, -1):
-        (idx,) = np.nonzero(ranks == r)
-        for i in idx:
-            rank_map[masks[i].astype(bool)] = (n - r + 1) / n
-    return rank_map
 
 
 def downsample_mask(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SequenceSample, SynthConfig, annotation_to_rank_map, synth_generate
+from .dataset import SequenceSample, SynthConfig, synth_generate
 from .losses import DEFAULT_MARGIN, RankTarget, rank_loss
-from .metrics import InstanceMask, sa_sor, mae
+from .metrics import score_frame
 from .model import VARIANTS, ModelParams, init_model_params, model_forward, model_scores, named_params
 
 __all__ = [
@@ -170,19 +170,13 @@ def evaluate(params: ModelParams, config: ModelConfig,
     for sample in eval_set:
         ranked = model_forward(sample.frames, params, config.variant)
         for frame, annotation, prediction in zip(sample.frames, sample.annotations, ranked):
-            ids = annotation.object_ids()
-            gt_masks = annotation.masks()
-            gt = [(InstanceMask(m, i), annotation.ranks[i]) for m, i in zip(gt_masks, ids)]
-            pred = [
-                (InstanceMask(m, i), int(r))
-                for m, i, r in zip(frame.masks, ids, prediction.ranks)
-            ]
-            correlation = sa_sor(gt, pred)
+            correlation, error = score_frame(annotation.masks(), annotation.ranks_in_id_order(),
+                                             frame.masks, prediction.ranks)
             if correlation is None:
                 undefined += 1
             else:
                 correlations.append(correlation)
-            errors.append(mae(prediction.rank_map, annotation_to_rank_map(annotation)))
+            errors.append(error)
     return EvalResult(
         sa_sor=float(np.mean(correlations)) if correlations else None,
         mae=float(np.mean(errors)),

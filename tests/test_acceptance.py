@@ -29,7 +29,7 @@ from vsorank.dataset import (
 from vsorank.gradcheck import run_suite
 from vsorank.metrics import InstanceMask, mae, sa_sor
 from vsorank.model import init_model_params
-from vsorank.spatial import RoiFeatureBatch, spatial_forward, spatial_params_init
+from vsorank.spatial import spatial_forward, spatial_params_init
 from vsorank.temporal import sequence_scores, temporal_mix, temporal_params_init
 from vsorank.trainer import ModelConfig, build_dataset, evaluate, train
 
@@ -68,10 +68,10 @@ def test_criterion_2_attention_invariants():
     # Object-permutation equivariance of the per-frame stage.
     params = spatial_params_init(4, 3)
     x = rng.standard_normal((3, 4, 2, 2))
-    base = spatial_forward(RoiFeatureBatch(Tensor(x)), params)
+    base = spatial_forward(Tensor(x), params)
     for _ in range(5):
         perm = rng.permutation(3)
-        permuted = spatial_forward(RoiFeatureBatch(Tensor(x[perm])), params)
+        permuted = spatial_forward(Tensor(x[perm]), params)
         assert np.abs(permuted.relation.data - base.relation.data[perm]).max() < 1e-12
         assert np.abs(permuted.value.data - base.value.data[perm]).max() < 1e-12
 
@@ -131,7 +131,7 @@ def test_criterion_4_module_oracles():
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         x = rng.standard_normal((n, c, h, w))
         params = random_params(rng, c)
-        out = spatial_forward(RoiFeatureBatch(Tensor(x)), params)
+        out = spatial_forward(Tensor(x), params)
         expected_relation, expected_value = reference_forward(
             x, params.kq_proj.weight.data, params.kq_proj.bias.data,
             params.v_proj.weight.data, params.v_proj.bias.data,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from vsorank.cli import main
 from vsorank.dataset import (
     RankAnnotation,
     SynthConfig,
+    read_tensor_file,
     save_annotations,
     synth_generate,
 )
+from vsorank.model import init_model_params, model_forward
 from vsorank.pgm import read_pgm16
+from vsorank.trainer import ModelConfig, build_dataset, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +69,14 @@ class TestSynth:
                                "--config", str(cfg))
         assert code == 1
         assert "objects" in err
+
+    def test_inseparable_object_count_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("K_max=8\nframe_height=128\nframe_width=128\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "synth", "--out", str(tmp_path / "d"),
+                               "--config", str(cfg))
+        assert code == 1
+        assert "bad generator config" in err and "8 saliency levels" in err
 
 
 class TestStats:
@@ -163,15 +175,51 @@ class TestEval:
         assert "seq_0000_0_gt.pgm" in names and "seq_0000_0_pred.pgm" in names
         assert read_pgm16(dump / "seq_0000_0_gt.pgm").max() == 65535
 
-    def test_thread_cap_respected(self, dataset_dir, capsys, monkeypatch):
-        monkeypatch.setenv("VSOR_THREADS", "2")
+    def test_prediction_without_objects(self, tmp_path, dataset_dir, capsys):
+        for name in ("seq_0000", "seq_0001"):
+            empty = RankAnnotation(instance_map=np.zeros((64, 64), dtype=np.uint16), ranks={})
+            save_annotations(tmp_path / "pred" / name, [empty] * 3)
         payload = run_json(capsys, "eval", "--gt", str(dataset_dir),
-                           "--pred", str(dataset_dir))
-        assert payload["aggregate"]["sa_sor"] == 1.0
-        monkeypatch.setenv("VSOR_THREADS", "nope")
-        code, _, err = run_cli(capsys, "eval", "--gt", str(dataset_dir),
-                               "--pred", str(dataset_dir))
-        assert code == 1 and "VSOR_THREADS" in err
+                           "--pred", str(tmp_path / "pred"))
+        assert all(f["sa_sor"] is None and f["mae"] > 0.0 for f in payload["frames"])
+        assert payload["aggregate"]["sa_sor_undefined_count"] == 6
+
+
+class TestEvalRoutesAgree:
+    """In-process ``evaluate`` and ``vsorank eval`` on the same predictions."""
+
+    def test_saved_predictions_reproduce_evaluate(self, tmp_path, capsys):
+        eval_set = build_dataset(SynthConfig(K_range=(2, 6), frame_resolution=(48, 40)), 4,
+                                 seed=12)
+        config = ModelConfig(variant="full")
+        params = init_model_params(config.C, config.H, config.W, seed=5)
+        head = params.scoring.score_head.weight
+        head.data[...] = np.random.default_rng(6).standard_normal(head.shape)
+        expected = evaluate(params, config, eval_set)
+
+        for number, sample in enumerate(eval_set):
+            predictions = []
+            for frame, ranked in zip(sample.frames, model_forward(sample.frames, params,
+                                                                  config.variant)):
+                # The generator's masks never overlap, so ids can be summed in.
+                ids = np.arange(1, len(frame.masks) + 1)
+                instance_map = (frame.masks * ids[:, None, None]).sum(axis=0)
+                predictions.append(RankAnnotation(
+                    instance_map=instance_map,
+                    ranks={int(i): int(r) for i, r in zip(ids, ranked.ranks)},
+                ))
+            name = f"seq_{number:04d}"
+            save_annotations(tmp_path / "gt" / name, sample.annotations)
+            save_annotations(tmp_path / "pred" / name, predictions)
+
+        payload = run_json(capsys, "eval", "--gt", str(tmp_path / "gt"),
+                           "--pred", str(tmp_path / "pred"))
+        aggregate = payload["aggregate"]
+        assert expected.sa_sor is not None and expected.sa_sor != 1.0
+        assert aggregate["sa_sor"] == expected.sa_sor
+        assert aggregate["mae"] == expected.mae
+        assert aggregate["sa_sor_undefined_count"] == expected.undefined_count
+        assert aggregate["frame_count"] == expected.frame_count
 
 
 class TestTrain:
@@ -234,3 +282,27 @@ class TestGradcheck:
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name, content", [
+        pytest.param("manifest.json", b'{"seed": 0}', id="manifest-without-frames"),
+        pytest.param("manifest.json", b"[0, 1, 2]", id="manifest-is-a-list"),
+        pytest.param("manifest.json", b'{"frames": ["0"]}', id="manifest-frame-not-int"),
+        pytest.param("manifest.json", b"{not json", id="manifest-garbage"),
+        pytest.param("0.bin", b"[1, 2]\n", id="tensor-header-is-a-list"),
+        pytest.param("0.bin", b"garbage\n", id="tensor-header-garbage"),
+        pytest.param("0.bin", b'{"shape": [2]}\n', id="tensor-without-dtype"),
+        pytest.param("0.bin", b'{"dtype": "<f8", "shape": [-1]}\n', id="tensor-negative-shape"),
+        pytest.param("0.bin", b'{"dtype": "<f8", "shape": 4}\n', id="tensor-shape-not-a-list"),
+    ])
+    def test_validation_error_names_the_path(self, tmp_path, capsys, name, content):
+        path = tmp_path / "seq_0000" / name
+        path.parent.mkdir()
+        path.write_bytes(content)
+        if name == "manifest.json":
+            code, _, err = run_cli(capsys, "stats", "--data", str(tmp_path))
+            assert code == 1 and str(path) in err
+        else:
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read_tensor_file(path)

@@ -9,7 +9,6 @@ from vsorank.dataset import (
     AnnotationError,
     RankAnnotation,
     SynthConfig,
-    annotation_to_rank_map,
     compute_stats,
     compute_video_stats,
     load_annotation,
@@ -22,7 +21,7 @@ from vsorank.dataset import (
     synth_generate,
     write_tensor_file,
 )
-from vsorank.metrics import mae
+from vsorank.metrics import mae, render_rank_map
 from vsorank.pgm import PgmError, read_pgm16, write_pgm16
 
 
@@ -96,28 +95,35 @@ class TestRankAnnotation:
             load_annotation(tmp_path / "f.pgm", tmp_path / "f.json")
 
 
+def annotation_rank_map(annotation):
+    return render_rank_map(annotation.masks(), annotation.ranks_in_id_order(),
+                           annotation.instance_map.shape)
+
+
 class TestRankMapRendering:
+    """The rank-map painter fed with masks and ranks taken from annotations."""
+
     def test_single_instance_is_all_one(self):
         instance_map = np.array([[1, 1], [0, 0]], dtype=np.uint16)
         annotation = RankAnnotation(instance_map=instance_map, ranks={1: 1})
-        rank_map = annotation_to_rank_map(annotation)
+        rank_map = annotation_rank_map(annotation)
         assert np.array_equal(rank_map, [[1.0, 1.0], [0.0, 0.0]])
 
     def test_two_instances_hand_values(self):
         annotation = simple_annotation()
-        rank_map = annotation_to_rank_map(annotation)
+        rank_map = annotation_rank_map(annotation)
         assert rank_map[0, 1] == 1.0 and rank_map[1, 1] == 0.5
         assert rank_map[0, 0] == 0.0
 
     def test_consistency_under_mae(self):
         annotation = simple_annotation()
-        assert mae(annotation_to_rank_map(annotation), annotation_to_rank_map(annotation)) == 0.0
+        assert mae(annotation_rank_map(annotation), annotation_rank_map(annotation)) == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_values_in_unit_interval_and_distinct(self, seed):
         sample = synth_generate(SynthConfig(K_range=(2, 5), frame_resolution=(40, 40)), seed)
         for annotation in sample.annotations:
-            rank_map = annotation_to_rank_map(annotation)
+            rank_map = annotation_rank_map(annotation)
             assert np.all((rank_map >= 0.0) & (rank_map <= 1.0))
             values = {rank_map[annotation.instance_map == i][0] for i in annotation.object_ids()}
             assert len(values) == annotation.instance_count
@@ -235,6 +241,15 @@ class TestSynthGenerate:
             SynthConfig(rank_swap_prob=1.5)
         with pytest.raises(ValueError, match="resolution"):
             SynthConfig(K_range=(2, 8), frame_resolution=(16, 16))
+
+    def test_inseparable_saliency_levels_rejected(self):
+        # Seven levels fit between the latent bounds at the minimum gap; eight do not.
+        sample = synth_generate(SynthConfig(K_range=(7, 7), frame_resolution=(128, 128)), 0)
+        assert sample.annotations[0].instance_count == 7
+        with pytest.raises(ValueError, match="cannot separate 8 saliency levels"):
+            SynthConfig(K_range=(8, 8), frame_resolution=(128, 128))
+        with pytest.raises(ValueError, match="cannot separate 9 saliency levels"):
+            SynthConfig(K_range=(2, 9), frame_resolution=(128, 128))
 
 
 class TestTensorFiles:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vsorank.autodiff import Tensor, grad_check
-from vsorank.losses import RankTarget, rank_loss, total_loss
+from vsorank.losses import RankTarget, rank_loss
 
 
 def loss_value(scores, ranks, margin=0.5):
@@ -117,25 +117,3 @@ class TestRankLossProperties:
         x = Tensor(scores, requires_grad=True)
         err = grad_check(lambda t: rank_loss(t, RankTarget(ranks), 0.5), x)
         assert err < 1e-6
-
-
-class TestTotalLoss:
-    def test_rank_term_alone(self):
-        assert total_loss(0.3) == pytest.approx(0.3)
-
-    def test_unweighted_sum_of_all_terms(self):
-        assert total_loss(0.3, 0.1, 0.2, 0.4) == pytest.approx(1.0)
-
-    def test_all_zero(self):
-        assert total_loss(0.0, 0.0, 0.0, 0.0) == 0.0
-
-    def test_tensor_rank_term_stays_differentiable(self):
-        x = Tensor([1.0, 0.0], requires_grad=True)
-        loss = total_loss(rank_loss(x, RankTarget((2, 1)), 0.5), 0.25)
-        assert isinstance(loss, Tensor)
-        loss.backward()
-        assert x.grad is not None
-
-    def test_non_finite_term_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            total_loss(0.3, float("inf"))

@@ -19,6 +19,7 @@ from vsorank.metrics import (
     match_instances,
     pearson,
     sa_sor,
+    score_frame,
 )
 
 
@@ -303,3 +304,30 @@ class TestSaSor:
         value = sa_sor(gt, pred)
         if value is not None:
             assert -1.0 <= value <= 1.0
+
+
+class TestScoreFrame:
+    def test_equals_sa_sor_and_mae_on_hand_built_masks(self):
+        # Three full-width stripes of a 6x6 frame, ranked top to bottom.  The
+        # prediction swaps the two upper ranks and covers only a third of the
+        # lowest stripe (IoU 1/3), so it matches there only at threshold 0.3.
+        shape = (6, 6)
+        gt_masks = np.stack([rect_mask(shape, 2 * i, 2 * i + 2, 0, 6) for i in range(3)])
+        pred_masks = gt_masks.copy()
+        pred_masks[2] = rect_mask(shape, 4, 6, 0, 2)
+        gt_ranks, pred_ranks = [1, 2, 3], [2, 1, 3]
+        third = 1 / 3
+        gt_map = np.repeat([1.0, 2 / 3, third], 12).reshape(shape)
+        pred_map = np.repeat([2 / 3, 1.0, 0.0], 12).reshape(shape)
+        pred_map[4:6, 0:2] = third
+        expected_mae = mae(pred_map, gt_map)
+        assert expected_mae == pytest.approx((12 + 12 + 8) / 3 / 36, abs=1e-12)
+
+        for threshold in (0.5, 0.3):
+            gt = [(InstanceMask(m, i), r) for i, (m, r) in enumerate(zip(gt_masks, gt_ranks))]
+            pred = [(InstanceMask(m, i), r)
+                    for i, (m, r) in enumerate(zip(pred_masks, pred_ranks))]
+            got = score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold)
+            assert got == (sa_sor(gt, pred, threshold), expected_mae)
+        assert score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks)[0] == pytest.approx(
+            np.corrcoef([3, 2, 1], [2, 3, 0])[0, 1], abs=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from vsorank.autodiff import ShapeError, Tensor, grad_check
 from vsorank.spatial import (
     EmptyFrameError,
-    RoiFeatureBatch,
     SpatialParams,
     spatial_forward,
     spatial_params_init,
@@ -87,7 +86,7 @@ class TestOracle:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 2, 1, 1))
         params = random_params(rng, 2)
-        out = spatial_forward(RoiFeatureBatch(Tensor(x)), params)
+        out = spatial_forward(Tensor(x), params)
         expected_relation, expected_value = reference_forward(
             x, params.kq_proj.weight.data, params.kq_proj.bias.data,
             params.v_proj.weight.data, params.v_proj.bias.data,
@@ -103,7 +102,7 @@ class TestOracle:
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         x = rng.standard_normal((n, c, h, w))
         params = random_params(rng, c)
-        out = spatial_forward(RoiFeatureBatch(Tensor(x)), params)
+        out = spatial_forward(Tensor(x), params)
         expected_relation, expected_value = reference_forward(
             x, params.kq_proj.weight.data, params.kq_proj.bias.data,
             params.v_proj.weight.data, params.v_proj.bias.data,
@@ -116,7 +115,7 @@ class TestContracts:
     def test_default_scale_shapes(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((3, 256, 7, 7)))
-        out = spatial_forward(RoiFeatureBatch(x), spatial_params_init(256, 0))
+        out = spatial_forward(x, spatial_params_init(256, 0))
         assert out.relation.shape == (3, 256, 7, 7)
         assert out.value.shape == (3, 256, 7, 7)
 
@@ -130,18 +129,23 @@ class TestContracts:
                 weight=Tensor(np.zeros((4, 4))), bias=Tensor(np.zeros(4))
             ),
         )
-        out = spatial_forward(RoiFeatureBatch(Tensor(x)), zeroed)
+        out = spatial_forward(Tensor(x), zeroed)
         assert np.array_equal(out.relation.data, x)
 
     def test_empty_frame_rejected(self):
         x = Tensor(np.zeros((0, 4, 2, 2)))
         with pytest.raises(EmptyFrameError):
-            spatial_forward(RoiFeatureBatch(x), spatial_params_init(4, 0))
+            spatial_forward(x, spatial_params_init(4, 0))
 
     def test_channel_mismatch_rejected(self):
         x = Tensor(np.zeros((2, 3, 2, 2)))
         with pytest.raises(ShapeError, match="channel"):
-            spatial_forward(RoiFeatureBatch(x), spatial_params_init(4, 0))
+            spatial_forward(x, spatial_params_init(4, 0))
+
+    def test_non_4d_features_rejected(self):
+        x = Tensor(np.zeros((2, 4, 4)))
+        with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
+            spatial_forward(x, spatial_params_init(4, 0))
 
 
 class TestInvariants:
@@ -149,9 +153,9 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4, 2, 2))
         params = spatial_params_init(4, 9)
-        out = spatial_forward(RoiFeatureBatch(Tensor(x)), params)
+        out = spatial_forward(Tensor(x), params)
         perm = rng.permutation(3)
-        out_perm = spatial_forward(RoiFeatureBatch(Tensor(x[perm])), params)
+        out_perm = spatial_forward(Tensor(x[perm]), params)
         np.testing.assert_allclose(out_perm.relation.data, out.relation.data[perm], atol=1e-12)
         np.testing.assert_allclose(out_perm.value.data, out.value.data[perm], atol=1e-12)
 
@@ -159,7 +163,7 @@ class TestInvariants:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, 2, 2))
         params = spatial_params_init(3, 5)
-        out = spatial_forward(RoiFeatureBatch(Tensor(x)), params)
+        out = spatial_forward(Tensor(x), params)
         # With one object the frame-global map is that object's value map, so
         # the stage reduces to plain per-object spatial self-attention.
         w, b = params.v_proj.weight.data, params.v_proj.bias.data
@@ -172,7 +176,7 @@ class TestInvariants:
         x = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
 
         def f(t):
-            return spatial_forward(RoiFeatureBatch(t), params).relation.sum()
+            return spatial_forward(t, params).relation.sum()
 
         assert grad_check(f, x) < 1e-5
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from vsorank.autodiff import ShapeError, Tensor, grad_check
+from vsorank.dataset import FrameSample
+from vsorank.metrics import render_rank_map
+from vsorank.model import init_model_params, model_forward
 from vsorank.spatial import EmptyFrameError, Projection
 from vsorank.temporal import (
     FrameObjects,
@@ -12,9 +15,7 @@ from vsorank.temporal import (
     downsample_mask,
     pooled_frame_values,
     rank_assign,
-    render_rank_map,
     sequence_scores,
-    temporal_forward,
     temporal_mix,
     temporal_params_init,
 )
@@ -213,9 +214,10 @@ class TestTemporalMix:
 class TestScoring:
     def test_sequence_length_contract(self):
         rng = np.random.default_rng(4)
-        frames, temporal, scoring = random_setup(rng, (2, 2, 2), 2, 2, 2)
-        ranked = temporal_forward(frames, temporal, scoring)
-        assert len(ranked) == 3
+        frames, _, _ = random_setup(rng, (2, 2, 2), 2, 2, 2)
+        samples = [FrameSample(features=f.value.data, masks=f.masks) for f in frames]
+        ranked = model_forward(samples, init_model_params(2, 2, 2, seed=4), "temporal")
+        assert [r.ranks.size for r in ranked] == [2, 2, 2]
         assert pooled_frame_values(frames).shape == (3, 2, 2, 2)
 
     def test_object_permutation_permutes_scores(self):

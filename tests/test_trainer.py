@@ -48,7 +48,6 @@ class TestVariantWiring:
             for frame, result in zip(sample.frames, ranked):
                 n = frame.features.shape[0]
                 assert sorted(result.ranks.tolist()) == list(range(1, n + 1))
-                assert np.all((result.rank_map >= 0.0) & (result.rank_map <= 1.0))
 
     def test_unknown_variant_rejected(self):
         sample = synth_generate(SynthConfig(), 5)
