@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def load_config_file(path) -> dict:
     """Read a config as JSON (leading '{') or line-based key=value pairs."""
     with open(path, encoding="utf-8") as f:
         content = f.read()
-    stripped = content.lstrip()
-    if stripped.startswith("{"):
+    if content.lstrip().startswith("{"):
         doc = json.loads(content)
         if not isinstance(doc, dict):
             raise CliError(f"{path}: top-level JSON value must be an object")
@@ -76,54 +75,47 @@ def load_config_file(path) -> dict:
     return config
 
 
-_MODEL_KEYS = ("variant", "C", "H", "W", "T", "margin", "learning_rate",
-               "iterations", "seed", "momentum", "weight_decay")
-_SYNTH_KEYS = ("rank_swap_prob", "noise_level")
-_DATA_KEYS = ("train_sequences", "eval_sequences", "out_dir",
-              "K_min", "K_max", "frame_height", "frame_width")
+# Generator keys: SynthConfig's fields with K_range and frame_resolution split in two.
+_SYNTH_KEYS = ("T", "C", "H", "W", "K_min", "K_max", "frame_height", "frame_width",
+               "rank_swap_prob", "noise_level")
+_TRAIN_KEYS = ({f.name for f in fields(ModelConfig)} | set(_SYNTH_KEYS)
+               | {"train_sequences", "eval_sequences", "out_dir"})
 
 
-def _train_settings(config: dict, overrides: dict) -> tuple[ModelConfig, SynthConfig, dict]:
-    merged = dict(config)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if "rank_loss.margin" in merged:
-        merged.setdefault("margin", merged.pop("rank_loss.margin"))
-
-    known = set(_MODEL_KEYS) | set(_SYNTH_KEYS) | set(_DATA_KEYS) | {"K_range", "frame_resolution"}
-    unknown = sorted(set(merged) - known)
+def _settings(args, keys) -> dict:
+    """``--config`` contents checked against ``keys``, with every given flag on top."""
+    settings = load_config_file(args.config) if args.config else {}
+    if "rank_loss.margin" in settings and "margin" in keys:
+        settings.setdefault("margin", settings.pop("rank_loss.margin"))
+    unknown = sorted(set(settings) - set(keys))
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
+    return settings
 
-    model_kwargs = {k: merged[k] for k in _MODEL_KEYS if k in merged}
-    try:
-        model = ModelConfig(**model_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad model config: {exc}")
 
-    k_range = merged.get("K_range", (merged.get("K_min", 3), merged.get("K_max", 3)))
-    resolution = merged.get(
-        "frame_resolution",
-        (merged.get("frame_height", 64), merged.get("frame_width", 64)),
-    )
+def _synth_config(settings: dict) -> SynthConfig:
+    """The generator config; keys absent from ``settings`` keep SynthConfig's defaults."""
+    default = SynthConfig()
+
+    def get(key, fallback, cast=int):
+        return cast(settings.get(key, fallback))
+
     try:
-        synth = SynthConfig(
-            T=model.T, C=model.C, H=model.H, W=model.W,
-            K_range=tuple(int(k) for k in k_range),
-            frame_resolution=tuple(int(r) for r in resolution),
-            rank_swap_prob=float(merged.get("rank_swap_prob", 0.1)),
-            noise_level=float(merged.get("noise_level", 0.5)),
+        return SynthConfig(
+            T=get("T", default.T), C=get("C", default.C),
+            H=get("H", default.H), W=get("W", default.W),
+            K_range=(get("K_min", default.K_range[0]), get("K_max", default.K_range[1])),
+            frame_resolution=(get("frame_height", default.frame_resolution[0]),
+                              get("frame_width", default.frame_resolution[1])),
+            rank_swap_prob=get("rank_swap_prob", default.rank_swap_prob, float),
+            noise_level=get("noise_level", default.noise_level, float),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator config: {exc}")
-
-    data = {
-        "train_sequences": int(merged.get("train_sequences", 200)),
-        "eval_sequences": int(merged.get("eval_sequences", 50)),
-        "out_dir": merged.get("out_dir"),
-    }
-    if data["train_sequences"] < 1 or data["eval_sequences"] < 1:
-        raise CliError("train_sequences and eval_sequences must be positive")
-    return model, synth, data
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -158,7 +150,13 @@ def cmd_eval(args) -> int:
             if idx not in pred_frames:
                 missing.append((name, idx))
                 continue
-            tasks.append((name, idx, gt_ann, pred_frames[idx]))
+            pred_ann = pred_frames[idx]
+            if pred_ann.instance_map.shape != gt_ann.instance_map.shape:
+                pred_path = os.path.join(pred_dir, "frames", f"{idx}.pgm")
+                raise CliError(f"{name}/{idx}: prediction {pred_path} has shape "
+                               f"{pred_ann.instance_map.shape}, ground truth "
+                               f"{gt_ann.instance_map.shape}")
+            tasks.append((name, idx, gt_ann, pred_ann))
     if missing:
         listed = ", ".join(f"{name}/{idx}" for name, idx in sorted(missing))
         raise CliError(f"missing predictions for frames: {listed}")
@@ -205,31 +203,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    known = {"T", "C", "H", "W", "K_min", "K_max", "K_range",
-             "frame_height", "frame_width", "frame_resolution",
-             "rank_swap_prob", "noise_level"}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    k_range = config.get("K_range", (config.get("K_min", 3), config.get("K_max", 3)))
-    resolution = config.get(
-        "frame_resolution",
-        (config.get("frame_height", 64), config.get("frame_width", 64)),
-    )
-    try:
-        synth = SynthConfig(
-            T=int(config.get("T", 3)),
-            C=int(config.get("C", 16)),
-            H=int(config.get("H", 7)),
-            W=int(config.get("W", 7)),
-            K_range=tuple(int(k) for k in k_range),
-            frame_resolution=tuple(int(r) for r in resolution),
-            rank_swap_prob=float(config.get("rank_swap_prob", 0.1)),
-            noise_level=float(config.get("noise_level", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad generator config: {exc}")
+    if args.sequences < 1:
+        raise CliError(f"--sequences must be positive, got {args.sequences}")
+    synth = _synth_config(_settings(args, _SYNTH_KEYS))
 
     os.makedirs(args.out, exist_ok=True)
     names = []
@@ -243,39 +219,33 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "variant": args.variant,
-        "C": args.C, "H": args.H, "W": args.W, "T": args.T,
-        "margin": args.margin,
-        "learning_rate": args.learning_rate,
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "momentum": args.momentum,
-        "weight_decay": args.weight_decay,
-        "train_sequences": args.train_sequences,
-        "eval_sequences": args.eval_sequences,
-        "noise_level": args.noise_level,
-        "rank_swap_prob": args.rank_swap_prob,
-        "out_dir": args.out_dir,
-    }
-    model_config, synth_config, data = _train_settings(config, overrides)
+    settings = _settings(args, _TRAIN_KEYS)
+    try:
+        model_config = ModelConfig(**{f.name: settings[f.name]
+                                      for f in fields(ModelConfig) if f.name in settings})
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad model config: {exc}")
+    synth_config = _synth_config({**settings, "C": model_config.C,
+                                  "H": model_config.H, "W": model_config.W})
+    train_sequences = int(settings.get("train_sequences", 200))
+    eval_sequences = int(settings.get("eval_sequences", 50))
+    if train_sequences < 1 or eval_sequences < 1:
+        raise CliError("train_sequences and eval_sequences must be positive")
 
-    train_set = build_dataset(synth_config, data["train_sequences"], seed=model_config.seed)
-    eval_set = build_dataset(synth_config, data["eval_sequences"],
+    train_set = build_dataset(synth_config, train_sequences, seed=model_config.seed)
+    eval_set = build_dataset(synth_config, eval_sequences,
                              seed=model_config.seed + 1_000_003)
     params, report = train(model_config, train_set, eval_set)
 
-    params_dir = None
-    if data["out_dir"]:
-        params_dir = data["out_dir"]
+    params_dir = settings.get("out_dir") or None
+    if params_dir:
         save_model_params(params_dir, params, model_config)
 
     _emit({
         "variant": model_config.variant,
         "iterations": model_config.iterations,
-        "train_sequences": data["train_sequences"],
-        "eval_sequences": data["eval_sequences"],
+        "train_sequences": train_sequences,
+        "eval_sequences": eval_sequences,
         "loss_curve": report.loss_curve,
         "eval_sa_sor": report.eval_sa_sor,
         "eval_mae": report.eval_mae,

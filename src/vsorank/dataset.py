@@ -388,6 +388,8 @@ def _read_manifest(path) -> dict:
     frames = manifest.get("frames") if isinstance(manifest, dict) else None
     if not isinstance(frames, list) or not all(_is_int(idx) for idx in frames):
         raise AnnotationError(f'{manifest_path}: expected an object with a "frames" list of integers')
+    if "seed" in manifest and not _is_int(manifest["seed"]):
+        raise AnnotationError(f'{manifest_path}: "seed" must be an integer, got {manifest["seed"]!r}')
     return manifest
 
 

@@ -121,8 +121,7 @@ def save_model_params(path, params: ModelParams, config=None) -> None:
     manifest = {"params": names}
     if config is not None:
         manifest["config"] = {
-            "variant": config.variant, "C": config.C, "H": config.H,
-            "W": config.W, "T": config.T,
+            "variant": config.variant, "C": config.C, "H": config.H, "W": config.W,
         }
     with open(os.path.join(path, "params.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f)
@@ -136,10 +135,20 @@ def load_model_params(path) -> ModelParams:
         name: read_tensor_file(os.path.join(path, f"{name}.bin"))
         for name in manifest["params"]
     }
-    channels = arrays["spatial.kq_proj.weight"].shape[0]
-    height_width = arrays["scoring.mask_embed.weight"].shape[1]
+
+    def array(name):
+        if name not in arrays:
+            raise ValueError(f"{path}: params.json lists no tensor {name!r}")
+        return arrays[name]
+
+    channels = array("spatial.kq_proj.weight").shape[0]
+    height_width = array("scoring.mask_embed.weight").shape[1]
     # Rebuild with the right structure, then overwrite every tensor.
     params = init_model_params(channels, 1, height_width, seed=0)
     for name, tensor in named_params(params):
-        tensor.data[...] = arrays[name]
+        data = array(name)
+        if data.shape != tensor.shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {data.shape}, "
+                             f"expected {tensor.shape}")
+        tensor.data[...] = data
     return params

@@ -38,7 +38,6 @@ class ModelConfig:
     C: int = 16
     H: int = 7
     W: int = 7
-    T: int = 3
     margin: float = DEFAULT_MARGIN
     learning_rate: float = 0.02
     iterations: int = 2000
@@ -49,8 +48,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if min(self.C, self.H, self.W, self.T) < 1:
-            raise ValueError("C, H, W, T must all be positive")
+        if min(self.C, self.H, self.W) < 1:
+            raise ValueError("C, H, W must all be positive")
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
         if self.learning_rate < 0 or self.iterations < 0:

@@ -3,10 +3,12 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+from vsorank import cli
 from vsorank.cli import main
 from vsorank.dataset import (
     RankAnnotation,
@@ -16,8 +18,8 @@ from vsorank.dataset import (
     synth_generate,
 )
 from vsorank.model import init_model_params, model_forward
-from vsorank.pgm import read_pgm16
-from vsorank.trainer import ModelConfig, build_dataset, evaluate
+from vsorank.pgm import read_pgm16, write_pgm16
+from vsorank.trainer import ModelConfig, TrainReport, build_dataset, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,13 @@ class TestSynth:
                                "--config", str(cfg))
         assert code == 1
         assert "bad generator config" in err and "8 saliency levels" in err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_sequence_count_rejected(self, tmp_path, capsys, count):
+        code, out, err = run_cli(capsys, "synth", "--out", str(tmp_path / "d"),
+                                 "--sequences", count)
+        assert code == 1 and out == ""
+        assert "--sequences" in err
 
 
 class TestStats:
@@ -184,6 +193,15 @@ class TestEval:
         assert all(f["sa_sor"] is None and f["mae"] > 0.0 for f in payload["frames"])
         assert payload["aggregate"]["sa_sor_undefined_count"] == 6
 
+    def test_prediction_shape_mismatch_names_the_frame(self, tmp_path, dataset_dir, capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(dataset_dir, pred)
+        path = pred / "seq_0001" / "frames" / "2.pgm"
+        write_pgm16(path, np.pad(read_pgm16(path), ((0, 2), (0, 0))))
+        code, _, err = run_cli(capsys, "eval", "--gt", str(dataset_dir), "--pred", str(pred))
+        assert code == 1
+        assert "seq_0001/2" in err and str(path) in err
+
 
 class TestEvalRoutesAgree:
     """In-process ``evaluate`` and ``vsorank eval`` on the same predictions."""
@@ -265,6 +283,52 @@ class TestTrain:
         assert code == 1 and "optimizer" in err
 
 
+class TestSettings:
+    """One reader for ``synth`` and ``train`` settings: file, alias, flags."""
+
+    def test_empty_settings_give_generator_defaults(self):
+        assert cli._synth_config({}) == SynthConfig()
+
+    def test_flags_beat_file_and_file_margin_beats_alias(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(
+            "variant=basic\nlearning_rate=0.1\nT=2\nC=4\nmargin=0.3\nrank_loss.margin=0.9\n"
+            "K_min=2\nK_max=5\nframe_height=48\nnoise_level=0\n",
+            encoding="utf-8",
+        )
+        seen = {}
+
+        def fake_build_dataset(synth_config, count, seed):
+            seen["synth"] = synth_config
+            return []
+
+        def fake_train(config, train_set, eval_set):
+            seen["model"] = config
+            return None, TrainReport([], None, 0.0, 0, 0.0)
+
+        monkeypatch.setattr(cli, "build_dataset", fake_build_dataset)
+        monkeypatch.setattr(cli, "train", fake_train)
+        run_json(capsys, "train", "--config", str(cfg),
+                 "--learning-rate", "0.5", "--T", "4", "--C", "8")
+        assert seen["model"] == ModelConfig(variant="basic", C=8, margin=0.3, learning_rate=0.5)
+        assert seen["synth"] == SynthConfig(T=4, C=8, K_range=(2, 5),
+                                            frame_resolution=(48, 64), noise_level=0.0)
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("line, key", [
+        ("K_range=3,5", "K_range"),
+        ("frame_resolution=64,64", "frame_resolution"),
+        ("objects=3", "objects"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, line, key):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        extra = ["--out", str(tmp_path / "d")] if command == "synth" else []
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+        assert code == 1
+        assert f"unknown config keys: {key}" in err
+
+
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
         payload = run_json(capsys, "gradcheck", "--seed", "0")
@@ -290,6 +354,7 @@ class TestMalformedInputs:
         pytest.param("manifest.json", b"[0, 1, 2]", id="manifest-is-a-list"),
         pytest.param("manifest.json", b'{"frames": ["0"]}', id="manifest-frame-not-int"),
         pytest.param("manifest.json", b"{not json", id="manifest-garbage"),
+        pytest.param("manifest.json", b'{"frames": [], "seed": "abc"}', id="manifest-seed-not-int"),
         pytest.param("0.bin", b"[1, 2]\n", id="tensor-header-is-a-list"),
         pytest.param("0.bin", b"garbage\n", id="tensor-header-garbage"),
         pytest.param("0.bin", b'{"shape": [2]}\n', id="tensor-without-dtype"),

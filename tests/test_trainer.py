@@ -1,11 +1,13 @@
 """Variant wiring, optimizer behavior, and the training/evaluation loop."""
 
+import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from vsorank.dataset import SynthConfig, synth_generate
+from vsorank.dataset import SynthConfig, synth_generate, write_tensor_file
 from vsorank.model import (
     VARIANTS,
     init_model_params,
@@ -195,6 +197,24 @@ class TestModelParamsIo:
         for (name_a, a), (name_b, b) in zip(named_params(params), named_params(restored)):
             assert name_a == name_b
             assert np.array_equal(a.data, b.data)
+
+    def test_missing_tensor_names_directory_and_tensor(self, tmp_path):
+        path = tmp_path / "params"
+        save_model_params(path, init_model_params(8, 7, 7, seed=9))
+        manifest = json.loads((path / "params.json").read_text(encoding="utf-8"))
+        dropped = manifest["params"].pop()
+        (path / "params.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            load_model_params(path)
+        assert dropped in str(info.value)
+
+    def test_wrong_tensor_shape_names_directory_and_tensor(self, tmp_path):
+        path = tmp_path / "params"
+        save_model_params(path, init_model_params(8, 7, 7, seed=9))
+        write_tensor_file(path / "scoring.score_head.weight.bin", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+            load_model_params(path)
+        assert "scoring.score_head.weight" in str(info.value)
 
 
 class TestBuildDataset:
