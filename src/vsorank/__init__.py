@@ -22,8 +22,6 @@ from .dataset import (
 )
 from .losses import RankTarget, rank_loss
 from .metrics import (
-    InstanceMask,
-    Matching,
     mae,
     match_instances,
     pearson,

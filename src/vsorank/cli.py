@@ -101,18 +101,25 @@ def _synth_config(settings: dict) -> SynthConfig:
     """The generator config; keys absent from ``settings`` keep SynthConfig's defaults."""
     default = SynthConfig()
 
-    def get(key, fallback, cast=int):
-        return cast(settings.get(key, fallback))
+    def integer(key, fallback):
+        value = settings.get(key, fallback)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return value
+
+    def number(key, fallback):
+        return float(settings.get(key, fallback))
 
     try:
         return SynthConfig(
-            T=get("T", default.T), C=get("C", default.C),
-            H=get("H", default.H), W=get("W", default.W),
-            K_range=(get("K_min", default.K_range[0]), get("K_max", default.K_range[1])),
-            frame_resolution=(get("frame_height", default.frame_resolution[0]),
-                              get("frame_width", default.frame_resolution[1])),
-            rank_swap_prob=get("rank_swap_prob", default.rank_swap_prob, float),
-            noise_level=get("noise_level", default.noise_level, float),
+            T=integer("T", default.T), C=integer("C", default.C),
+            H=integer("H", default.H), W=integer("W", default.W),
+            K_range=(integer("K_min", default.K_range[0]),
+                     integer("K_max", default.K_range[1])),
+            frame_resolution=(integer("frame_height", default.frame_resolution[0]),
+                              integer("frame_width", default.frame_resolution[1])),
+            rank_swap_prob=number("rank_swap_prob", default.rank_swap_prob),
+            noise_level=number("noise_level", default.noise_level),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator config: {exc}")
@@ -169,8 +176,7 @@ def cmd_eval(args) -> int:
         for name, idx, gt_ann, pred_ann in tasks:
             for tag, ann in (("gt", gt_ann), ("pred", pred_ann)):
                 path = os.path.join(args.dump_maps, f"{name}_{idx}_{tag}.pgm")
-                rank_map = render_rank_map(ann.masks(), ann.ranks_in_id_order(),
-                                           ann.instance_map.shape)
+                rank_map = render_rank_map(ann.masks(), ann.ranks_in_id_order())
                 write_pgm16(path, np.round(rank_map * 65535).astype(np.uint16))
 
     defined = [f["sa_sor"] for f in frames if f["sa_sor"] is not None]

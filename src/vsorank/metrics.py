@@ -1,6 +1,9 @@
 """Evaluation metrics for ranked instance predictions.
 
-Two metrics are provided, and ``score_frame`` computes both for one frame:
+A frame's ranked instances are an ``(N, H, W)`` bool mask stack plus N ranks,
+the i-th rank belonging to the i-th mask; every function here takes them in
+that form.  Two metrics are provided, and ``score_frame`` computes both for
+one frame:
 
 * ``mae`` -- mean absolute pixel error between two normalized rank maps,
   ``(1 / (W * H)) * sum |P(i, j) - G(i, j)|``, as painted by
@@ -13,17 +16,12 @@ Two metrics are provided, and ``score_frame`` computes both for one frame:
   or undefined (``None``) when y is constant.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import ShapeError
 
 __all__ = [
     "ConstantVectorError",
-    "InstanceMask",
-    "Matching",
-    "iou",
     "match_instances",
     "pearson",
     "render_rank_map",
@@ -37,71 +35,63 @@ class ConstantVectorError(ValueError):
     """Pearson correlation is undefined for a constant input vector."""
 
 
-@dataclass(frozen=True)
-class InstanceMask:
-    """Binary pixel mask of one object instance."""
-
-    pixels: np.ndarray  # 2D bool
-    identifier: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=bool))
-        if self.pixels.ndim != 2:
-            raise ValueError(f"mask must be 2D, got shape {self.pixels.shape}")
-        if not self.pixels.any():
-            raise ValueError(f"instance {self.identifier} has no foreground pixels")
+def _stack(masks) -> np.ndarray:
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 3:
+        raise ShapeError(f"masks must be an (N, H, W) stack, got shape {masks.shape}")
+    return masks
 
 
-@dataclass(frozen=True)
-class Matching:
-    """One-to-one assignment between ground-truth and predicted instances."""
-
-    pairs: list[tuple[int, int]]  # (gt_index, pred_index)
-    unmatched_gt: list[int]
-    unmatched_pred: list[int]
-
-
-def iou(a: InstanceMask, b: InstanceMask) -> float:
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(f"mask shapes differ: {a.pixels.shape} vs {b.pixels.shape}")
-    intersection = np.logical_and(a.pixels, b.pixels).sum()
-    if intersection == 0:
-        return 0.0
-    union = np.logical_or(a.pixels, b.pixels).sum()
-    return float(intersection / union)
+def _ranked_stack(masks, ranks) -> tuple[np.ndarray, np.ndarray]:
+    masks = _stack(masks)
+    ranks = np.asarray(ranks)
+    if ranks.shape != masks.shape[:1]:
+        raise ShapeError(f"{masks.shape[0]} masks for {ranks.size} ranks")
+    return masks, ranks
 
 
-def match_instances(gt: list[InstanceMask], pred: list[InstanceMask],
-                    iou_threshold: float = 0.5) -> Matching:
-    """Greedy one-to-one matching in descending IoU order.
+def _pixel_rows(masks: np.ndarray, side: str) -> np.ndarray:
+    """One float64 row of 0/1 pixels per instance; every instance needs a pixel."""
+    n, height, width = masks.shape
+    rows = masks.reshape(n, height * width)
+    empty = np.flatnonzero(~rows.any(axis=1))
+    if empty.size:
+        raise ValueError(f"{side} instance {empty[0]} has no foreground pixels")
+    return rows.astype(np.float64)
+
+
+def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
+                    iou_threshold: float = 0.5) -> list[tuple[int, int]]:
+    """Greedy one-to-one ``(gt, pred)`` index pairs in descending IoU order.
 
     Only pairs with IoU >= ``iou_threshold`` are considered; exact IoU ties
     resolve by lower ground-truth index, then lower prediction index.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    candidates = []
-    for gi, g in enumerate(gt):
-        for pi, p in enumerate(pred):
-            overlap = iou(g, p)
-            if overlap >= iou_threshold:
-                candidates.append((-overlap, gi, pi))
-    candidates.sort()
+    gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
+    if gt_masks.shape[1:] != pred_masks.shape[1:]:
+        raise ValueError(f"mask shapes differ: {gt_masks.shape[1:]} vs {pred_masks.shape[1:]}")
+    gt = _pixel_rows(gt_masks, "ground-truth")
+    pred = _pixel_rows(pred_masks, "predicted")
+    # Pixel counts are exact integers in float64, so each IoU is the same
+    # float64 quotient as dividing the integer counts.
+    intersection = gt @ pred.T
+    union = gt.sum(axis=1)[:, None] + pred.sum(axis=1)[None, :] - intersection
+    overlap = intersection / union
 
+    gt_idx, pred_idx = np.nonzero(overlap >= iou_threshold)  # row-major: ties in index order
+    order = np.argsort(-overlap[gt_idx, pred_idx], kind="stable")
     pairs: list[tuple[int, int]] = []
     used_gt: set[int] = set()
     used_pred: set[int] = set()
-    for _, gi, pi in candidates:
+    for gi, pi in zip(gt_idx[order].tolist(), pred_idx[order].tolist()):
         if gi in used_gt or pi in used_pred:
             continue
         pairs.append((gi, pi))
         used_gt.add(gi)
         used_pred.add(pi)
-    return Matching(
-        pairs=pairs,
-        unmatched_gt=[i for i in range(len(gt)) if i not in used_gt],
-        unmatched_pred=[i for i in range(len(pred)) if i not in used_pred],
-    )
+    return pairs
 
 
 def pearson(x, y) -> float:
@@ -118,22 +108,15 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum() / np.sqrt(squared))
 
 
-def render_rank_map(masks: np.ndarray, ranks, out_shape: tuple[int, int]) -> np.ndarray:
+def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     """Paint normalized rank values (N - r + 1) / N onto a zero background.
 
     Masks are painted from least to most salient, so where objects overlap
     the more salient one wins.
     """
-    masks = np.asarray(masks, dtype=bool)
-    ranks = np.asarray(ranks)
+    masks, ranks = _ranked_stack(masks, ranks)
     n = len(ranks)
-    if masks.shape[0] != n:
-        raise ShapeError(f"{masks.shape[0]} masks for {n} ranks")
-    out_shape = tuple(out_shape)
-    for i, mask in enumerate(masks):
-        if mask.shape != out_shape:
-            raise ShapeError(f"mask {i} has shape {mask.shape}, expected {out_shape}")
-    rank_map = np.zeros(out_shape, dtype=np.float64)
+    rank_map = np.zeros(masks.shape[1:], dtype=np.float64)
     for r in range(n, 0, -1):
         (idx,) = np.nonzero(ranks == r)
         for i in idx:
@@ -150,7 +133,7 @@ def mae(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.abs(predicted - truth).mean())
 
 
-def sa_sor(gt: list[tuple[InstanceMask, int]], pred: list[tuple[InstanceMask, int]],
+def sa_sor(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
            iou_threshold: float = 0.5) -> float | None:
     """Segmentation-aware rank correlation; ``None`` when undefined.
 
@@ -158,20 +141,17 @@ def sa_sor(gt: list[tuple[InstanceMask, int]], pred: list[tuple[InstanceMask, in
     matched-level vector) are reported as ``None`` and should be excluded
     from averages by the caller.
     """
-    n_gt = len(gt)
-    gt_ranks = [rank for _, rank in gt]
-    if sorted(gt_ranks) != list(range(1, n_gt + 1)):
-        raise ValueError(f"ground-truth ranks {gt_ranks} are not a permutation of 1..{n_gt}")
+    gt_masks, gt_ranks = _ranked_stack(gt_masks, gt_ranks)
+    pred_masks, pred_ranks = _ranked_stack(pred_masks, pred_ranks)
+    n_gt, n_pred = len(gt_ranks), len(pred_ranks)
+    if sorted(gt_ranks.tolist()) != list(range(1, n_gt + 1)):
+        raise ValueError(f"ground-truth ranks {gt_ranks.tolist()} are not a permutation "
+                         f"of 1..{n_gt}")
 
-    matching = match_instances([m for m, _ in gt], [m for m, _ in pred], iou_threshold)
-    matched = dict(matching.pairs)
-
-    n_pred = len(pred)
-    x = np.array([n_gt - rank + 1 for _, rank in gt], dtype=np.float64)
+    x = n_gt + 1.0 - gt_ranks
     y = np.zeros(n_gt, dtype=np.float64)
-    for gi in range(n_gt):
-        if gi in matched:
-            y[gi] = n_pred - pred[matched[gi]][1] + 1
+    for gi, pi in match_instances(gt_masks, pred_masks, iou_threshold):
+        y[gi] = n_pred - int(pred_ranks[pi]) + 1
 
     if n_gt < 2:
         return None
@@ -185,14 +165,8 @@ def score_frame(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ran
                 iou_threshold: float = 0.5) -> tuple[float | None, float]:
     """SA-SOR and rank-map MAE of one frame's ranked instance masks.
 
-    Masks are (N, H, W) stacks whose i-th entry carries the i-th rank; the
-    ground-truth ranks must be a permutation of 1..N.
+    The ground-truth ranks must be a permutation of 1..N.
     """
-    gt_masks = np.asarray(gt_masks)
-    pred_masks = np.asarray(pred_masks)
-    gt = [(InstanceMask(m, i), int(r)) for i, (m, r) in enumerate(zip(gt_masks, gt_ranks))]
-    pred = [(InstanceMask(m, i), int(r)) for i, (m, r) in enumerate(zip(pred_masks, pred_ranks))]
-    correlation = sa_sor(gt, pred, iou_threshold)
-    error = mae(render_rank_map(pred_masks, pred_ranks, pred_masks.shape[1:]),
-                render_rank_map(gt_masks, gt_ranks, gt_masks.shape[1:]))
+    correlation = sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold)
+    error = mae(render_rank_map(pred_masks, pred_ranks), render_rank_map(gt_masks, gt_ranks))
     return correlation, error

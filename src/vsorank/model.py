@@ -129,12 +129,16 @@ def save_model_params(path, params: ModelParams, config=None) -> None:
 
 
 def load_model_params(path) -> ModelParams:
-    with open(os.path.join(path, "params.json"), encoding="utf-8") as f:
-        manifest = json.load(f)
-    arrays = {
-        name: read_tensor_file(os.path.join(path, f"{name}.bin"))
-        for name in manifest["params"]
-    }
+    manifest_path = os.path.join(path, "params.json")
+    with open(manifest_path, encoding="utf-8") as f:
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
+    names = manifest.get("params") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f'{manifest_path}: expected an object with a "params" list of names')
+    arrays = {name: read_tensor_file(os.path.join(path, f"{name}.bin")) for name in names}
 
     def array(name):
         if name not in arrays:

@@ -7,6 +7,7 @@ even at learning rate zero.  Everything is deterministic given the config
 seed.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        for name in ("C", "H", "W", "iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.C, self.H, self.W) < 1:
             raise ValueError("C, H, W must all be positive")
         if self.margin <= 0:

@@ -27,7 +27,7 @@ from vsorank.dataset import (
     synth_generate,
 )
 from vsorank.gradcheck import run_suite
-from vsorank.metrics import InstanceMask, mae, sa_sor
+from vsorank.metrics import mae, sa_sor
 from vsorank.model import init_model_params
 from vsorank.spatial import spatial_forward, spatial_params_init
 from vsorank.temporal import sequence_scores, temporal_mix, temporal_params_init
@@ -96,9 +96,9 @@ def test_criterion_3_metric_oracles():
     agreements = 0
     for seed in range(200):
         scene_rng = np.random.default_rng((900, seed))
-        gt, pred = random_scene(scene_rng)
-        got = sa_sor(gt, pred)
-        expected = sa_sor_oracle(gt, pred)
+        scene = random_scene(scene_rng)
+        got = sa_sor(*scene)
+        expected = sa_sor_oracle(*scene)
         if expected is None:
             assert got is None
         else:
@@ -113,11 +113,8 @@ def test_criterion_3_metric_oracles():
         pixels[4 * i:4 * i + 4] = True
         return pixels
 
-    masks = [InstanceMask(band(i), i + 1) for i in range(3)]
-    gt = [(masks[i], i + 1) for i in range(3)]
-    reversed_pred = [(InstanceMask(m.pixels.copy(), 10 + i), 3 - i)
-                     for i, m in enumerate(masks)]
-    assert sa_sor(gt, reversed_pred) == -1.0
+    masks = np.stack([band(i) for i in range(3)])
+    assert sa_sor(masks, [1, 2, 3], masks.copy(), [3, 2, 1]) == -1.0
     from vsorank.metrics import pearson
     assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]) == -0.5
     report(3, f"mae matches double-loop on 100 maps; rank correlation matches "

@@ -328,6 +328,36 @@ class TestSettings:
         assert code == 1
         assert f"unknown config keys: {key}" in err
 
+    @pytest.mark.parametrize("key", ["T", "C", "H", "W", "K_min", "K_max",
+                                     "frame_height", "frame_width"])
+    @pytest.mark.parametrize("content", [
+        pytest.param("{key}=4.9\n", id="float"),
+        pytest.param('{{"{key}": true}}', id="bool"),
+    ])
+    def test_non_integer_generator_value_rejected(self, tmp_path, capsys, key, content):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(content.format(key=key), encoding="utf-8")
+        out = tmp_path / "d"
+        code, _, err = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert f"bad generator config: {key} must be an integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("C=8.5", "bad model config: C must be an integer", id="C"),
+        pytest.param("H=true", "bad model config: H must be an integer", id="H"),
+        pytest.param("iterations=2.5", "bad model config: iterations must be an integer",
+                     id="iterations"),
+        pytest.param("seed=1.0", "bad model config: seed must be an integer", id="seed"),
+        pytest.param("T=2.5", "bad generator config: T must be an integer", id="T"),
+    ])
+    def test_non_integer_train_value_rejected(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert message in err
+
 
 class TestGradcheck:
     def test_default_run_passes(self, capsys):

@@ -96,8 +96,7 @@ class TestRankAnnotation:
 
 
 def annotation_rank_map(annotation):
-    return render_rank_map(annotation.masks(), annotation.ranks_in_id_order(),
-                           annotation.instance_map.shape)
+    return render_rank_map(annotation.masks(), annotation.ranks_in_id_order())
 
 
 class TestRankMapRendering:

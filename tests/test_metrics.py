@@ -2,8 +2,9 @@
 
 Oracles here deliberately take different routes from the library code:
 ``mae`` is checked against a per-pixel double loop, ``pearson`` against
-``np.corrcoef``, greedy IoU matching against exhaustive optimal assignment,
-and ``sa_sor`` against a from-scratch combination of the latter two.
+``np.corrcoef``, greedy IoU matching against a greedy loop over per-pair
+IoUs and against exhaustive optimal assignment, and ``sa_sor`` against a
+from-scratch combination of exhaustive matching and ``np.corrcoef``.
 """
 
 import itertools
@@ -11,10 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
+from vsorank.autodiff import ShapeError
 from vsorank.metrics import (
     ConstantVectorError,
-    InstanceMask,
-    iou,
     mae,
     match_instances,
     pearson,
@@ -35,14 +35,33 @@ def mae_oracle(p, g):
     return total / (w * h)
 
 
+def iou_oracle(a, b):
+    """IoU of two 2D masks from per-pair logical operations."""
+    union = np.logical_or(a, b).sum()
+    return np.logical_and(a, b).sum() / union if union else 0.0
+
+
+def greedy_match_oracle(gt, pred, threshold):
+    """Greedy matching from a sorted list of per-pair IoUs (the reference loop)."""
+    candidates = sorted(
+        (-iou_oracle(g, p), gi, pi)
+        for gi, g in enumerate(gt)
+        for pi, p in enumerate(pred)
+        if iou_oracle(g, p) >= threshold
+    )
+    pairs = []
+    for _, gi, pi in candidates:
+        if all(gi != g and pi != p for g, p in pairs):
+            pairs.append((gi, pi))
+    return pairs
+
+
 def exhaustive_match_oracle(gt, pred, threshold):
     """Max-total-IoU one-to-one assignment over pairs with IoU >= threshold."""
     ious = {}
     for gi, g in enumerate(gt):
         for pi, p in enumerate(pred):
-            inter = np.logical_and(g.pixels, p.pixels).sum()
-            union = np.logical_or(g.pixels, p.pixels).sum()
-            value = inter / union if union else 0.0
+            value = iou_oracle(g, p)
             if value >= threshold:
                 ious[(gi, pi)] = value
     best_pairs, best_total = [], -1.0
@@ -59,13 +78,13 @@ def exhaustive_match_oracle(gt, pred, threshold):
     return sorted(best_pairs)
 
 
-def sa_sor_oracle(gt, pred, threshold=0.5):
+def sa_sor_oracle(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold=0.5):
     """Exhaustive matching plus np.corrcoef, fully independent of the library."""
-    n_gt, n_pred = len(gt), len(pred)
-    pairs = dict(exhaustive_match_oracle([m for m, _ in gt], [m for m, _ in pred], threshold))
-    x = [n_gt - rank + 1 for _, rank in gt]
+    n_gt, n_pred = len(gt_ranks), len(pred_ranks)
+    pairs = dict(exhaustive_match_oracle(gt_masks, pred_masks, threshold))
+    x = [n_gt - rank + 1 for rank in gt_ranks]
     y = [
-        (n_pred - pred[pairs[gi]][1] + 1) if gi in pairs else 0
+        (n_pred - pred_ranks[pairs[gi]] + 1) if gi in pairs else 0
         for gi in range(n_gt)
     ]
     if n_gt < 2 or len(set(y)) == 1:
@@ -80,7 +99,11 @@ def rect_mask(shape, y0, y1, x0, x1):
 
 
 def random_scene(rng, shape=(24, 24)):
-    """Disjoint lane-confined GT rectangles and jittered/dropped predictions."""
+    """Disjoint lane-confined GT rectangles and jittered/dropped predictions.
+
+    Returns ``(gt_masks, gt_ranks, pred_masks, pred_ranks)``: two (N, H, W)
+    stacks, each with its N ranks.
+    """
     n_gt = int(rng.integers(2, 5))
     lane_h = shape[0] // 4
     gt_masks, pred_masks = [], []
@@ -89,20 +112,16 @@ def random_scene(rng, shape=(24, 24)):
         height = int(rng.integers(2, lane_h - 1))
         width = int(rng.integers(4, 9))
         x0 = int(rng.integers(3, shape[1] - width - 3))
-        gt_masks.append(InstanceMask(rect_mask(shape, top, top + height, x0, x0 + width), i + 1))
+        gt_masks.append(rect_mask(shape, top, top + height, x0, x0 + width))
         if rng.random() < 0.75:  # otherwise a missed detection
             dx = int(rng.integers(-3, 4))
-            pred_masks.append(InstanceMask(
-                rect_mask(shape, top, top + height, x0 + dx, x0 + dx + width), 100 + i
-            ))
+            pred_masks.append(rect_mask(shape, top, top + height, x0 + dx, x0 + dx + width))
     if not pred_masks:
         top, height, width, x0 = 1, 2, 4, 3
-        pred_masks.append(InstanceMask(rect_mask(shape, top, top + height, x0, x0 + width), 999))
+        pred_masks.append(rect_mask(shape, top, top + height, x0, x0 + width))
     gt_ranks = [int(r) for r in rng.permutation(n_gt) + 1]
     pred_ranks = [int(r) for r in rng.permutation(len(pred_masks)) + 1]
-    gt = list(zip(gt_masks, gt_ranks))
-    pred = list(zip(pred_masks, pred_ranks))
-    return gt, pred
+    return np.stack(gt_masks), gt_ranks, np.stack(pred_masks), pred_ranks
 
 
 # -- mae -------------------------------------------------------------------------
@@ -177,48 +196,79 @@ class TestPearson:
 # -- matching ----------------------------------------------------------------------
 
 
+def three_squares(shape=(12, 12)):
+    return np.stack([rect_mask(shape, 4 * i, 4 * i + 3, 4 * i, 4 * i + 3) for i in range(3)])
+
+
 class TestMatchInstances:
     def test_identical_single_masks(self):
-        m = InstanceMask(rect_mask((8, 8), 1, 4, 1, 4), 1)
-        result = match_instances([m], [InstanceMask(m.pixels.copy(), 2)], 0.5)
-        assert result.pairs == [(0, 0)]
-        assert result.unmatched_gt == [] and result.unmatched_pred == []
+        m = rect_mask((8, 8), 1, 4, 1, 4)[None]
+        assert match_instances(m, m.copy(), 0.5) == [(0, 0)]
 
     def test_disjoint_masks(self):
-        a = InstanceMask(rect_mask((8, 8), 0, 3, 0, 3), 1)
-        b = InstanceMask(rect_mask((8, 8), 5, 8, 5, 8), 2)
-        result = match_instances([a], [b], 0.5)
-        assert result.pairs == []
-        assert result.unmatched_gt == [0] and result.unmatched_pred == [0]
+        a = rect_mask((8, 8), 0, 3, 0, 3)[None]
+        b = rect_mask((8, 8), 5, 8, 5, 8)[None]
+        assert match_instances(a, b, 0.5) == []
 
     def test_empty_lists_allowed(self):
-        result = match_instances([], [], 0.5)
-        assert result.pairs == [] and result.unmatched_gt == [] and result.unmatched_pred == []
+        empty = np.zeros((0, 8, 8), dtype=bool)
+        assert match_instances(empty, empty, 0.5) == []
+        assert match_instances(empty, rect_mask((8, 8), 0, 3, 0, 3)[None], 0.5) == []
 
     def test_threshold_validation(self):
+        empty = np.zeros((0, 8, 8), dtype=bool)
         with pytest.raises(ValueError, match="iou_threshold"):
-            match_instances([], [], 0.0)
+            match_instances(empty, empty, 0.0)
+        with pytest.raises(ValueError, match="iou_threshold"):
+            match_instances(empty, empty, 1.5)
+
+    def test_exact_ties_go_to_lower_gt_then_lower_pred(self):
+        # The middle 4x4 block overlaps each side block by 8 of 24 pixels, so
+        # both candidate pairs have IoU exactly 1/3.
+        shape = (4, 8)
+        left, middle, right = (rect_mask(shape, 0, 4, x, x + 4) for x in (0, 2, 4))
+        assert match_instances(np.stack([left, right]), middle[None], 0.3) == [(0, 0)]
+        assert match_instances(np.stack([right, left]), middle[None], 0.3) == [(0, 0)]
+        assert match_instances(middle[None], np.stack([left, right]), 0.3) == [(0, 0)]
+        assert match_instances(middle[None], np.stack([right, left]), 0.3) == [(0, 0)]
+        # Four identical masks: every pair ties at IoU 1.
+        same = np.stack([middle, middle])
+        assert match_instances(same, same.copy(), 0.5) == [(0, 0), (1, 1)]
+
+    def test_pairs_in_descending_iou_order(self):
+        masks = three_squares()
+        pred = masks.copy()
+        pred[0, 0, :3] = False  # IoU 6/9 with the first square
+        pred[2, 8, 8] = False   # IoU 8/9 with the third square
+        assert match_instances(masks, pred, 0.5) == [(1, 1), (2, 2), (0, 0)]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_equals_greedy_reference_at_any_threshold(self, seed):
+        rng = np.random.default_rng((521, seed))
+        gt_masks, _, pred_masks, _ = random_scene(rng)
+        for threshold in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            assert match_instances(gt_masks, pred_masks, threshold) == greedy_match_oracle(
+                gt_masks, pred_masks, threshold)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_one_to_one_threshold_and_oracle_agreement(self, seed):
         rng = np.random.default_rng((520, seed))
-        gt, pred = random_scene(rng)
-        gt_masks = [m for m, _ in gt]
-        pred_masks = [m for m, _ in pred]
-        result = match_instances(gt_masks, pred_masks, 0.5)
+        gt_masks, _, pred_masks, _ = random_scene(rng)
+        pairs = match_instances(gt_masks, pred_masks, 0.5)
 
-        gs = [g for g, _ in result.pairs]
-        ps = [p for _, p in result.pairs]
+        gs = [g for g, _ in pairs]
+        ps = [p for _, p in pairs]
         assert len(set(gs)) == len(gs) and len(set(ps)) == len(ps)
-        for gi, pi in result.pairs:
-            assert iou(gt_masks[gi], pred_masks[pi]) >= 0.5
-        assert sorted(gs + result.unmatched_gt) == list(range(len(gt_masks)))
-        assert sorted(ps + result.unmatched_pred) == list(range(len(pred_masks)))
+        assert set(gs) <= set(range(len(gt_masks)))
+        assert set(ps) <= set(range(len(pred_masks)))
+        for gi, pi in pairs:
+            assert iou_oracle(gt_masks[gi], pred_masks[pi]) >= 0.5
 
+        assert pairs == greedy_match_oracle(gt_masks, pred_masks, 0.5)
         oracle_pairs = exhaustive_match_oracle(gt_masks, pred_masks, 0.5)
-        if sorted(result.pairs) != oracle_pairs:
+        if sorted(pairs) != oracle_pairs:
             # Greedy and optimal can legitimately differ; log, don't fail.
-            print(f"seed {seed}: greedy {sorted(result.pairs)} vs optimal {oracle_pairs}")
+            print(f"seed {seed}: greedy {sorted(pairs)} vs optimal {oracle_pairs}")
 
 
 # -- sa_sor -----------------------------------------------------------------------
@@ -227,71 +277,61 @@ class TestMatchInstances:
 class TestSaSor:
     def test_perfect_prediction_is_exactly_one(self):
         rng = np.random.default_rng(2)
-        gt, _ = random_scene(rng)
-        pred = [(InstanceMask(m.pixels.copy(), 50 + i), r) for i, (m, r) in enumerate(gt)]
-        assert sa_sor(gt, pred) == 1.0
+        gt_masks, gt_ranks, _, _ = random_scene(rng)
+        assert sa_sor(gt_masks, gt_ranks, gt_masks.copy(), gt_ranks) == 1.0
 
     def test_reversed_ranks_is_exactly_minus_one(self):
-        shape = (12, 12)
-        masks = [
-            InstanceMask(rect_mask(shape, 0, 3, 0, 3), 1),
-            InstanceMask(rect_mask(shape, 4, 7, 4, 7), 2),
-            InstanceMask(rect_mask(shape, 8, 11, 8, 11), 3),
-        ]
-        gt = [(masks[i], i + 1) for i in range(3)]
-        pred = [(InstanceMask(m.pixels.copy(), 10 + i), 3 - i) for i, m in enumerate(masks)]
-        assert sa_sor(gt, pred) == -1.0
+        masks = three_squares()
+        assert sa_sor(masks, [1, 2, 3], masks.copy(), [3, 2, 1]) == -1.0
 
     def test_unmatched_least_salient_hand_value(self):
         # x = (3, 2, 1), y = (3, 2, 0): the least-salient ground-truth object
         # has no overlapping prediction, its predicted counterpart sits
         # elsewhere, and the other two match with correct ranks.
         shape = (12, 12)
-        masks = [
-            InstanceMask(rect_mask(shape, 0, 3, 0, 3), 1),
-            InstanceMask(rect_mask(shape, 4, 7, 4, 7), 2),
-            InstanceMask(rect_mask(shape, 8, 11, 8, 11), 3),
-        ]
-        gt = [(masks[i], i + 1) for i in range(3)]
-        pred = [
-            (InstanceMask(masks[0].pixels.copy(), 10), 1),
-            (InstanceMask(masks[1].pixels.copy(), 11), 2),
-            (InstanceMask(rect_mask(shape, 8, 11, 0, 3), 12), 3),
-        ]
+        masks = three_squares(shape)
+        pred = masks.copy()
+        pred[2] = rect_mask(shape, 8, 11, 0, 3)
         expected = np.corrcoef([3, 2, 1], [3, 2, 0])[0, 1]
-        assert sa_sor(gt, pred) == pytest.approx(expected, abs=1e-12)
+        assert sa_sor(masks, [1, 2, 3], pred, [1, 2, 3]) == pytest.approx(expected, abs=1e-12)
 
     def test_undefined_when_nothing_matches(self):
-        shape = (12, 12)
-        gt = [
-            (InstanceMask(rect_mask(shape, 0, 3, 0, 3), 1), 1),
-            (InstanceMask(rect_mask(shape, 4, 7, 4, 7), 2), 2),
-        ]
-        pred = [(InstanceMask(rect_mask(shape, 8, 11, 8, 11), 3), 1)]
-        assert sa_sor(gt, pred) is None
-
-    def test_identifier_relabeling_is_irrelevant(self):
-        rng = np.random.default_rng(3)
-        gt, pred = random_scene(rng)
-        relabeled_gt = [(InstanceMask(m.pixels, 1000 + i), r) for i, (m, r) in enumerate(gt)]
-        relabeled_pred = [(InstanceMask(m.pixels, 2000 + i), r) for i, (m, r) in enumerate(pred)]
-        assert sa_sor(gt, pred) == sa_sor(relabeled_gt, relabeled_pred)
+        masks = three_squares()
+        assert sa_sor(masks[:2], [1, 2], masks[2:], [1]) is None
 
     def test_invalid_gt_ranks_rejected(self):
-        shape = (8, 8)
-        gt = [
-            (InstanceMask(rect_mask(shape, 0, 3, 0, 3), 1), 1),
-            (InstanceMask(rect_mask(shape, 4, 7, 4, 7), 2), 3),
-        ]
+        masks = three_squares()[:2]
         with pytest.raises(ValueError, match="permutation"):
-            sa_sor(gt, gt)
+            sa_sor(masks, [1, 3], masks, [1, 3])
+
+    @pytest.mark.parametrize("gt_masks, gt_ranks, pred_masks, pred_ranks, error, message", [
+        pytest.param(rect_mask((6, 6), 0, 2, 0, 2), [1], rect_mask((6, 6), 0, 2, 0, 2)[None], [1],
+                     ShapeError, r"\(N, H, W\) stack", id="gt-stack-2d"),
+        pytest.param(three_squares()[:2], [1, 2], three_squares(), [1, 2],
+                     ShapeError, "3 masks for 2 ranks", id="pred-rank-count"),
+        pytest.param(np.stack([rect_mask((6, 6), 0, 2, 0, 2), np.zeros((6, 6), bool)]), [1, 2],
+                     rect_mask((6, 6), 0, 2, 0, 2)[None], [1],
+                     ValueError, "ground-truth instance 1 has no foreground", id="gt-empty-mask"),
+        pytest.param(rect_mask((6, 6), 0, 2, 0, 2)[None], [1],
+                     np.zeros((1, 6, 6), bool), [1],
+                     ValueError, "predicted instance 0 has no foreground", id="pred-empty-mask"),
+        pytest.param(rect_mask((6, 6), 0, 2, 0, 2)[None], [1],
+                     rect_mask((6, 8), 0, 2, 0, 2)[None], [1],
+                     ValueError, r"mask shapes differ: \(6, 6\) vs \(6, 8\)", id="frame-shapes"),
+    ])
+    def test_malformed_stacks_rejected(self, gt_masks, gt_ranks, pred_masks, pred_ranks,
+                                       error, message):
+        with pytest.raises(error, match=message):
+            sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks)
+        with pytest.raises(error, match=message):
+            score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_independent_oracle_on_random_scenes(self, seed):
         rng = np.random.default_rng((530, seed))
-        gt, pred = random_scene(rng)
-        got = sa_sor(gt, pred)
-        expected = sa_sor_oracle(gt, pred)
+        scene = random_scene(rng)
+        got = sa_sor(*scene)
+        expected = sa_sor_oracle(*scene)
         if expected is None:
             assert got is None
         else:
@@ -300,8 +340,7 @@ class TestSaSor:
     @pytest.mark.parametrize("seed", range(30))
     def test_defined_values_in_unit_range(self, seed):
         rng = np.random.default_rng((531, seed))
-        gt, pred = random_scene(rng)
-        value = sa_sor(gt, pred)
+        value = sa_sor(*random_scene(rng))
         if value is not None:
             assert -1.0 <= value <= 1.0
 
@@ -324,10 +363,10 @@ class TestScoreFrame:
         assert expected_mae == pytest.approx((12 + 12 + 8) / 3 / 36, abs=1e-12)
 
         for threshold in (0.5, 0.3):
-            gt = [(InstanceMask(m, i), r) for i, (m, r) in enumerate(zip(gt_masks, gt_ranks))]
-            pred = [(InstanceMask(m, i), r)
-                    for i, (m, r) in enumerate(zip(pred_masks, pred_ranks))]
             got = score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold)
-            assert got == (sa_sor(gt, pred, threshold), expected_mae)
+            assert got == (sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold),
+                           expected_mae)
         assert score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks)[0] == pytest.approx(
             np.corrcoef([3, 2, 1], [2, 3, 0])[0, 1], abs=1e-12)
+        assert score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks, 0.3)[0] == pytest.approx(
+            np.corrcoef([3, 2, 1], [2, 3, 1])[0, 1], abs=1e-12)

@@ -298,34 +298,45 @@ class TestRankAssign:
 class TestRenderRankMap:
     def test_single_full_frame_mask(self):
         mask = np.ones((1, 4, 4), dtype=bool)
-        out = render_rank_map(mask, np.array([1]), (4, 4))
+        out = render_rank_map(mask, np.array([1]))
         assert np.array_equal(out, np.ones((4, 4)))
 
     def test_two_disjoint_masks(self):
         masks = np.zeros((2, 2, 4), dtype=bool)
         masks[0, :, :2] = True
         masks[1, :, 2:] = True
-        out = render_rank_map(masks, np.array([1, 2]), (2, 4))
+        out = render_rank_map(masks, np.array([1, 2]))
         assert np.all(out[:, :2] == 1.0)
         assert np.all(out[:, 2:] == 0.5)
 
     def test_overlap_resolved_by_saliency(self):
         masks = np.ones((2, 3, 3), dtype=bool)
-        out = render_rank_map(masks, np.array([1, 2]), (3, 3))
+        out = render_rank_map(masks, np.array([1, 2]))
         assert np.all(out == 1.0)
-        out = render_rank_map(masks, np.array([2, 1]), (3, 3))
+        out = render_rank_map(masks, np.array([2, 1]))
         assert np.all(out == 1.0)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(9)
         masks = rng.random((4, 5, 5)) > 0.5
-        out = render_rank_map(masks, rank_assign(rng.standard_normal(4)), (5, 5))
+        out = render_rank_map(masks, rank_assign(rng.standard_normal(4)))
         assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_shape_mismatch_rejected(self):
         masks = np.ones((1, 2, 2), dtype=bool)
-        with pytest.raises(ShapeError):
-            render_rank_map(masks, np.array([1]), (3, 3))
+        with pytest.raises(ShapeError, match="1 masks for 2 ranks"):
+            render_rank_map(masks, np.array([1, 2]))
+        with pytest.raises(ShapeError, match=r"\(N, H, W\) stack"):
+            render_rank_map(masks[0], np.array([1, 2]))
+
+    def test_frame_shape_taken_from_the_stack(self):
+        masks = np.zeros((2, 3, 5), dtype=bool)
+        masks[1, 2, 4] = True
+        out = render_rank_map(masks, np.array([2, 1]))
+        assert out.shape == (3, 5)
+        assert out[2, 4] == 1.0 and np.count_nonzero(out) == 1
+        empty = render_rank_map(np.zeros((0, 3, 5), dtype=bool), [])
+        assert np.array_equal(empty, np.zeros((3, 5)))
 
 
 class TestDownsample:

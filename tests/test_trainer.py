@@ -185,6 +185,16 @@ class TestTrainingRun:
         with pytest.raises(ValueError, match="momentum"):
             ModelConfig(momentum=1.0)
 
+    @pytest.mark.parametrize("field", ["C", "H", "W", "iterations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = ModelConfig(C=np.int64(8), iterations=np.int32(3), seed=np.uint8(1))
+        assert (config.C, config.iterations, config.seed) == (8, 3, 1)
+
 
 class TestModelParamsIo:
     def test_save_load_round_trip(self, tmp_path):
@@ -207,6 +217,20 @@ class TestModelParamsIo:
         with pytest.raises(ValueError, match=re.escape(str(path))) as info:
             load_model_params(path)
         assert dropped in str(info.value)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param("[]", id="a-list"),
+        pytest.param('{"names": []}', id="no-params-key"),
+        pytest.param('{"params": "spatial.kq_proj.weight"}', id="params-not-a-list"),
+        pytest.param('{"params": [3]}', id="name-not-a-string"),
+        pytest.param("{not json", id="invalid-json"),
+    ])
+    def test_malformed_manifest_names_params_json(self, tmp_path, content):
+        path = tmp_path / "params"
+        save_model_params(path, init_model_params(8, 7, 7, seed=9))
+        (path / "params.json").write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(path / "params.json"))):
+            load_model_params(path)
 
     def test_wrong_tensor_shape_names_directory_and_tensor(self, tmp_path):
         path = tmp_path / "params"
