@@ -37,13 +37,7 @@ from .spatial import (
     spatial_forward,
     spatial_params_init,
 )
-from .temporal import (
-    FrameObjects,
-    RankedFrame,
-    ScoringParams,
-    TemporalParams,
-    rank_assign,
-)
+from .temporal import ScoringParams, TemporalParams, rank_assign
 from .trainer import EvalResult, ModelConfig, TrainReport, build_dataset, evaluate, train
 
 __version__ = "0.1.0"

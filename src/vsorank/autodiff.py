@@ -14,7 +14,6 @@ its tensors belong to one thread; disjoint graphs may run concurrently.
 """
 
 import math
-from contextlib import contextmanager
 from itertools import count
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "concat",
     "relu",
     "grad_check",
-    "fault_injection",
 ]
 
 
@@ -42,21 +40,6 @@ class ShapeError(ValueError):
 
 
 _node_counter = count()
-
-# Verification hook used by the gradcheck negative control: when set to the
-# name of an op, that op's backward is deliberately perturbed.
-_fault_injection: str | None = None
-
-
-@contextmanager
-def fault_injection(op_name: str):
-    """Deliberately corrupt one op's backward pass (negative-control hook)."""
-    global _fault_injection
-    _fault_injection = op_name
-    try:
-        yield
-    finally:
-        _fault_injection = None
 
 
 class Tensor:
@@ -266,10 +249,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward_matmul():
         grad = out.grad
         if a.requires_grad:
-            ga = np.matmul(grad, np.swapaxes(b.data, -1, -2))
-            if _fault_injection == "matmul":
-                ga = ga * 1.001
-            a.grad += ga
+            a.grad += np.matmul(grad, np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), grad)
             if shared_rhs:

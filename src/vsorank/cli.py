@@ -7,6 +7,7 @@ success, 1 on validation failure, 2 on unexpected runtime errors.
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import asdict, fields
@@ -26,7 +27,7 @@ from .dataset import (
 )
 from .gradcheck import run_suite
 from .metrics import render_rank_map, score_frame
-from .model import save_model_params
+from .model import VARIANTS, save_model_params
 from .pgm import write_pgm16
 from .trainer import ModelConfig, build_dataset, train
 
@@ -97,18 +98,25 @@ def _settings(args, keys) -> dict:
     return settings
 
 
+def _integer(settings: dict, key, fallback) -> int:
+    value = settings.get(key, fallback)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _synth_config(settings: dict) -> SynthConfig:
     """The generator config; keys absent from ``settings`` keep SynthConfig's defaults."""
     default = SynthConfig()
 
     def integer(key, fallback):
-        value = settings.get(key, fallback)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        return value
+        return _integer(settings, key, fallback)
 
     def number(key, fallback):
-        return float(settings.get(key, fallback))
+        value = settings.get(key, fallback)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        return float(value)
 
     try:
         return SynthConfig(
@@ -233,8 +241,8 @@ def cmd_train(args) -> int:
         raise CliError(f"bad model config: {exc}")
     synth_config = _synth_config({**settings, "C": model_config.C,
                                   "H": model_config.H, "W": model_config.W})
-    train_sequences = int(settings.get("train_sequences", 200))
-    eval_sequences = int(settings.get("eval_sequences", 50))
+    train_sequences = _integer(settings, "train_sequences", 200)
+    eval_sequences = _integer(settings, "eval_sequences", 50)
     if train_sequences < 1 or eval_sequences < 1:
         raise CliError("train_sequences and eval_sequences must be positive")
 
@@ -307,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on synthetic sequences and report metrics")
     p.add_argument("--config", default=None, help="config file (JSON or key=value)")
-    p.add_argument("--variant", choices=("basic", "spatial", "temporal", "full"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--C", type=int, default=None)
     p.add_argument("--H", type=int, default=None)
     p.add_argument("--W", type=int, default=None)
@@ -328,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
-                   help="negative control: corrupt one backward pass")
+                   help="negative control: skew every checked gradient by 0.1%%, so every check fails")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -3,7 +3,7 @@
 Four configurations mirror the ablation grid:
 
 * ``basic``    -- raw features serve as both relation and value inputs; each
-                  frame is scored against its own pooled value map.
+                  frame is scored against its own object-mean value map.
 * ``spatial``  -- the per-frame relation attention is enabled; still no
                   cross-frame mixing.
 * ``temporal`` -- raw features feed the cross-frame attention directly.
@@ -14,15 +14,14 @@ import json
 import os
 from dataclasses import dataclass
 
-from .autodiff import Tensor, mean_axis
+import numpy as np
+
+from .autodiff import Tensor
 from .dataset import FrameSample, read_tensor_file, write_tensor_file
 from .spatial import SpatialParams, spatial_forward, spatial_params_init
 from .temporal import (
-    FrameObjects,
-    RankedFrame,
     ScoringParams,
     TemporalParams,
-    frame_scores,
     rank_assign,
     scoring_params_init,
     sequence_scores,
@@ -70,45 +69,30 @@ def named_params(params: ModelParams) -> list[tuple[str, Tensor]]:
     return out
 
 
-def _frame_objects(frames: list[FrameSample], params: ModelParams,
-                   variant: str) -> list[FrameObjects]:
-    use_spatial = variant in ("spatial", "full")
-    out = []
-    for frame in frames:
-        features = Tensor(frame.features, requires_grad=True)
-        if use_spatial:
-            attended = spatial_forward(features, params.spatial)
-            relation, value = attended.relation, attended.value
-        else:
-            relation = value = features
-        out.append(FrameObjects(relation=relation, value=value, masks=frame.masks))
-    return out
-
-
 def model_scores(frames: list[FrameSample], params: ModelParams,
                  variant: str) -> list[Tensor]:
     """Differentiable per-frame score vectors under the chosen variant."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    frame_objects = _frame_objects(frames, params, variant)
-    if variant in ("temporal", "full"):
-        return sequence_scores(frame_objects, params.temporal, params.scoring)
-    # Without cross-frame mixing each frame is scored against its own pooled
-    # value map, so scores depend on the current frame only.
-    return [
-        frame_scores(fo.relation, mean_axis(fo.value, 0), fo.masks, params.scoring)
-        for fo in frame_objects
-    ]
+    relations, values = [], []
+    for frame in frames:
+        features = Tensor(frame.features, requires_grad=True)
+        if variant in ("spatial", "full"):
+            attended = spatial_forward(features, params.spatial)
+            relations.append(attended.relation)
+            values.append(attended.value)
+        else:
+            relations.append(features)
+            values.append(features)
+    temporal = params.temporal if variant in ("temporal", "full") else None
+    return sequence_scores(relations, values, [frame.masks for frame in frames],
+                           temporal, params.scoring)
 
 
 def model_forward(frames: list[FrameSample], params: ModelParams,
-                  variant: str) -> list[RankedFrame]:
-    """Score and rank every frame of a sequence."""
-    results = []
-    for scores in model_scores(frames, params, variant):
-        values = scores.data.copy()
-        results.append(RankedFrame(scores=values, ranks=rank_assign(values)))
-    return results
+                  variant: str) -> list[np.ndarray]:
+    """Score and rank every frame of a sequence: one rank array per frame."""
+    return [rank_assign(scores.data) for scores in model_scores(frames, params, variant)]
 
 
 def save_model_params(path, params: ModelParams, config=None) -> None:

@@ -1,11 +1,12 @@
 """Cross-frame attention and the object scoring / ranking heads.
 
-Per frame, the object-mean of the value features gives one global map; the
-T stacked maps attend over each other (a T x T attention), producing a mixed
-context map per frame.  Fusing each object's relation block with its frame's
-context map, embedding the object's initial mask, and applying a fully
-connected head yields a saliency score per object.  Scores are differentiable;
-rank assignment operates on their detached values.
+Per frame, the object-mean of the value features gives one context map.  With
+cross-frame attention, the T stacked maps attend over each other (a T x T
+attention), producing a mixed context map per frame; without it, each frame
+keeps its own.  Fusing each object's relation block with its frame's context
+map, embedding the object's initial mask, and applying a fully connected head
+yields a saliency score per object.  Scores are differentiable; rank
+assignment operates on their detached values.
 """
 
 from dataclasses import dataclass
@@ -30,11 +31,8 @@ from .spatial import EmptyFrameError, Projection, projection_init
 __all__ = [
     "TemporalParams",
     "ScoringParams",
-    "FrameObjects",
-    "RankedFrame",
     "temporal_params_init",
     "scoring_params_init",
-    "pooled_frame_values",
     "temporal_mix",
     "frame_scores",
     "sequence_scores",
@@ -60,43 +58,6 @@ class ScoringParams:
     score_head: Projection
 
 
-@dataclass(frozen=True)
-class FrameObjects:
-    """Inputs of the scoring stage for one frame.
-
-    ``relation`` and ``value`` are (N, C, H, W) tensors sharing all extents;
-    ``masks`` holds one binary mask per object at a common frame resolution.
-    """
-
-    relation: Tensor
-    value: Tensor
-    masks: np.ndarray  # (N, frame_h, frame_w), bool
-
-    def __post_init__(self):
-        if self.relation.ndim != 4 or self.value.ndim != 4:
-            raise ShapeError("relation and value must be (N, C, H, W)")
-        if self.relation.shape != self.value.shape:
-            raise ShapeError(
-                f"relation {self.relation.shape} and value {self.value.shape} differ"
-            )
-        if self.masks.ndim != 3 or self.masks.shape[0] != self.relation.shape[0]:
-            raise ShapeError(
-                f"need one mask per object: {self.masks.shape[0] if self.masks.ndim == 3 else 'bad'}"
-                f" masks for {self.relation.shape[0]} objects"
-            )
-
-
-@dataclass(frozen=True)
-class RankedFrame:
-    """Scored and ranked objects of one frame.
-
-    ``ranks`` is a permutation of 1..N with 1 for the most salient object.
-    """
-
-    scores: np.ndarray  # (N,)
-    ranks: np.ndarray  # (N,), int
-
-
 def temporal_params_init(channels: int, rng_seed: int) -> TemporalParams:
     rng = np.random.default_rng(rng_seed)
     return TemporalParams(
@@ -114,26 +75,6 @@ def scoring_params_init(channels: int, height: int, width: int, rng_seed: int) -
         mask_embed=projection_init(channels, height * width, rng),
         score_head=projection_init(1, 2 * channels, rng, zero=True),
     )
-
-
-def _check_frames(frames: list[FrameObjects]) -> tuple[int, int, int]:
-    if not frames:
-        raise ValueError("need at least one frame")
-    c, h, w = frames[0].relation.shape[1:]
-    for t, frame in enumerate(frames):
-        if frame.relation.shape[0] == 0:
-            raise EmptyFrameError(f"frame {t} has zero objects")
-        if frame.relation.shape[1:] != (c, h, w):
-            raise ShapeError(
-                f"frame {t} block shape {frame.relation.shape[1:]} differs from {(c, h, w)}"
-            )
-    return c, h, w
-
-
-def pooled_frame_values(frames: list[FrameObjects]) -> Tensor:
-    """Object-mean value map per frame, stacked to (T, C, H, W)."""
-    _check_frames(frames)
-    return stack([mean_axis(frame.value, 0) for frame in frames])
 
 
 def temporal_mix(values: Tensor, params: TemporalParams) -> Tensor:
@@ -175,15 +116,36 @@ def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray,
     return linear(joint, scoring.score_head.weight, scoring.score_head.bias).reshape(n)
 
 
-def sequence_scores(frames: list[FrameObjects], temporal: TemporalParams,
-                    scoring: ScoringParams) -> list[Tensor]:
-    """Differentiable per-frame score vectors for a whole sequence."""
-    pooled = pooled_frame_values(frames)
-    context = temporal_mix(pooled, temporal)
-    return [
-        frame_scores(frame.relation, take(context, t), frame.masks, scoring)
-        for t, frame in enumerate(frames)
-    ]
+def sequence_scores(relations: list[Tensor], values: list[Tensor], masks: list[np.ndarray],
+                    temporal: TemporalParams | None, scoring: ScoringParams) -> list[Tensor]:
+    """Differentiable per-frame score vectors for a whole sequence.
+
+    Frame t has (N_t, C, H, W) ``relations[t]`` and ``values[t]`` and one
+    mask per object in ``masks[t]``.  Each frame's context is the object-mean
+    of its values, mixed across frames by ``temporal`` unless that is None.
+    """
+    if not relations:
+        raise ValueError("need at least one frame")
+    block = relations[0].shape[1:]
+    for t, (relation, value, frame_masks) in enumerate(zip(relations, values, masks,
+                                                            strict=True)):
+        if relation.ndim != 4 or relation.shape != value.shape:
+            raise ShapeError(f"frame {t}: relation {relation.shape} and value {value.shape} "
+                             f"must be equal (N, C, H, W)")
+        if relation.shape[0] == 0:
+            raise EmptyFrameError(f"frame {t} has zero objects")
+        if np.ndim(frame_masks) != 3 or len(frame_masks) != relation.shape[0]:
+            raise ShapeError(f"frame {t}: need one mask per object, got masks of shape "
+                             f"{np.shape(frame_masks)} for {relation.shape[0]} objects")
+        if relation.shape[1:] != block:
+            raise ShapeError(f"frame {t} block shape {relation.shape[1:]} differs from {block}")
+
+    contexts = [mean_axis(value, 0) for value in values]
+    if temporal is not None:
+        mixed = temporal_mix(stack(contexts), temporal)
+        contexts = [take(mixed, t) for t in range(len(contexts))]
+    return [frame_scores(relation, context, frame_masks, scoring)
+            for relation, context, frame_masks in zip(relations, contexts, masks)]
 
 
 def rank_assign(scores) -> np.ndarray:

@@ -53,6 +53,10 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("margin", "learning_rate", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if min(self.C, self.H, self.W) < 1:
             raise ValueError("C, H, W must all be positive")
         if self.margin <= 0:
@@ -173,9 +177,9 @@ def evaluate(params: ModelParams, config: ModelConfig,
     undefined = 0
     for sample in eval_set:
         ranked = model_forward(sample.frames, params, config.variant)
-        for frame, annotation, prediction in zip(sample.frames, sample.annotations, ranked):
+        for frame, annotation, ranks in zip(sample.frames, sample.annotations, ranked):
             correlation, error = score_frame(annotation.masks(), annotation.ranks_in_id_order(),
-                                             frame.masks, prediction.ranks)
+                                             frame.masks, ranks)
             if correlation is None:
                 undefined += 1
             else:

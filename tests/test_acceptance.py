@@ -141,12 +141,12 @@ def test_criterion_4_module_oracles():
         t_count = int(rng.integers(1, 4))
         counts = [int(rng.integers(1, 4)) for _ in range(t_count)]
         c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        frames, temporal, scoring = random_setup(rng, counts, c, h, w)
-        got = [s.data for s in sequence_scores(frames, temporal, scoring)]
+        relations, values, masks, temporal, scoring = random_setup(rng, counts, c, h, w)
+        got = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
         expected = reference_scores(
-            [f.relation.data for f in frames],
-            [f.value.data for f in frames],
-            [f.masks for f in frames],
+            [r.data for r in relations],
+            [v.data for v in values],
+            masks,
             temporal.k_proj.weight.data, temporal.k_proj.bias.data,
             temporal.q_proj.weight.data, temporal.q_proj.bias.data,
             temporal.v_proj.weight.data, temporal.v_proj.bias.data,

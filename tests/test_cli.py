@@ -217,14 +217,14 @@ class TestEvalRoutesAgree:
 
         for number, sample in enumerate(eval_set):
             predictions = []
-            for frame, ranked in zip(sample.frames, model_forward(sample.frames, params,
-                                                                  config.variant)):
+            for frame, ranks in zip(sample.frames, model_forward(sample.frames, params,
+                                                                 config.variant)):
                 # The generator's masks never overlap, so ids can be summed in.
                 ids = np.arange(1, len(frame.masks) + 1)
                 instance_map = (frame.masks * ids[:, None, None]).sum(axis=0)
                 predictions.append(RankAnnotation(
                     instance_map=instance_map,
-                    ranks={int(i): int(r) for i, r in zip(ids, ranked.ranks)},
+                    ranks={int(i): int(r) for i, r in zip(ids, ranks)},
                 ))
             name = f"seq_{number:04d}"
             save_annotations(tmp_path / "gt" / name, sample.annotations)
@@ -350,6 +350,14 @@ class TestSettings:
                      id="iterations"),
         pytest.param("seed=1.0", "bad model config: seed must be an integer", id="seed"),
         pytest.param("T=2.5", "bad generator config: T must be an integer", id="T"),
+        pytest.param("train_sequences=2.5", "train_sequences must be an integer, got 2.5",
+                     id="train_sequences"),
+        pytest.param("eval_sequences=1.9", "eval_sequences must be an integer, got 1.9",
+                     id="eval_sequences"),
+        pytest.param('{"train_sequences": true}', "train_sequences must be an integer, got True",
+                     id="train_sequences-bool"),
+        pytest.param('{"eval_sequences": false}', "eval_sequences must be an integer, got False",
+                     id="eval_sequences-bool"),
     ])
     def test_non_integer_train_value_rejected(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "train.cfg"
@@ -357,6 +365,43 @@ class TestSettings:
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 1
         assert message in err
+
+    @pytest.mark.parametrize("command, content, message", [
+        pytest.param("synth", '{"noise_level": true}',
+                     "bad generator config: noise_level must be a number, got True",
+                     id="noise_level-bool"),
+        pytest.param("synth", '{"rank_swap_prob": "0.5"}',
+                     "bad generator config: rank_swap_prob must be a number, got '0.5'",
+                     id="rank_swap_prob-string"),
+        pytest.param("train", "noise_level=abc",
+                     "bad generator config: noise_level must be a number, got 'abc'",
+                     id="train-noise_level-string"),
+        pytest.param("train", '{"learning_rate": true, "momentum": false}',
+                     "bad model config: learning_rate must be a number, got True",
+                     id="learning_rate-bool"),
+        pytest.param("train", '{"momentum": false}',
+                     "bad model config: momentum must be a number, got False",
+                     id="momentum-bool"),
+        pytest.param("train", "margin=abc", "bad model config: margin must be a number, got 'abc'",
+                     id="margin-string"),
+        pytest.param("train", '{"weight_decay": "0"}',
+                     "bad model config: weight_decay must be a number, got '0'",
+                     id="weight_decay-string"),
+    ])
+    def test_non_number_float_value_rejected(self, tmp_path, capsys, command, content, message):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(content + "\n", encoding="utf-8")
+        out = tmp_path / "d"
+        extra = ["--out", str(out)] if command == "synth" else []
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_int_and_numpy_float_values_accepted(self):
+        synth = cli._synth_config({"noise_level": 0, "rank_swap_prob": np.float32(0.25)})
+        assert synth == SynthConfig(noise_level=0.0, rank_swap_prob=0.25)
+        assert isinstance(synth.noise_level, float)
 
 
 class TestGradcheck:
@@ -376,6 +421,8 @@ class TestGradcheck:
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
+        assert len(payload["checks"]) == 11
+        assert not any(c["passed"] for c in payload["checks"])
 
 
 class TestMalformedInputs:

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from vsorank.autodiff import ShapeError, Tensor, grad_check
+from vsorank.autodiff import ShapeError, Tensor, grad_check, mean_axis, stack
 from vsorank.dataset import FrameSample
 from vsorank.metrics import render_rank_map
-from vsorank.model import init_model_params, model_forward
+from vsorank.model import VARIANTS, init_model_params, model_forward, model_scores
 from vsorank.spatial import EmptyFrameError, Projection
 from vsorank.temporal import (
-    FrameObjects,
     ScoringParams,
     TemporalParams,
     downsample_mask,
-    pooled_frame_values,
     rank_assign,
     sequence_scores,
     temporal_mix,
@@ -105,6 +103,7 @@ def reference_scores(relations, values, masks, kw, kb, qw, qb, vw, vb, mw, mb, s
 
 
 def random_setup(rng, counts, c, h, w, mask_hw=(6, 6)):
+    """Per-frame relation and value tensors, masks, and both parameter sets."""
     temporal = TemporalParams(
         k_proj=Projection(Tensor(rng.standard_normal((c, c)), requires_grad=True),
                           Tensor(rng.standard_normal(c), requires_grad=True)),
@@ -119,27 +118,30 @@ def random_setup(rng, counts, c, h, w, mask_hw=(6, 6)):
         score_head=Projection(Tensor(rng.standard_normal((1, 2 * c)), requires_grad=True),
                               Tensor(rng.standard_normal(1), requires_grad=True)),
     )
-    frames = []
+    relations, values, masks = [], [], []
     for n in counts:
-        masks = rng.random((n, *mask_hw)) > 0.5
-        masks[:, 0, 0] = True
-        frames.append(FrameObjects(
-            relation=Tensor(rng.standard_normal((n, c, h, w))),
-            value=Tensor(rng.standard_normal((n, c, h, w))),
-            masks=masks,
-        ))
-    return frames, temporal, scoring
+        frame_masks = rng.random((n, *mask_hw)) > 0.5
+        frame_masks[:, 0, 0] = True
+        masks.append(frame_masks)
+        relations.append(Tensor(rng.standard_normal((n, c, h, w))))
+        values.append(Tensor(rng.standard_normal((n, c, h, w))))
+    return relations, values, masks, temporal, scoring
+
+
+def object_means(values):
+    """Object-mean value map per frame, stacked to (T, C, H, W)."""
+    return stack([mean_axis(value, 0) for value in values])
 
 
 class TestOracle:
     def test_three_frames_match_reference(self):
         rng = np.random.default_rng(0)
-        frames, temporal, scoring = random_setup(rng, (2, 2, 2), 2, 1, 1)
-        got = [s.data for s in sequence_scores(frames, temporal, scoring)]
+        relations, values, masks, temporal, scoring = random_setup(rng, (2, 2, 2), 2, 1, 1)
+        got = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
         expected = reference_scores(
-            [f.relation.data for f in frames],
-            [f.value.data for f in frames],
-            [f.masks for f in frames],
+            [r.data for r in relations],
+            [v.data for v in values],
+            masks,
             temporal.k_proj.weight.data, temporal.k_proj.bias.data,
             temporal.q_proj.weight.data, temporal.q_proj.bias.data,
             temporal.v_proj.weight.data, temporal.v_proj.bias.data,
@@ -156,12 +158,12 @@ class TestOracle:
         counts = [int(rng.integers(1, 4)) for _ in range(t_count)]
         c = int(rng.integers(1, 5))
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        frames, temporal, scoring = random_setup(rng, counts, c, h, w)
-        got = [s.data for s in sequence_scores(frames, temporal, scoring)]
+        relations, values, masks, temporal, scoring = random_setup(rng, counts, c, h, w)
+        got = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
         expected = reference_scores(
-            [f.relation.data for f in frames],
-            [f.value.data for f in frames],
-            [f.masks for f in frames],
+            [r.data for r in relations],
+            [v.data for v in values],
+            masks,
             temporal.k_proj.weight.data, temporal.k_proj.bias.data,
             temporal.q_proj.weight.data, temporal.q_proj.bias.data,
             temporal.v_proj.weight.data, temporal.v_proj.bias.data,
@@ -202,49 +204,42 @@ class TestTemporalMix:
 
     def test_frame_permutation_covariance(self):
         rng = np.random.default_rng(3)
-        frames, temporal, scoring = random_setup(rng, (2, 3, 1), 2, 2, 2)
-        pooled = pooled_frame_values(frames)
-        mixed = temporal_mix(pooled, temporal).data
+        _, values, _, temporal, _ = random_setup(rng, (2, 3, 1), 2, 2, 2)
+        mixed = temporal_mix(object_means(values), temporal).data
         for perm in ([1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]):
-            permuted_frames = [frames[i] for i in perm]
-            mixed_perm = temporal_mix(pooled_frame_values(permuted_frames), temporal).data
+            permuted_values = [values[i] for i in perm]
+            mixed_perm = temporal_mix(object_means(permuted_values), temporal).data
             np.testing.assert_allclose(mixed_perm, mixed[perm], atol=1e-12)
 
 
 class TestScoring:
     def test_sequence_length_contract(self):
         rng = np.random.default_rng(4)
-        frames, _, _ = random_setup(rng, (2, 2, 2), 2, 2, 2)
-        samples = [FrameSample(features=f.value.data, masks=f.masks) for f in frames]
+        _, values, masks, _, _ = random_setup(rng, (2, 2, 2), 2, 2, 2)
+        samples = [FrameSample(features=v.data, masks=m) for v, m in zip(values, masks)]
         ranked = model_forward(samples, init_model_params(2, 2, 2, seed=4), "temporal")
-        assert [r.ranks.size for r in ranked] == [2, 2, 2]
-        assert pooled_frame_values(frames).shape == (3, 2, 2, 2)
+        assert [ranks.size for ranks in ranked] == [2, 2, 2]
 
     def test_object_permutation_permutes_scores(self):
         rng = np.random.default_rng(5)
-        frames, temporal, scoring = random_setup(rng, (3, 2), 2, 2, 2)
-        base = [s.data for s in sequence_scores(frames, temporal, scoring)]
+        relations, values, masks, temporal, scoring = random_setup(rng, (3, 2), 2, 2, 2)
+        base = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
         perm = np.array([2, 0, 1])
-        shuffled = FrameObjects(
-            relation=Tensor(frames[0].relation.data[perm]),
-            value=Tensor(frames[0].value.data[perm]),
-            masks=frames[0].masks[perm],
-        )
-        got = [s.data for s in sequence_scores([shuffled, frames[1]], temporal, scoring)]
+        got = [s.data for s in sequence_scores(
+            [Tensor(relations[0].data[perm]), relations[1]],
+            [Tensor(values[0].data[perm]), values[1]],
+            [masks[0][perm], masks[1]],
+            temporal, scoring)]
         np.testing.assert_allclose(got[0], base[0][perm], atol=1e-12)
         np.testing.assert_allclose(got[1], base[1], atol=1e-12)
 
     def test_mean_score_gradient(self):
         rng = np.random.default_rng(6)
-        frames, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
-        target = Tensor(frames[0].value.data.copy(), requires_grad=True)
+        relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
+        target = Tensor(values[0].data.copy(), requires_grad=True)
 
         def f(t):
-            rebuilt = [
-                FrameObjects(relation=frames[0].relation, value=t, masks=frames[0].masks),
-                frames[1],
-            ]
-            scores = sequence_scores(rebuilt, temporal, scoring)
+            scores = sequence_scores(relations, [t, values[1]], masks, temporal, scoring)
             total = scores[0].sum() + scores[1].sum()
             return total * (1.0 / sum(s.size for s in scores))
 
@@ -252,25 +247,52 @@ class TestScoring:
 
     def test_inconsistent_blocks_rejected(self):
         rng = np.random.default_rng(7)
-        frames, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
-        odd = FrameObjects(
-            relation=Tensor(rng.standard_normal((2, 3, 2, 2))),
-            value=Tensor(rng.standard_normal((2, 3, 2, 2))),
-            masks=frames[1].masks,
-        )
-        with pytest.raises(ShapeError):
-            sequence_scores([frames[0], odd], temporal, scoring)
+        relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
+        odd_relation = Tensor(rng.standard_normal((2, 3, 2, 2)))
+        odd_value = Tensor(rng.standard_normal((2, 3, 2, 2)))
+        with pytest.raises(ShapeError, match="block shape"):
+            sequence_scores([relations[0], odd_relation], [values[0], odd_value], masks,
+                            temporal, scoring)
 
     def test_empty_frame_rejected(self):
         rng = np.random.default_rng(8)
-        frames, temporal, scoring = random_setup(rng, (2,), 2, 2, 2)
-        empty = FrameObjects(
-            relation=Tensor(np.zeros((0, 2, 2, 2))),
-            value=Tensor(np.zeros((0, 2, 2, 2))),
-            masks=np.zeros((0, 6, 6), dtype=bool),
-        )
+        relations, values, masks, temporal, scoring = random_setup(rng, (2,), 2, 2, 2)
+        empty = Tensor(np.zeros((0, 2, 2, 2)))
+        with pytest.raises(EmptyFrameError, match="frame 1"):
+            sequence_scores([relations[0], empty], [values[0], empty],
+                            [masks[0], np.zeros((0, 6, 6), dtype=bool)], temporal, scoring)
+
+    @pytest.mark.parametrize("temporal_on", [True, False])
+    def test_malformed_frames_rejected(self, temporal_on):
+        rng = np.random.default_rng(9)
+        relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
+        temporal = temporal if temporal_on else None
+        with pytest.raises(ValueError, match="at least one frame"):
+            sequence_scores([], [], [], temporal, scoring)
+        with pytest.raises(ShapeError, match="must be equal"):
+            sequence_scores(relations, [values[0], Tensor(values[1].data[:1])], masks,
+                            temporal, scoring)
+        with pytest.raises(ShapeError, match="must be equal"):
+            sequence_scores([relations[0], relations[1].reshape(2, 2, 4)], values, masks,
+                            temporal, scoring)
+        with pytest.raises(ShapeError, match="one mask per object"):
+            sequence_scores(relations, values, [masks[0], masks[1][:1]], temporal, scoring)
+        with pytest.raises(ShapeError, match="one mask per object"):
+            sequence_scores(relations, values, [masks[0], masks[1][0]], temporal, scoring)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_checks_its_frames(self, variant):
+        rng = np.random.default_rng(10)
+        _, values, masks, _, _ = random_setup(rng, (2, 2), 2, 2, 2)
+        params = init_model_params(2, 2, 2, seed=10)
+        good = FrameSample(features=values[0].data, masks=masks[0])
+        empty = FrameSample(features=np.zeros((0, 2, 2, 2)), masks=np.zeros((0, 6, 6), bool))
         with pytest.raises(EmptyFrameError):
-            sequence_scores([frames[0], empty], temporal, scoring)
+            model_scores([good, empty], params, variant)
+        extra_mask = FrameSample(features=values[1].data,
+                                 masks=np.concatenate([masks[1], masks[1][:1]]))
+        with pytest.raises(ShapeError, match="one mask per object"):
+            model_scores([good, extra_mask], params, variant)
 
 
 class TestRankAssign:

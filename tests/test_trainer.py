@@ -47,9 +47,9 @@ class TestVariantWiring:
         for variant in VARIANTS:
             ranked = model_forward(sample.frames, params, variant)
             assert len(ranked) == len(sample.frames)
-            for frame, result in zip(sample.frames, ranked):
+            for frame, ranks in zip(sample.frames, ranked):
                 n = frame.features.shape[0]
-                assert sorted(result.ranks.tolist()) == list(range(1, n + 1))
+                assert sorted(ranks.tolist()) == list(range(1, n + 1))
 
     def test_unknown_variant_rejected(self):
         sample = synth_generate(SynthConfig(), 5)
@@ -194,6 +194,18 @@ class TestTrainingRun:
     def test_integer_fields_accept_numpy_integers(self):
         config = ModelConfig(C=np.int64(8), iterations=np.int32(3), seed=np.uint8(1))
         assert (config.C, config.iterations, config.seed) == (8, 3, 1)
+
+    @pytest.mark.parametrize("field", ["margin", "learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_float_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            ModelConfig(**{field: value})
+
+    def test_float_fields_accept_ints_and_numpy_floats(self):
+        config = ModelConfig(margin=1, learning_rate=np.float64(0.1), momentum=np.float32(0.5),
+                             weight_decay=0)
+        assert (config.margin, config.learning_rate, config.momentum,
+                config.weight_decay) == (1, 0.1, 0.5, 0)
 
 
 class TestModelParamsIo:
