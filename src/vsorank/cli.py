@@ -7,7 +7,6 @@ success, 1 on validation failure, 2 on unexpected runtime errors.
 
 import argparse
 import json
-import numbers
 import os
 import sys
 from dataclasses import asdict, fields
@@ -22,6 +21,7 @@ from .dataset import (
     compute_video_stats,
     list_sequences,
     load_annotations,
+    read_text,
     save_sequence,
     synth_generate,
 )
@@ -57,8 +57,10 @@ def _parse_scalar(text: str):
 
 def load_config_file(path) -> dict:
     """Read a config as JSON (leading '{') or line-based key=value pairs."""
-    with open(path, encoding="utf-8") as f:
-        content = f.read()
+    return read_text(path, lambda content: _parse_config(path, content))
+
+
+def _parse_config(path, content: str) -> dict:
     if content.lstrip().startswith("{"):
         doc = json.loads(content)
         if not isinstance(doc, dict):
@@ -106,28 +108,19 @@ def _integer(settings: dict, key, fallback) -> int:
 
 
 def _synth_config(settings: dict) -> SynthConfig:
-    """The generator config; keys absent from ``settings`` keep SynthConfig's defaults."""
+    """The generator config; keys absent from ``settings`` keep SynthConfig's defaults.
+
+    SynthConfig checks its own field types; the split pair keys are checked
+    here so that their messages name the key.
+    """
     default = SynthConfig()
-
-    def integer(key, fallback):
-        return _integer(settings, key, fallback)
-
-    def number(key, fallback):
-        value = settings.get(key, fallback)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-        return float(value)
-
     try:
         return SynthConfig(
-            T=integer("T", default.T), C=integer("C", default.C),
-            H=integer("H", default.H), W=integer("W", default.W),
-            K_range=(integer("K_min", default.K_range[0]),
-                     integer("K_max", default.K_range[1])),
-            frame_resolution=(integer("frame_height", default.frame_resolution[0]),
-                              integer("frame_width", default.frame_resolution[1])),
-            rank_swap_prob=number("rank_swap_prob", default.rank_swap_prob),
-            noise_level=number("noise_level", default.noise_level),
+            **{f.name: settings[f.name] for f in fields(SynthConfig) if f.name in settings},
+            K_range=(_integer(settings, "K_min", default.K_range[0]),
+                     _integer(settings, "K_max", default.K_range[1])),
+            frame_resolution=(_integer(settings, "frame_height", default.frame_resolution[0]),
+                              _integer(settings, "frame_width", default.frame_resolution[1])),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator config: {exc}")

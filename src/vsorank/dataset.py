@@ -19,6 +19,7 @@ at swap events, so ranks change across frames at a configurable rate.
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -28,12 +29,14 @@ from .pgm import PgmError, read_pgm16, write_pgm16
 
 __all__ = [
     "AnnotationError",
+    "FileFormatError",
     "PgmError",
     "RankAnnotation",
     "DatasetStats",
     "FrameSample",
     "SequenceSample",
     "SynthConfig",
+    "read_text",
     "load_annotation",
     "save_annotation",
     "compute_stats",
@@ -51,6 +54,25 @@ __all__ = [
 
 class AnnotationError(ValueError):
     """Inconsistent instance map / rank table content."""
+
+
+class FileFormatError(AnnotationError):
+    """A file (rank table, manifest, ``params.json``, config) that is not UTF-8
+    text or does not parse; the message names the file."""
+
+
+def read_text(path, parse=None):
+    """The UTF-8 text of the file ``path``, passed through ``parse`` if given.
+
+    Undecodable bytes, and a ``ValueError`` from ``parse`` such as invalid
+    JSON from ``json.loads``, raise ``FileFormatError`` naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        return text if parse is None else parse(text)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,11 +120,7 @@ class RankAnnotation:
 def load_annotation(instance_map_path, ranks_path) -> RankAnnotation:
     """Read and validate one frame's annotation pair."""
     instance_map = read_pgm16(instance_map_path)
-    with open(ranks_path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(f"{ranks_path}: invalid JSON ({exc})") from exc
+    doc = read_text(ranks_path, json.loads)
     if not isinstance(doc, dict) or "ranks" not in doc or not isinstance(doc["ranks"], dict):
         raise AnnotationError(f'{ranks_path}: expected an object with a "ranks" table')
     try:
@@ -203,13 +221,23 @@ class SynthConfig:
 
     def __post_init__(self):
         k_min, k_max = self.K_range
+        frame_h, frame_w = self.frame_resolution
+        for name, value in (("T", self.T), ("C", self.C), ("H", self.H), ("W", self.W),
+                            ("K_range[0]", k_min), ("K_range[1]", k_max),
+                            ("frame_resolution[0]", frame_h), ("frame_resolution[1]", frame_w)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("rank_swap_prob", "noise_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if k_min < 2:
             raise ValueError(f"K_range minimum must be >= 2, got {k_min}")
         if k_max < k_min:
             raise ValueError(f"K_range {self.K_range} is not ordered")
         if self.T < 1 or self.C < 1 or self.H < 1 or self.W < 1:
             raise ValueError("T, C, H, W must all be positive")
-        frame_h, frame_w = self.frame_resolution
         if frame_h < 4 * k_max or frame_w < 12:
             raise ValueError(
                 f"frame resolution {self.frame_resolution} too small for up to {k_max} objects"
@@ -380,11 +408,7 @@ def _read_manifest(path) -> dict:
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"{path}: no manifest.json")
-    with open(manifest_path, encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_text(manifest_path, json.loads)
     frames = manifest.get("frames") if isinstance(manifest, dict) else None
     if not isinstance(frames, list) or not all(_is_int(idx) for idx in frames):
         raise AnnotationError(f'{manifest_path}: expected an object with a "frames" list of integers')

@@ -30,6 +30,7 @@ from .temporal import ScoringParams, TemporalParams, sequence_scores
 __all__ = ["CheckResult", "run_suite", "DEFAULT_TOLERANCE"]
 
 DEFAULT_TOLERANCE = 1e-5
+RUNS_PER_CHECK = 20
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,15 @@ def _skewed(f):
     return g
 
 
-def _check_many(name, make_case, seed, runs, tolerance, corrupt) -> CheckResult:
-    """Worst ``grad_check`` error over ``runs`` random cases.
+def _check_many(name, make_case, seed, tolerance, corrupt) -> CheckResult:
+    """Worst ``grad_check`` error over ``RUNS_PER_CHECK`` random cases.
 
     ``make_case(rng)`` returns a list of (function, input tensor) pairs; the
     gradient of each function w.r.t. its input is verified, skewed first when
     ``corrupt`` is set.
     """
     worst = 0.0
-    for run in range(runs):
+    for run in range(RUNS_PER_CHECK):
         rng = np.random.default_rng((seed, run))
         for f, x in make_case(rng):
             worst = max(worst, grad_check(_skewed(f) if corrupt else f, x))
@@ -232,7 +233,7 @@ _CHECKS = [
 ]
 
 
-def run_suite(seed: int = 0, runs_per_check: int = 20, corrupt: bool = False) -> list[CheckResult]:
+def run_suite(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
     """All gradient checks; ``corrupt`` skews every checked gradient as a negative control."""
-    return [_check_many(name, make_case, seed, runs_per_check, tolerance, corrupt)
+    return [_check_many(name, make_case, seed, tolerance, corrupt)
             for name, make_case, tolerance in _CHECKS]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .dataset import FrameSample, read_tensor_file, write_tensor_file
+from .dataset import FrameSample, read_tensor_file, read_text, write_tensor_file
 from .spatial import SpatialParams, spatial_forward, spatial_params_init
 from .temporal import (
     ScoringParams,
@@ -114,11 +114,7 @@ def save_model_params(path, params: ModelParams, config=None) -> None:
 
 def load_model_params(path) -> ModelParams:
     manifest_path = os.path.join(path, "params.json")
-    with open(manifest_path, encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except ValueError as exc:
-            raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
+    manifest = read_text(manifest_path, json.loads)
     names = manifest.get("params") if isinstance(manifest, dict) else None
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ValueError(f'{manifest_path}: expected an object with a "params" list of names')

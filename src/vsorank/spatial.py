@@ -45,10 +45,6 @@ class Projection:
     bias: Tensor  # (out,)
 
     @property
-    def out_features(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def in_features(self) -> int:
         return self.weight.shape[1]
 

@@ -43,7 +43,7 @@ def report(criterion, text):
 
 def test_criterion_1_gradient_suite():
     started = time.perf_counter()
-    results = run_suite(seed=0, runs_per_check=20)
+    results = run_suite(seed=0)
     elapsed = time.perf_counter() - started
     for row in results:
         assert row.max_rel_err < row.tolerance, (

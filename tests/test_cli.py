@@ -437,14 +437,26 @@ class TestMalformedInputs:
         pytest.param("0.bin", b'{"shape": [2]}\n', id="tensor-without-dtype"),
         pytest.param("0.bin", b'{"dtype": "<f8", "shape": [-1]}\n', id="tensor-negative-shape"),
         pytest.param("0.bin", b'{"dtype": "<f8", "shape": 4}\n', id="tensor-shape-not-a-list"),
+        pytest.param("manifest.json", b'{"frames": [0]}\xff', id="manifest-not-utf8"),
+        pytest.param("ranks/0.json", b'{"ranks": {"1": 1}}\xff', id="rank-table-not-utf8"),
+        pytest.param("config.json", b'{"T": 3}\xff', id="json-config-not-utf8"),
+        pytest.param("config.json", b"{T: 3}", id="json-config-invalid"),
+        pytest.param("config.cfg", b"T=3\n# \xff\n", id="key-value-config-not-utf8"),
     ])
     def test_validation_error_names_the_path(self, tmp_path, capsys, name, content):
         path = tmp_path / "seq_0000" / name
-        path.parent.mkdir()
+        if name.startswith("ranks/"):
+            annotation = RankAnnotation(np.array([[0, 1], [1, 0]], dtype=np.uint16), {1: 1})
+            save_annotations(path.parents[1], [annotation])
+        path.parent.mkdir(exist_ok=True)
         path.write_bytes(content)
-        if name == "manifest.json":
-            code, _, err = run_cli(capsys, "stats", "--data", str(tmp_path))
-            assert code == 1 and str(path) in err
-        else:
+        if name.endswith(".bin"):
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 read_tensor_file(path)
+            return
+        if name.startswith("config"):
+            code, _, err = run_cli(capsys, "synth", "--config", str(path),
+                                   "--out", str(tmp_path / "out"))
+        else:
+            code, _, err = run_cli(capsys, "stats", "--data", str(tmp_path))
+        assert code == 1 and str(path) in err

@@ -1,6 +1,7 @@
 """Annotation format, statistics, file round-trips, and the synthetic generator."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,37 @@ class TestSynthGenerate:
             SynthConfig(rank_swap_prob=1.5)
         with pytest.raises(ValueError, match="resolution"):
             SynthConfig(K_range=(2, 8), frame_resolution=(16, 16))
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("T", 2.5, "T must be an integer, got 2.5", id="T-float"),
+        pytest.param("C", "4", "C must be an integer, got '4'", id="C-str"),
+        pytest.param("H", True, "H must be an integer, got True", id="H-bool"),
+        pytest.param("W", 7.0, "W must be an integer, got 7.0", id="W-float"),
+        pytest.param("K_range", (3.5, 4), "K_range[0] must be an integer, got 3.5", id="K-min-float"),
+        pytest.param("K_range", (3, True), "K_range[1] must be an integer, got True", id="K-max-bool"),
+        pytest.param("frame_resolution", (64.0, 64),
+                     "frame_resolution[0] must be an integer, got 64.0", id="height-float"),
+        pytest.param("frame_resolution", (64, "64"),
+                     "frame_resolution[1] must be an integer, got '64'", id="width-str"),
+        pytest.param("noise_level", True, "noise_level must be a number, got True", id="noise-bool"),
+        pytest.param("noise_level", "0.5", "noise_level must be a number, got '0.5'", id="noise-str"),
+        pytest.param("rank_swap_prob", False, "rank_swap_prob must be a number, got False",
+                     id="swap-bool"),
+        pytest.param("rank_swap_prob", None, "rank_swap_prob must be a number, got None",
+                     id="swap-none"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SynthConfig(**{field: value})
+
+    def test_numpy_integers_and_numbers_accepted(self):
+        config = SynthConfig(T=np.int64(2), C=np.int32(4), K_range=(np.int64(3), np.int16(4)),
+                             frame_resolution=(np.int64(32), 40), noise_level=np.float32(0.25),
+                             rank_swap_prob=0)
+        assert type(config.noise_level) is float and config.noise_level == 0.25
+        assert type(config.rank_swap_prob) is float and config.rank_swap_prob == 0.0
+        sample = synth_generate(config, 0)
+        assert len(sample.frames) == 2 and sample.frames[0].features.shape[1:] == (4, 7, 7)
 
     def test_inseparable_saliency_levels_rejected(self):
         # Seven levels fit between the latent bounds at the minimum gap; eight do not.
