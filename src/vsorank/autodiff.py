@@ -6,11 +6,13 @@ NCHW blocks, an affine map over the last axis, a scaled softmax, axis means,
 and a few elementwise primitives.  The graph is built define-by-run: an op's
 result records one edge ``(parent, vjp)`` per operand whose ``requires_grad``
 is set when the op runs (setting it later adds no edge), and ``vjp()``
-returns that operand's share of the result's gradient.  ``Tensor.backward``
-is the only code that accumulates gradients: it visits the differentiable
-nodes in exact reverse creation order and adds each ``vjp()`` to its
-parent's ``grad``.  Why a vjp reads the result's ``grad`` through its
-closure instead of taking it as an argument is told at ``_op``.
+returns that operand's share of the result's gradient, in the operand's
+full shape (no broadcastable shorthand).  ``Tensor.backward`` is the only
+code that accumulates gradients: it visits the differentiable nodes in exact
+reverse creation order; a parent's first ``vjp()`` becomes its ``grad`` as a
+C-contiguous copy, and each later one is added to it.  Why a vjp reads the
+result's ``grad`` through its closure instead of taking it as an argument is
+told at ``_op``.
 
 Tensors must be treated as read-only while any tensor derived from them is
 alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and
@@ -88,8 +90,14 @@ class Tensor:
         """Populate ``grad`` of every reachable differentiable tensor.
 
         Must be called on a single-element output.  Grad buffers of the
-        reachable subgraph are reset first, so each call yields exactly the
-        gradients of this output (no accumulation across calls).
+        reachable subgraph are dropped first, so each call yields exactly the
+        gradients of this output (no accumulation across calls); tensors it
+        does not reach keep theirs.  A buffer is allocated on its first
+        contribution as a C-contiguous copy of that ``vjp()``, so it never
+        shares memory with another buffer, and the matmul/einsum calls that
+        read it round the same way whatever layout the vjp returned; later
+        contributions are added in place.  Hence every vjp must return its
+        parent's full shape.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
@@ -107,11 +115,14 @@ class Tensor:
 
         nodes = sorted(reached.values(), key=lambda t: t._nid, reverse=True)
         for node in nodes:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in nodes:
             for parent, vjp in node._edges:
-                parent.grad += vjp()
+                if parent.grad is None:
+                    parent.grad = vjp().copy()
+                else:
+                    parent.grad += vjp()
 
     # -- elementwise and shape ops ----------------------------------------
 
@@ -158,12 +169,12 @@ class Tensor:
         return out
 
     def sum(self):
-        out = _op(self.data.sum(), (self, lambda: out.grad))
+        out = _op(self.data.sum(), (self, lambda: np.broadcast_to(out.grad, self.shape)))
         return out
 
     def mean(self):
         n = self.size
-        out = _op(self.data.mean(), (self, lambda: out.grad / n))
+        out = _op(self.data.mean(), (self, lambda: np.broadcast_to(out.grad / n, self.shape)))
         return out
 
 
@@ -273,7 +284,8 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     axis = axis % x.ndim
     n = x.shape[axis]
-    out = _op(x.data.mean(axis=axis), (x, lambda: np.expand_dims(out.grad, axis) / n))
+    out = _op(x.data.mean(axis=axis),
+              (x, lambda: np.broadcast_to(np.expand_dims(out.grad, axis) / n, x.shape)))
     return out
 
 

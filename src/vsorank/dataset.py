@@ -220,6 +220,10 @@ class SynthConfig:
     noise_level: float = 0.5
 
     def __post_init__(self):
+        for name in ("K_range", "frame_resolution"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise ValueError(f"{name} must be a pair of integers, got {value!r}")
         k_min, k_max = self.K_range
         frame_h, frame_w = self.frame_resolution
         for name, value in (("T", self.T), ("C", self.C), ("H", self.H), ("W", self.W),

@@ -76,7 +76,7 @@ def model_scores(frames: list[FrameSample], params: ModelParams,
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     relations, values = [], []
     for frame in frames:
-        features = Tensor(frame.features, requires_grad=True)
+        features = Tensor(frame.features)
         if variant in ("spatial", "full"):
             attended = spatial_forward(features, params.spatial)
             relations.append(attended.relation)

@@ -109,7 +109,7 @@ def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray,
     fused = matmul(relation.reshape(n, c, hw), context_flat)  # (N, C, C)
     pooled = mean_axis(fused, 2)  # (N, C)
 
-    mask_inputs = np.stack([downsample_mask(m, h, w).reshape(hw) for m in masks])
+    mask_inputs = downsample_mask(masks, h, w).reshape(n, hw)
     mask_vec = linear(Tensor(mask_inputs), scoring.mask_embed.weight, scoring.mask_embed.bias)
 
     joint = concat(pooled, mask_vec)  # (N, 2C)
@@ -162,19 +162,25 @@ def rank_assign(scores) -> np.ndarray:
 
 
 def downsample_mask(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of a single 2D mask, half-pixel centers, clamped edges."""
+    """Bilinear resize over the last two axes, half-pixel centers, clamped edges.
+
+    ``mask`` is one (H, W) mask or a stack of them, e.g. a frame's (N, H, W)
+    instance masks; the result has shape ``mask.shape[:-2] + (out_h, out_w)``.
+    Every output element goes through the same arithmetic whether its mask
+    is resized alone or in a stack, so both give the same bits.
+    """
     src = np.asarray(mask, dtype=np.float64)
-    in_h, in_w = src.shape
+    in_h, in_w = src.shape[-2:]
     sy = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     sx = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
-    sy = np.clip(sy, 0.0, in_h - 1.0)
+    sy = np.clip(sy, 0.0, in_h - 1.0)[:, None]  # a column: rows index the second-last axis
     sx = np.clip(sx, 0.0, in_w - 1.0)
     y0 = np.floor(sy).astype(np.int64)
     x0 = np.floor(sx).astype(np.int64)
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = (sy - y0)[:, None]
-    fx = (sx - x0)[None, :]
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bottom = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    fy = sy - y0
+    fx = sx - x0
+    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
+    bottom = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
     return top * (1 - fy) + bottom * fy

@@ -237,6 +237,80 @@ class TestBackwardSemantics:
         assert c.grad is None
 
 
+def _reached(out):
+    """Every tensor that ``out.backward()`` visits."""
+    seen, pending = {}, [out]
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            pending.extend(parent for parent, _ in node._edges)
+    return list(seen.values())
+
+
+# Operand shapes and the op under test; each graph ends in ``(op(...) * u).sum()``.
+GRAPHS = {
+    "matmul": ([(3, 2), (2, 4)], matmul),
+    "matmul_batched": ([(2, 3, 2), (2, 2, 4)], matmul),
+    "matmul_shared_rhs": ([(2, 3, 2), (2, 4)], matmul),
+    "conv1x1": ([(2, 3, 2, 2), (4, 3), (4,)], conv1x1),
+    "linear": ([(2, 3, 4), (5, 4), (5,)], linear),
+    "scaled_softmax": ([(3, 4)], lambda x: scaled_softmax(x, 4)),
+    "mean_axis": ([(2, 3, 4)], lambda x: mean_axis(x, 1)),
+    "transpose_last2": ([(2, 3, 4)], transpose_last2),
+    "stack": ([(3, 4), (3, 4)], lambda a, b: stack([a, b, a])),
+    "take": ([(3, 4)], lambda x: take(x, 1)),
+    "concat": ([(2, 3), (2, 4)], concat),
+    "relu": ([(3, 4)], relu),
+    "add": ([(3, 4), (3, 4)], lambda a, b: a + b),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: a - b),
+    "neg": ([(3, 4)], lambda x: -x),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
+    "reshape": ([(3, 4)], lambda x: x.reshape(2, 6)),
+    "sum": ([(3, 4)], lambda x: x.sum()),
+    "mean": ([(3, 4)], lambda x: x.mean()),
+    "add_scalar": ([(3, 4)], lambda x: x + 2.0),
+    "rsub_scalar": ([(3, 4)], lambda x: 2.0 - x),
+    "mul_scalar": ([(3, 4)], lambda x: x * 3.0),
+}
+
+
+class TestGradientBuffers:
+    """The layout contract of ``grad``: full shape, C order, never shared."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_reached_grads_have_full_shape_and_c_order(self, name):
+        shapes, op = GRAPHS[name]
+        rng = np.random.default_rng(31)
+        y = op(*(rand_tensor(rng, *shape) for shape in shapes))
+        out = (y * Tensor(rng.standard_normal(y.shape))).sum()
+        out.backward()
+        reached = _reached(out)
+        assert len(reached) >= len(shapes) + 3
+        for t in reached:
+            assert t.grad.shape == t.shape, t
+            assert t.grad.flags.c_contiguous, t
+
+    def test_first_contribution_is_not_aliased(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        y = x * 1.0
+        doubled = y + y
+        doubled.sum().backward()
+        assert not np.shares_memory(y.grad, doubled.grad)
+        assert np.array_equal(doubled.grad, np.ones((2, 2)))
+        assert np.array_equal(y.grad, np.full((2, 2), 2.0))
+        assert np.array_equal(x.grad, np.full((2, 2), 2.0))
+
+    def test_unreached_leaf_keeps_its_grad(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a * b).sum().backward()
+        kept = a.grad
+        (b * 2.0).sum().backward()
+        assert a.grad is kept and a.grad.tolist() == [3.0, 4.0]
+        assert b.grad.tolist() == [2.0, 2.0]
+
+
 class TestRandomizedGradients:
     """Every differentiable op passes finite-difference checks over many seeds."""
 

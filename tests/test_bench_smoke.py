@@ -3,8 +3,9 @@ one traced operation.
 
 The benchmark counts an operation whose output check fails (or that raises)
 as a failed operation; this runs each workload once at the smallest set-up
-so that such a break shows up here first.  The traced run checks that the
-benchmark's per-layer split still finds the functions it wraps.
+so that such a break shows up here first.  The part checks guard how the
+benchmark splits an operation into timed steps and frames, and the traced
+run checks that its per-layer split still finds the functions it wraps.
 """
 
 import importlib.util
@@ -26,16 +27,41 @@ workloads = _load("workloads")
 tracing = _load("tracing")
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_one_operation_succeeds(name, tmp_path, monkeypatch):
-    # EvalDisk's set-up writes VSOR_THREADS; this puts back what was there.
-    monkeypatch.setenv("VSOR_THREADS", "1")
+def _one_operation(name, tmp_path):
     workload = workloads.WORKLOADS[name]()
     workload.setup(1, str(tmp_path))
     with workload.hooks():
         outcome = workload.operation()
+    return workload, outcome
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_operation_succeeds(name, tmp_path, monkeypatch):
+    # EvalDisk's set-up writes VSOR_THREADS; this puts back what was there.
+    monkeypatch.setenv("VSOR_THREADS", "1")
+    _, outcome = _one_operation(name, tmp_path)
     assert outcome.error is None
     assert outcome.failed == 0
+
+
+def test_train_full_times_every_step(tmp_path):
+    # The steps are split at each call of ``trainer.model_scores``; scoring
+    # reached some other way would leave no step parts and a throughput of 0.
+    workload, outcome = _one_operation("train_full", tmp_path)
+    assert outcome.failed == 0
+    steps = [part for part in outcome.parts if part.key != "call"]
+    assert [part.key for part in steps] == [("step", i) for i in range(workload.ITERATIONS)]
+    assert workload.ITERATIONS == 50
+    for part in steps:
+        assert part.units == 1 and part.took[1] > 0, part
+    assert [part.key for part in outcome.parts].count("call") == 1
+
+
+def test_infer_crowded_counts_every_frame(tmp_path):
+    workload, outcome = _one_operation("infer_crowded", tmp_path)
+    assert outcome.failed == 0
+    [part] = outcome.parts
+    assert part.units == len(workload.sequences[0].frames) > 0
 
 
 def test_tracer_finds_the_autodiff_layers(tmp_path):

@@ -249,6 +249,14 @@ class TestSynthGenerate:
         pytest.param("W", 7.0, "W must be an integer, got 7.0", id="W-float"),
         pytest.param("K_range", (3.5, 4), "K_range[0] must be an integer, got 3.5", id="K-min-float"),
         pytest.param("K_range", (3, True), "K_range[1] must be an integer, got True", id="K-max-bool"),
+        pytest.param("K_range", 5, "K_range must be a pair of integers, got 5", id="K-int"),
+        pytest.param("K_range", (3, 4, 5), "K_range must be a pair of integers, got (3, 4, 5)",
+                     id="K-triple"),
+        pytest.param("K_range", "34", "K_range must be a pair of integers, got '34'", id="K-str"),
+        pytest.param("frame_resolution", 64,
+                     "frame_resolution must be a pair of integers, got 64", id="resolution-int"),
+        pytest.param("frame_resolution", [64],
+                     "frame_resolution must be a pair of integers, got [64]", id="resolution-one"),
         pytest.param("frame_resolution", (64.0, 64),
                      "frame_resolution[0] must be an integer, got 64.0", id="height-float"),
         pytest.param("frame_resolution", (64, "64"),

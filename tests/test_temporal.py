@@ -372,3 +372,18 @@ class TestDownsample:
         mask = (rng.random((11, 9)) > 0.5).astype(float)
         got = downsample_mask(mask, 4, 3)
         np.testing.assert_allclose(got, reference_bilinear(mask, 4, 3), atol=1e-12)
+
+    @pytest.mark.parametrize("n, in_hw, out_hw, dtype", [
+        pytest.param(1, (11, 9), (4, 3), bool, id="one-mask"),
+        pytest.param(3, (64, 48), (7, 5), bool, id="non-square"),
+        pytest.param(7, (128, 128), (7, 7), float, id="crowded"),
+        pytest.param(4, (5, 6), (12, 9), float, id="upsample"),
+        pytest.param(2, (9, 13), (9, 13), np.float32, id="same-size"),
+    ])
+    def test_stack_matches_each_mask(self, n, in_hw, out_hw, dtype):
+        rng = np.random.default_rng((301, n))
+        masks = rng.random((n, *in_hw))
+        masks = (masks > 0.5).astype(dtype) if dtype is bool else masks.astype(dtype)
+        got = downsample_mask(masks, *out_hw)
+        assert got.shape == (n, *out_hw) and got.dtype == np.float64
+        assert np.array_equal(got, np.stack([downsample_mask(m, *out_hw) for m in masks]))
