@@ -2,7 +2,9 @@
 gradient verification.
 
 Reports go to stdout as JSON; diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on validation failure, 2 on unexpected runtime errors.
+success, 1 on validation failure (malformed input, or an OS error such as a
+missing file or a directory where a file belongs), 2 on unexpected runtime
+errors.
 """
 
 import argparse
@@ -14,8 +16,6 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .dataset import (
-    AnnotationError,
-    PgmError,
     SynthConfig,
     compute_stats,
     compute_video_stats,
@@ -339,8 +339,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, AnnotationError, PgmError,
-            FileNotFoundError, NotADirectoryError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # last-resort diagnostic; includes divergence

@@ -61,8 +61,8 @@ class FileFormatError(AnnotationError):
     text or does not parse; the message names the file."""
 
 
-def read_text(path, parse=None):
-    """The UTF-8 text of the file ``path``, passed through ``parse`` if given.
+def read_text(path, parse):
+    """The UTF-8 text of the file ``path``, passed through ``parse``.
 
     Undecodable bytes, and a ``ValueError`` from ``parse`` such as invalid
     JSON from ``json.loads``, raise ``FileFormatError`` naming the file.
@@ -70,7 +70,7 @@ def read_text(path, parse=None):
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-        return text if parse is None else parse(text)
+        return parse(text)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
@@ -123,10 +123,14 @@ def load_annotation(instance_map_path, ranks_path) -> RankAnnotation:
     doc = read_text(ranks_path, json.loads)
     if not isinstance(doc, dict) or "ranks" not in doc or not isinstance(doc["ranks"], dict):
         raise AnnotationError(f'{ranks_path}: expected an object with a "ranks" table')
-    try:
-        ranks = {int(k): int(v) for k, v in doc["ranks"].items()}
-    except (TypeError, ValueError) as exc:
-        raise AnnotationError(f"{ranks_path}: non-integer id or rank") from exc
+    table = doc["ranks"]
+    try:  # ids spelled as save_annotation writes them; ranks JSON integers
+        valid = all(k == str(int(k)) and _is_int(v) for k, v in table.items())
+    except ValueError:
+        valid = False
+    if not valid:
+        raise AnnotationError(f"{ranks_path}: non-integer id or rank")
+    ranks = {int(k): v for k, v in table.items()}
     try:
         return RankAnnotation(instance_map=instance_map, ranks=ranks)
     except AnnotationError as exc:
@@ -352,7 +356,7 @@ def _is_int(value) -> bool:
 
 def write_tensor_file(path, array: np.ndarray) -> None:
     """Raw float64 little-endian data preceded by a one-line JSON shape header."""
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    arr = np.asarray(array, dtype="<f8")  # keeps a 0-d shape; tobytes() is C order
     header = json.dumps({"dtype": "<f8", "shape": list(arr.shape)})
     with open(path, "wb") as f:
         f.write(header.encode("utf-8"))

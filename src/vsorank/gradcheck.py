@@ -70,37 +70,15 @@ def _rand(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def _matmul_2d(rng):
-    a, b = _rand(rng, 3, 2), _rand(rng, 2, 4)
-    return [(lambda x: matmul(x, b).sum(), a), (lambda x: matmul(a, x).sum(), b)]
+def _each_operand(op, *shapes):
+    """Cases checking ``op(...).sum()`` against each operand in turn; one
+    ``_rand`` operand is drawn per shape, in order."""
+    def make_case(rng):
+        operands = [_rand(rng, *shape) for shape in shapes]
+        return [(lambda t, i=i: op(*operands[:i], t, *operands[i + 1:]).sum(), x)
+                for i, x in enumerate(operands)]
 
-
-def _matmul_batched(rng):
-    a, b = _rand(rng, 2, 3, 2), _rand(rng, 2, 2, 3)
-    return [(lambda x: matmul(x, b).sum(), a), (lambda x: matmul(a, x).sum(), b)]
-
-
-def _matmul_shared_rhs(rng):
-    a, b = _rand(rng, 2, 3, 2), _rand(rng, 2, 4)
-    return [(lambda x: matmul(x, b).sum(), a), (lambda x: matmul(a, x).sum(), b)]
-
-
-def _conv1x1(rng):
-    x, w, b = _rand(rng, 2, 3, 2, 2), _rand(rng, 4, 3), _rand(rng, 4)
-    return [
-        (lambda t: conv1x1(t, w, b).sum(), x),
-        (lambda t: conv1x1(x, t, b).sum(), w),
-        (lambda t: conv1x1(x, w, t).sum(), b),
-    ]
-
-
-def _linear(rng):
-    x, w, b = _rand(rng, 2, 5), _rand(rng, 3, 5), _rand(rng, 3)
-    return [
-        (lambda t: linear(t, w, b).sum(), x),
-        (lambda t: linear(x, t, b).sum(), w),
-        (lambda t: linear(x, w, t).sum(), b),
-    ]
+    return make_case
 
 
 def _scaled_softmax(rng):
@@ -176,12 +154,8 @@ def _temporal_module(rng):
     def mean_score_wrt(target):
         def f(_):
             scores = sequence_scores(relations, values, list(masks), temporal, scoring)
-            total = scores[0].sum()
-            count = scores[0].size
-            for s in scores[1:]:
-                total = total + s.sum()
-                count += s.size
-            return total * (1.0 / count)
+            total = sum((s.sum() for s in scores[1:]), scores[0].sum())
+            return total * (1.0 / sum(s.size for s in scores))
 
         return f, target
 
@@ -219,11 +193,11 @@ def _rank_loss(rng):
 
 
 _CHECKS = [
-    ("matmul_2d", _matmul_2d, DEFAULT_TOLERANCE),
-    ("matmul_batched", _matmul_batched, DEFAULT_TOLERANCE),
-    ("matmul_shared_rhs", _matmul_shared_rhs, DEFAULT_TOLERANCE),
-    ("conv1x1", _conv1x1, DEFAULT_TOLERANCE),
-    ("linear", _linear, DEFAULT_TOLERANCE),
+    ("matmul_2d", _each_operand(matmul, (3, 2), (2, 4)), DEFAULT_TOLERANCE),
+    ("matmul_batched", _each_operand(matmul, (2, 3, 2), (2, 2, 3)), DEFAULT_TOLERANCE),
+    ("matmul_shared_rhs", _each_operand(matmul, (2, 3, 2), (2, 4)), DEFAULT_TOLERANCE),
+    ("conv1x1", _each_operand(conv1x1, (2, 3, 2, 2), (4, 3), (4,)), DEFAULT_TOLERANCE),
+    ("linear", _each_operand(linear, (2, 5), (3, 5), (3,)), DEFAULT_TOLERANCE),
     ("scaled_softmax", _scaled_softmax, DEFAULT_TOLERANCE),
     ("mean_axis", _mean_axis, DEFAULT_TOLERANCE),
     ("elementwise_composite", _elementwise, DEFAULT_TOLERANCE),

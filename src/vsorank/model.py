@@ -95,18 +95,16 @@ def model_forward(frames: list[FrameSample], params: ModelParams,
     return [rank_assign(scores.data) for scores in model_scores(frames, params, variant)]
 
 
-def save_model_params(path, params: ModelParams, config=None) -> None:
+def save_model_params(path, params: ModelParams, config) -> None:
     """One raw tensor file per projection, plus a manifest of names."""
     os.makedirs(path, exist_ok=True)
     names = []
     for name, tensor in named_params(params):
         write_tensor_file(os.path.join(path, f"{name}.bin"), tensor.data)
         names.append(name)
-    manifest = {"params": names}
-    if config is not None:
-        manifest["config"] = {
-            "variant": config.variant, "C": config.C, "H": config.H, "W": config.W,
-        }
+    manifest = {"params": names, "config": {
+        "variant": config.variant, "C": config.C, "H": config.H, "W": config.W,
+    }}
     with open(os.path.join(path, "params.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f)
         f.write("\n")

@@ -5,6 +5,8 @@ sample order, which is lossless, supports up to 65535 instances, and stays
 readable by standard netpbm tools.
 """
 
+import os
+
 import numpy as np
 
 __all__ = ["PgmError", "read_pgm16", "write_pgm16"]
@@ -48,10 +50,10 @@ def read_pgm16(path) -> np.ndarray:
             raise PgmError(f"{path}: bad dimensions {width}x{height}")
         if maxval != 65535:
             raise PgmError(f"{path}: expected maxval 65535, got {maxval}")
-        raw = f.read(width * height * 2)
-        if len(raw) != width * height * 2:
+        size = width * height * 2
+        if size > os.fstat(f.fileno()).st_size - f.tell():
             raise PgmError(f"{path}: truncated pixel data")
-        return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)
+        return np.frombuffer(f.read(size), dtype=">u2").reshape(height, width).astype(np.uint16)
 
 
 def write_pgm16(path, values: np.ndarray) -> None:

@@ -439,14 +439,22 @@ class TestMalformedInputs:
         pytest.param("0.bin", b'{"dtype": "<f8", "shape": 4}\n', id="tensor-shape-not-a-list"),
         pytest.param("manifest.json", b'{"frames": [0]}\xff', id="manifest-not-utf8"),
         pytest.param("ranks/0.json", b'{"ranks": {"1": 1}}\xff', id="rank-table-not-utf8"),
+        pytest.param("ranks/0.json", b'{"ranks": {"1": 1.7, "2": 2}}', id="rank-is-a-float"),
+        pytest.param("ranks/0.json", b'{"ranks": {"1": true, "2": 2}}', id="rank-is-a-bool"),
+        pytest.param("ranks/0.json", b'{"ranks": {"1": "2", "2": "1"}}', id="rank-is-a-string"),
+        pytest.param("ranks/0.json", b'{"ranks": {" 1": 1, "2": 2}}', id="id-padded"),
+        pytest.param("ranks/0.json", b'{"ranks": {"01": 1, "2": 2}}', id="id-leading-zero"),
+        # 2 * 10**22 pixel bytes: more than a read can ask for, so no read is tried
+        pytest.param("frames/0.pgm", b"P5\n100000000000 100000000000\n65535\n",
+                     id="pgm-size-overflows"),
         pytest.param("config.json", b'{"T": 3}\xff', id="json-config-not-utf8"),
         pytest.param("config.json", b"{T: 3}", id="json-config-invalid"),
         pytest.param("config.cfg", b"T=3\n# \xff\n", id="key-value-config-not-utf8"),
     ])
     def test_validation_error_names_the_path(self, tmp_path, capsys, name, content):
         path = tmp_path / "seq_0000" / name
-        if name.startswith("ranks/"):
-            annotation = RankAnnotation(np.array([[0, 1], [1, 0]], dtype=np.uint16), {1: 1})
+        if name.startswith(("ranks/", "frames/")):
+            annotation = RankAnnotation(np.array([[0, 1, 2]], dtype=np.uint16), {1: 1, 2: 2})
             save_annotations(path.parents[1], [annotation])
         path.parent.mkdir(exist_ok=True)
         path.write_bytes(content)
@@ -460,3 +468,20 @@ class TestMalformedInputs:
         else:
             code, _, err = run_cli(capsys, "stats", "--data", str(tmp_path))
         assert code == 1 and str(path) in err
+
+    @pytest.mark.parametrize("name", ["frames/0.pgm", "ranks/0.json"])
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys, name):
+        annotation = RankAnnotation(np.array([[0, 1, 2]], dtype=np.uint16), {1: 1, 2: 2})
+        save_annotations(tmp_path / "seq_0000", [annotation])
+        path = tmp_path / "seq_0000" / name
+        path.unlink()
+        path.mkdir()
+        code, _, err = run_cli(capsys, "eval", "--gt", str(tmp_path), "--pred", str(tmp_path))
+        assert code == 1 and str(path) in err
+
+    def test_frame_index_too_long_for_a_file_name(self, tmp_path, capsys):
+        (tmp_path / "seq_0000" / "frames").mkdir(parents=True)
+        (tmp_path / "seq_0000" / "manifest.json").write_text(
+            json.dumps({"frames": [10**300]}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--gt", str(tmp_path), "--pred", str(tmp_path))
+        assert code == 1 and str(tmp_path / "seq_0000" / "frames" / f"{10**300}.pgm") in err

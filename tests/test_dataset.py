@@ -301,6 +301,12 @@ class TestTensorFiles:
         assert restored.shape == array.shape
         assert np.array_equal(restored, array)
 
+    def test_zero_dim_round_trip(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensor_file(path, np.array(2.5))
+        restored = read_tensor_file(path)
+        assert restored.shape == () and restored == 2.5
+
     def test_header_is_json_line(self, tmp_path):
         path = tmp_path / "t.bin"
         write_tensor_file(path, np.zeros((2, 2)))

@@ -222,7 +222,7 @@ class TestModelParamsIo:
 
     def test_missing_tensor_names_directory_and_tensor(self, tmp_path):
         path = tmp_path / "params"
-        save_model_params(path, init_model_params(8, 7, 7, seed=9))
+        save_model_params(path, init_model_params(8, 7, 7, seed=9), ModelConfig(C=8))
         manifest = json.loads((path / "params.json").read_text(encoding="utf-8"))
         dropped = manifest["params"].pop()
         (path / "params.json").write_text(json.dumps(manifest), encoding="utf-8")
@@ -239,14 +239,14 @@ class TestModelParamsIo:
     ])
     def test_malformed_manifest_names_params_json(self, tmp_path, content):
         path = tmp_path / "params"
-        save_model_params(path, init_model_params(8, 7, 7, seed=9))
+        save_model_params(path, init_model_params(8, 7, 7, seed=9), ModelConfig(C=8))
         (path / "params.json").write_text(content, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(str(path / "params.json"))):
             load_model_params(path)
 
     def test_wrong_tensor_shape_names_directory_and_tensor(self, tmp_path):
         path = tmp_path / "params"
-        save_model_params(path, init_model_params(8, 7, 7, seed=9))
+        save_model_params(path, init_model_params(8, 7, 7, seed=9), ModelConfig(C=8))
         write_tensor_file(path / "scoring.score_head.weight.bin", np.zeros((2, 3)))
         with pytest.raises(ValueError, match=re.escape(str(path))) as info:
             load_model_params(path)
