@@ -64,14 +64,15 @@ class FileFormatError(AnnotationError):
 def read_text(path, parse):
     """The UTF-8 text of the file ``path``, passed through ``parse``.
 
-    Undecodable bytes, and a ``ValueError`` from ``parse`` such as invalid
-    JSON from ``json.loads``, raise ``FileFormatError`` naming the file.
+    Undecodable bytes, and a ``ValueError`` or ``RecursionError`` from
+    ``parse`` (invalid JSON, or JSON nested too deep for ``json.loads``),
+    raise ``FileFormatError`` naming the file.
     """
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
         return parse(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -368,7 +369,7 @@ def read_tensor_file(path) -> np.ndarray:
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode("utf-8"))
-        except ValueError as exc:  # undecodable bytes or invalid JSON
+        except (ValueError, RecursionError) as exc:  # undecodable, invalid or too deep
             raise ValueError(f"{path}: unreadable header ({exc})") from exc
         if not isinstance(header, dict) or "dtype" not in header:
             raise ValueError(f'{path}: header must be an object with "dtype" and "shape"')
@@ -382,7 +383,10 @@ def read_tensor_file(path) -> np.ndarray:
     expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} data bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:  # a shape numpy cannot hold, e.g. too many dimensions
+        raise ValueError(f"{path}: unsupported shape ({exc})") from exc
 
 
 # -- sequence directories -----------------------------------------------------

@@ -84,6 +84,40 @@ class TestConv1x1:
         with pytest.raises(ShapeError, match="channel"):
             conv1x1(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
+    # (N, C_in, H, W) input and C_out
+    SHAPES = [
+        pytest.param((3, 4, 2, 5), 6, id="batched-non-square"),
+        pytest.param((1, 1, 3, 3), 2, id="one-input-channel"),
+        pytest.param((2, 5, 1, 1), 1, id="one-position-one-output"),
+        pytest.param((3, 16, 7, 7), 16, id="model-block"),
+    ]
+
+    @pytest.mark.parametrize("x_shape, c_out", SHAPES)
+    def test_forward_equals_per_image_matmul(self, x_shape, c_out):
+        rng = np.random.default_rng(6)
+        n, c, h, w = x_shape
+        x, weight, bias = (rng.standard_normal(s) for s in (x_shape, (c_out, c), (c_out,)))
+        out = conv1x1(Tensor(x), Tensor(weight), Tensor(bias))
+        expect = [np.matmul(weight, x[i].reshape(c, h * w)) + bias[:, None] for i in range(n)]
+        assert np.array_equal(out.data, np.stack(expect).reshape(n, c_out, h, w))
+
+    @pytest.mark.parametrize("x_shape, c_out", SHAPES)
+    def test_vjps_match_einsum_oracle(self, x_shape, c_out):
+        rng = np.random.default_rng(7)
+        x = rand_tensor(rng, *x_shape)
+        weight = rand_tensor(rng, c_out, x_shape[1])
+        bias = rand_tensor(rng, c_out)
+        upstream = rng.standard_normal((x_shape[0], c_out, *x_shape[2:]))
+        (conv1x1(x, weight, bias) * Tensor(upstream)).sum().backward()
+        expected = {
+            "x": (x.grad, np.einsum("oc,nohw->nchw", weight.data, upstream)),
+            "weight": (weight.grad, np.einsum("nohw,nchw->oc", upstream, x.data)),
+            "bias": (bias.grad, np.einsum("nohw->o", upstream)),
+        }
+        for name, (got, expect) in expected.items():
+            assert got.shape == expect.shape, name
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max(), name
+
 
 class TestScaledSoftmax:
     def test_constant_row_is_uniform(self):

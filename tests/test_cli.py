@@ -438,17 +438,24 @@ class TestMalformedInputs:
         pytest.param("0.bin", b'{"dtype": "<f8", "shape": [-1]}\n', id="tensor-negative-shape"),
         pytest.param("0.bin", b'{"dtype": "<f8", "shape": 4}\n', id="tensor-shape-not-a-list"),
         pytest.param("manifest.json", b'{"frames": [0]}\xff', id="manifest-not-utf8"),
+        pytest.param("manifest.json", b"[" * 100000, id="manifest-nested-too-deep"),
+        pytest.param("0.bin", b"[" * 100000 + b"\n", id="tensor-header-nested-too-deep"),
+        # 65 dimensions: more than numpy holds (32 before numpy 2.0, 64 since)
+        pytest.param("0.bin", b'{"dtype": "<f8", "shape": [' + b"1, " * 64 + b"1]}\n" + bytes(8),
+                     id="tensor-too-many-dimensions"),
         pytest.param("ranks/0.json", b'{"ranks": {"1": 1}}\xff', id="rank-table-not-utf8"),
         pytest.param("ranks/0.json", b'{"ranks": {"1": 1.7, "2": 2}}', id="rank-is-a-float"),
         pytest.param("ranks/0.json", b'{"ranks": {"1": true, "2": 2}}', id="rank-is-a-bool"),
         pytest.param("ranks/0.json", b'{"ranks": {"1": "2", "2": "1"}}', id="rank-is-a-string"),
         pytest.param("ranks/0.json", b'{"ranks": {" 1": 1, "2": 2}}', id="id-padded"),
         pytest.param("ranks/0.json", b'{"ranks": {"01": 1, "2": 2}}', id="id-leading-zero"),
+        pytest.param("ranks/0.json", b"[" * 100000, id="rank-table-nested-too-deep"),
         # 2 * 10**22 pixel bytes: more than a read can ask for, so no read is tried
         pytest.param("frames/0.pgm", b"P5\n100000000000 100000000000\n65535\n",
                      id="pgm-size-overflows"),
         pytest.param("config.json", b'{"T": 3}\xff', id="json-config-not-utf8"),
         pytest.param("config.json", b"{T: 3}", id="json-config-invalid"),
+        pytest.param("config.json", b'{"T": ' + b"[" * 100000, id="json-config-nested-too-deep"),
         pytest.param("config.cfg", b"T=3\n# \xff\n", id="key-value-config-not-utf8"),
     ])
     def test_validation_error_names_the_path(self, tmp_path, capsys, name, content):

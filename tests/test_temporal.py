@@ -11,6 +11,7 @@ from vsorank.spatial import EmptyFrameError, Projection
 from vsorank.temporal import (
     ScoringParams,
     TemporalParams,
+    _resize_grid,
     downsample_mask,
     rank_assign,
     sequence_scores,
@@ -38,6 +39,21 @@ def reference_bilinear(mask, out_h, out_w):
                 + src[y1, x1] * fy * fx
             )
     return out
+
+
+def resize_converting_first(mask, out_h, out_w):
+    """``downsample_mask``'s arithmetic, vectorized the same way, on the whole
+    stack converted to float64 up front."""
+    src = np.asarray(mask, dtype=np.float64)
+    in_h, in_w = src.shape[-2:]
+    sy = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)[:, None]
+    sx = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    y0, x0 = np.floor(sy).astype(np.int64), np.floor(sx).astype(np.int64)
+    y1, x1 = np.minimum(y0 + 1, in_h - 1), np.minimum(x0 + 1, in_w - 1)
+    fy, fx = sy - y0, sx - x0
+    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
+    bottom = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
+    return top * (1 - fy) + bottom * fy
 
 
 def reference_scores(relations, values, masks, kw, kb, qw, qb, vw, vb, mw, mb, sw, sb):
@@ -183,8 +199,8 @@ class TestTemporalMix:
         # A 1x1 softmax is exactly [[1]], so mixing passes the projected
         # value map through unchanged.
         w, b = params.v_proj.weight.data, params.v_proj.bias.data
-        expected = np.einsum("oc,tchw->tohw", w, values.data) + b[None, :, None, None]
-        assert np.array_equal(mixed.data, expected)
+        expected = np.matmul(w, values.data.reshape(1, 3, 4)) + b[None, :, None]
+        assert np.array_equal(mixed.data, expected.reshape(values.shape))
 
     def test_row_stochastic_mixing_passes_constants_through(self):
         # With a zero value projection the mixed maps equal the bias
@@ -387,3 +403,26 @@ class TestDownsample:
         got = downsample_mask(masks, *out_hw)
         assert got.shape == (n, *out_hw) and got.dtype == np.float64
         assert np.array_equal(got, np.stack([downsample_mask(m, *out_hw) for m in masks]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float32, np.float64])
+    def test_any_dtype_equals_converting_first(self, dtype):
+        rng = np.random.default_rng(302)
+        if dtype is bool:
+            masks = rng.random((5, 40, 33)) > 0.5
+        elif dtype is np.uint8:
+            masks = rng.integers(0, 256, (5, 40, 33), dtype=np.uint8)
+        else:
+            masks = rng.standard_normal((5, 40, 33)).astype(dtype)
+        for out_hw in ((7, 6), (40, 33), (50, 70)):
+            got = downsample_mask(masks, *out_hw)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, resize_converting_first(masks, *out_hw))
+
+    def test_cached_grid_is_read_only(self):
+        downsample_mask(np.ones((3, 12, 10)), 5, 4)
+        grid = _resize_grid(12, 10, 5, 4)
+        assert grid is _resize_grid(12, 10, 5, 4)
+        for array in grid:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
