@@ -7,13 +7,13 @@ and a few elementwise primitives.  Every product, forward and backward, is
 an ``np.matmul`` (``@``) call, which numpy hands to BLAS.  The graph is
 built define-by-run: an op's result records one edge ``(parent, vjp)`` per
 operand whose ``requires_grad`` is set when the op runs (setting it later
-adds no edge), and ``vjp()`` returns that operand's share of the result's
-gradient, in the operand's full shape (no broadcastable shorthand).
+adds no edge), and ``vjp(g)`` maps the result's gradient ``g`` to that
+operand's share, in the operand's full shape (no broadcastable shorthand).
 ``Tensor.backward`` is the only code that accumulates gradients: it visits
 the differentiable nodes in exact reverse creation order; a parent's first
-``vjp()`` becomes its ``grad`` as a C-contiguous copy, and each later one is
-added to it.  Why a vjp reads the result's ``grad`` through its closure
-instead of taking it as an argument is told at ``_op``.
+``vjp(g)`` becomes its ``grad`` as a C-contiguous copy, and each later one is
+added to it.  A vjp never refers to its result, so a graph holds no
+reference cycle and is freed as soon as its output is dropped.
 
 Tensors must be treated as read-only while any tensor derived from them is
 alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and
@@ -94,11 +94,12 @@ class Tensor:
         reachable subgraph are dropped first, so each call yields exactly the
         gradients of this output (no accumulation across calls); tensors it
         does not reach keep theirs.  A buffer is allocated on its first
-        contribution as a C-contiguous copy of that ``vjp()``, so it never
+        contribution as a C-contiguous copy of that ``vjp(g)``, so it never
         shares memory with another buffer, and the BLAS products that read
         it round the same way whatever layout the vjp returned; later
         contributions are added in place.  Hence every vjp must return its
-        parent's full shape.
+        parent's full shape.  The graph is left intact (and holds no
+        cycle), so it is freed with the last reference to its output.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
@@ -121,9 +122,9 @@ class Tensor:
         for node in nodes:
             for parent, vjp in node._edges:
                 if parent.grad is None:
-                    parent.grad = vjp().copy()
+                    parent.grad = vjp(node.grad).copy()
                 else:
-                    parent.grad += vjp()
+                    parent.grad += vjp(node.grad)
 
     # -- elementwise and shape ops ----------------------------------------
 
@@ -131,16 +132,13 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"add: shapes {self.shape} and {other.shape} differ")
-            out = _op(self.data + other.data, (self, lambda: out.grad), (other, lambda: out.grad))
-            return out
-        out = _op(self.data + float(other), (self, lambda: out.grad))
-        return out
+            return _op(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
+        return _op(self.data + float(other), (self, lambda g: g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _op(-self.data, (self, lambda: -out.grad))
-        return out
+        return _op(-self.data, (self, lambda g: -g))
 
     def __sub__(self, other):
         return self + (-other)
@@ -152,12 +150,10 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"mul: shapes {self.shape} and {other.shape} differ")
-            out = _op(self.data * other.data,
-                      (self, lambda: out.grad * other.data), (other, lambda: out.grad * self.data))
-            return out
+            return _op(self.data * other.data,
+                       (self, lambda g: g * other.data), (other, lambda g: g * self.data))
         scale = float(other)
-        out = _op(self.data * scale, (self, lambda: out.grad * scale))
-        return out
+        return _op(self.data * scale, (self, lambda g: g * scale))
 
     __rmul__ = __mul__
 
@@ -166,30 +162,24 @@ class Tensor:
             shape = tuple(shape[0])
         if math.prod(shape) != self.size:
             raise ShapeError(f"reshape: {self.shape} has {self.size} elements, target {shape}")
-        out = _op(self.data.reshape(shape), (self, lambda: out.grad.reshape(self.shape)))
-        return out
+        return _op(self.data.reshape(shape), (self, lambda g: g.reshape(self.shape)))
 
     def sum(self):
-        out = _op(self.data.sum(), (self, lambda: np.broadcast_to(out.grad, self.shape)))
-        return out
+        return _op(self.data.sum(), (self, lambda g: np.broadcast_to(g, self.shape)))
 
     def mean(self):
         n = self.size
-        out = _op(self.data.mean(), (self, lambda: np.broadcast_to(out.grad / n, self.shape)))
-        return out
+        return _op(self.data.mean(), (self, lambda g: np.broadcast_to(g / n, self.shape)))
 
 
 def _op(data: np.ndarray, *edges: tuple[Tensor, object]) -> Tensor:
     """The result of an op: ``data`` plus the ``(parent, vjp)`` edges whose
     parent needs a gradient now.
 
-    Every vjp takes no argument and reads the result's ``grad`` through its
-    closure, so a result and its vjps form a reference cycle and a graph is
-    freed by the cyclic garbage collector, not when its output is dropped.
-    That is deliberate: freeing each graph at once returns its memory to the
-    OS and faults it in again on the next forward pass, which made inference
-    (``evaluate`` on crowded 128x128 frames, 2 vCPUs) 16-26% slower at the
-    90th percentile.
+    ``vjp(g)`` takes the result's gradient as its argument and may refer to
+    the operands but never to the result, so the result is not part of a
+    reference cycle: a graph is freed by reference counting as soon as its
+    output is dropped.
     """
     out = Tensor(data)
     out._edges = tuple(edge for edge in edges if edge[0].requires_grad)
@@ -216,13 +206,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"matmul: unsupported ranks, {a.shape} x {b.shape}")
 
-    def grad_b():
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
+    def grad_b(g):
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return gb.sum(axis=0) if shared_rhs else gb
 
-    out = _op(np.matmul(a.data, b.data),
-              (a, lambda: np.matmul(out.grad, np.swapaxes(b.data, -1, -2))), (b, grad_b))
-    return out
+    return _op(np.matmul(a.data, b.data),
+               (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))), (b, grad_b))
 
 
 def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -239,21 +228,16 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv1x1: channel mismatch, input {x.shape} vs weight {weight.shape}")
 
     # Each image is viewed as a (C, H*W) matrix, so all three products are
-    # plain matrix products.  The vjps repeat the reshape of ``out.grad``
-    # instead of sharing a helper closure: one more function object per call
-    # shifts the cyclic GC's cadence, and with it peak memory (about +8% on
-    # inference over crowded 128x128 frames, 2 vCPUs, where dead graphs wait
-    # for a full collection).
+    # plain matrix products.
     n, c, h, w = x.shape
     o, hw = weight.shape[0], h * w
     x3 = x.data.reshape(n, c, hw)
     data = np.matmul(weight.data, x3)
     data += bias.data[None, :, None]
-    out = _op(data.reshape(n, o, h, w),
-              (x, lambda: np.matmul(weight.data.T, out.grad.reshape(n, o, hw)).reshape(x.shape)),
-              (weight, lambda: np.matmul(out.grad.reshape(n, o, hw), np.swapaxes(x3, 1, 2)).sum(0)),
-              (bias, lambda: out.grad.sum(axis=(0, 2, 3))))
-    return out
+    return _op(data.reshape(n, o, h, w),
+               (x, lambda g: np.matmul(weight.data.T, g.reshape(n, o, hw)).reshape(x.shape)),
+               (weight, lambda g: np.matmul(g.reshape(n, o, hw), np.swapaxes(x3, 1, 2)).sum(0)),
+               (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -263,12 +247,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: feature mismatch, input {x.shape} vs weight {weight.shape}")
 
-    out = _op(x.data @ weight.data.T + bias.data,
-              (x, lambda: out.grad @ weight.data),
-              (weight, lambda: out.grad.reshape(-1, weight.shape[0]).T
-               @ x.data.reshape(-1, weight.shape[1])),
-              (bias, lambda: out.grad.reshape(-1, weight.shape[0]).sum(axis=0)))
-    return out
+    return _op(x.data @ weight.data.T + bias.data,
+               (x, lambda g: g @ weight.data),
+               (weight, lambda g: g.reshape(-1, weight.shape[0]).T
+                @ x.data.reshape(-1, weight.shape[1])),
+               (bias, lambda g: g.reshape(-1, weight.shape[0]).sum(axis=0)))
 
 
 def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
@@ -280,12 +263,11 @@ def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
     if scale_dim < 1:
         raise ValueError(f"scaled_softmax: scale_dim must be positive, got {scale_dim}")
     scale = math.sqrt(scale_dim)
-    z = x.data / scale
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _op(y, (x, lambda: y * (out.grad - (out.grad * y).sum(axis=-1, keepdims=True)) / scale))
-    return out
+    y = x.data / scale  # one buffer, updated in place, for the (N, HW, HW) attention
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return _op(y, (x, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)) / scale))
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -294,17 +276,15 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     axis = axis % x.ndim
     n = x.shape[axis]
-    out = _op(x.data.mean(axis=axis),
-              (x, lambda: np.broadcast_to(np.expand_dims(out.grad, axis) / n, x.shape)))
-    return out
+    return _op(x.data.mean(axis=axis),
+               (x, lambda g: np.broadcast_to(np.expand_dims(g, axis) / n, x.shape)))
 
 
 def transpose_last2(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.ndim < 2:
         raise ShapeError(f"transpose_last2: needs >= 2 axes, got shape {x.shape}")
-    out = _op(np.swapaxes(x.data, -1, -2), (x, lambda: np.swapaxes(out.grad, -1, -2)))
-    return out
+    return _op(np.swapaxes(x.data, -1, -2), (x, lambda g: np.swapaxes(g, -1, -2)))
 
 
 def stack(tensors: list[Tensor]) -> Tensor:
@@ -315,9 +295,8 @@ def stack(tensors: list[Tensor]) -> Tensor:
     for t in tensors[1:]:
         if t.shape != shape:
             raise ShapeError(f"stack: shapes {shape} and {t.shape} differ")
-    out = _op(np.stack([t.data for t in tensors]),
-              *((t, lambda i=i: out.grad[i]) for i, t in enumerate(tensors)))
-    return out
+    return _op(np.stack([t.data for t in tensors]),
+               *((t, lambda g, i=i: g[i]) for i, t in enumerate(tensors)))
 
 
 def take(x: Tensor, index: int) -> Tensor:
@@ -325,13 +304,12 @@ def take(x: Tensor, index: int) -> Tensor:
     if not 0 <= index < x.shape[0]:
         raise ShapeError(f"take: index {index} out of range for shape {x.shape}")
 
-    def grad_x():
-        g = np.zeros_like(x.data)
-        g[index] = out.grad
-        return g
+    def grad_x(g):
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        return gx
 
-    out = _op(x.data[index], (x, grad_x))
-    return out
+    return _op(x.data[index], (x, grad_x))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -339,14 +317,12 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat: leading shapes differ, {a.shape} vs {b.shape}")
     split = a.shape[-1]
-    out = _op(np.concatenate([a.data, b.data], axis=-1),
-              (a, lambda: out.grad[..., :split]), (b, lambda: out.grad[..., split:]))
-    return out
+    return _op(np.concatenate([a.data, b.data], axis=-1),
+               (a, lambda g: g[..., :split]), (b, lambda g: g[..., split:]))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _op(np.maximum(x.data, 0.0), (x, lambda: (x.data > 0.0) * out.grad))
-    return out
+    return _op(np.maximum(x.data, 0.0), (x, lambda g: (x.data > 0.0) * g))
 
 
 # -- gradient verification --------------------------------------------------

@@ -73,8 +73,9 @@ def _parse_config(path, content: str) -> dict:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        config[key.strip()] = _parse_scalar(value.strip())
+        key, _, value = (part.strip() for part in line.partition("="))
+        # A directory name is text even when it reads as a number.
+        config[key] = value if key == "out_dir" else _parse_scalar(value)
     return config
 
 
@@ -238,13 +239,16 @@ def cmd_train(args) -> int:
     eval_sequences = _integer(settings, "eval_sequences", 50)
     if train_sequences < 1 or eval_sequences < 1:
         raise CliError("train_sequences and eval_sequences must be positive")
+    params_dir = settings.get("out_dir")
+    if params_dir is not None and not isinstance(params_dir, str):
+        raise CliError(f"out_dir must be a string, got {params_dir!r}")
 
     train_set = build_dataset(synth_config, train_sequences, seed=model_config.seed)
     eval_set = build_dataset(synth_config, eval_sequences,
                              seed=model_config.seed + 1_000_003)
     params, report = train(model_config, train_set, eval_set)
 
-    params_dir = settings.get("out_dir") or None
+    params_dir = params_dir or None
     if params_dir:
         save_model_params(params_dir, params, model_config)
 

@@ -50,14 +50,14 @@ def _ranked_stack(masks, ranks) -> tuple[np.ndarray, np.ndarray]:
     return masks, ranks
 
 
-def _pixel_rows(masks: np.ndarray, side: str) -> np.ndarray:
-    """One float64 row of 0/1 pixels per instance; every instance needs a pixel."""
+def _packed_rows(masks: np.ndarray, side: str) -> np.ndarray:
+    """One row of packed pixel bits per instance; every instance needs a pixel."""
     n, height, width = masks.shape
-    rows = masks.reshape(n, height * width)
+    rows = np.packbits(masks.reshape(n, height * width), axis=1)
     empty = np.flatnonzero(~rows.any(axis=1))
     if empty.size:
         raise ValueError(f"{side} instance {empty[0]} has no foreground pixels")
-    return rows.astype(np.float64)
+    return rows
 
 
 def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
@@ -72,12 +72,15 @@ def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
     gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
     if gt_masks.shape[1:] != pred_masks.shape[1:]:
         raise ValueError(f"mask shapes differ: {gt_masks.shape[1:]} vs {pred_masks.shape[1:]}")
-    gt = _pixel_rows(gt_masks, "ground-truth")
-    pred = _pixel_rows(pred_masks, "predicted")
-    # Pixel counts are exact integers in float64, so each IoU is the same
-    # float64 quotient as dividing the integer counts.
-    intersection = gt @ pred.T
-    union = gt.sum(axis=1)[:, None] + pred.sum(axis=1)[None, :] - intersection
+    gt = _packed_rows(gt_masks, "ground-truth")
+    pred = _packed_rows(pred_masks, "predicted")
+    # Pixel counts are exact int64 popcounts of the packed rows (the zero
+    # padding bits count nothing), so each IoU is the float64 quotient of
+    # two exact integers.
+    intersection = np.bitwise_count(gt[:, None] & pred[None]).sum(axis=2, dtype=np.int64)
+    gt_area = np.bitwise_count(gt).sum(axis=1, dtype=np.int64)
+    pred_area = np.bitwise_count(pred).sum(axis=1, dtype=np.int64)
+    union = gt_area[:, None] + pred_area[None, :] - intersection
     overlap = intersection / union
 
     gt_idx, pred_idx = np.nonzero(overlap >= iou_threshold)  # row-major: ties in index order
@@ -130,7 +133,11 @@ def mae(predicted: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=np.float64)
     if predicted.shape != truth.shape:
         raise ValueError(f"rank map shapes differ: {predicted.shape} vs {truth.shape}")
-    return float(np.abs(predicted - truth).mean())
+    # One full-size temporary, not two: each one freed is heap that glibc
+    # may hand back to the OS and fault in again on the next frame.
+    diff = predicted - truth
+    np.abs(diff, out=diff)
+    return float(diff.mean())
 
 
 def sa_sor(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,

@@ -282,6 +282,30 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 1 and "optimizer" in err
 
+    def test_numeric_out_dir_names_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("iterations=2\ntrain_sequences=2\neval_sequences=1\nout_dir=2024\n",
+                       encoding="utf-8")
+        payload = run_json(capsys, "train", "--config", str(cfg))
+        assert payload["params_dir"] == "2024"
+        assert (tmp_path / "2024" / "params.json").is_file()
+
+    @pytest.mark.parametrize("value", [True, False, 2024, 0, 1.5, ["run"], {"dir": "run"}],
+                             ids=["true", "false", "2024", "0", "1.5", "array", "object"])
+    def test_non_string_out_dir_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                      value):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train_sequences": 1, "eval_sequences": 1,
+                                   "out_dir": value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "out_dir must be a string" in err
+
 
 class TestSettings:
     """One reader for ``synth`` and ``train`` settings: file, alias, flags."""

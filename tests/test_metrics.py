@@ -124,6 +124,47 @@ def random_scene(rng, shape=(24, 24)):
     return np.stack(gt_masks), gt_ranks, np.stack(pred_masks), pred_ranks
 
 
+def overlapping_scene(rng, shape):
+    """Rectangles placed anywhere, so masks overlap within and across stacks.
+
+    Each ground-truth rectangle is predicted with every edge jittered, or
+    missed; a stray prediction may be added.  Same return value as
+    ``random_scene``.
+    """
+    height, width = shape
+
+    def box():
+        y0, x0 = int(rng.integers(0, height - 1)), int(rng.integers(0, width - 1))
+        return [y0, int(rng.integers(y0 + 1, height + 1)), x0, int(rng.integers(x0 + 1, width + 1))]
+
+    def jittered(y0, y1, x0, x1):
+        y0 = int(np.clip(y0 + rng.integers(-2, 3), 0, height - 1))
+        x0 = int(np.clip(x0 + rng.integers(-2, 3), 0, width - 1))
+        y1 = int(np.clip(y1 + rng.integers(-2, 3), y0 + 1, height))
+        x1 = int(np.clip(x1 + rng.integers(-2, 3), x0 + 1, width))
+        return y0, y1, x0, x1
+
+    gt_boxes = [box() for _ in range(int(rng.integers(2, 6)))]
+    pred_boxes = [jittered(*b) for b in gt_boxes if rng.random() < 0.75]
+    if not pred_boxes or rng.random() < 0.3:
+        pred_boxes.append(box())
+    gt_masks = np.stack([rect_mask(shape, *b) for b in gt_boxes])
+    pred_masks = np.stack([rect_mask(shape, *b) for b in pred_boxes])
+    gt_ranks = [int(r) for r in rng.permutation(len(gt_boxes)) + 1]
+    pred_ranks = [int(r) for r in rng.permutation(len(pred_boxes)) + 1]
+    return gt_masks, gt_ranks, pred_masks, pred_ranks
+
+
+def match_scenes(lane_seeds):
+    """``(make_scene, shape, seed)`` cases: lane scenes at 24x24, whose ids
+    are their seeds, then packed-bit edge cases at 23x21 (483 pixels, not a
+    whole number of bytes), lane-confined and overlapping."""
+    return ([pytest.param(random_scene, (24, 24), seed, id=str(seed))
+             for seed in range(lane_seeds)]
+            + [pytest.param(make, (23, 21), seed, id=f"{make.__name__}-23x21-{seed}")
+               for make in (random_scene, overlapping_scene) for seed in range(25)])
+
+
 # -- mae -------------------------------------------------------------------------
 
 
@@ -242,18 +283,18 @@ class TestMatchInstances:
         pred[2, 8, 8] = False   # IoU 8/9 with the third square
         assert match_instances(masks, pred, 0.5) == [(1, 1), (2, 2), (0, 0)]
 
-    @pytest.mark.parametrize("seed", range(50))
-    def test_equals_greedy_reference_at_any_threshold(self, seed):
+    @pytest.mark.parametrize("make_scene, shape, seed", match_scenes(50))
+    def test_equals_greedy_reference_at_any_threshold(self, make_scene, shape, seed):
         rng = np.random.default_rng((521, seed))
-        gt_masks, _, pred_masks, _ = random_scene(rng)
+        gt_masks, _, pred_masks, _ = make_scene(rng, shape)
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             assert match_instances(gt_masks, pred_masks, threshold) == greedy_match_oracle(
                 gt_masks, pred_masks, threshold)
 
-    @pytest.mark.parametrize("seed", range(200))
-    def test_one_to_one_threshold_and_oracle_agreement(self, seed):
+    @pytest.mark.parametrize("make_scene, shape, seed", match_scenes(200))
+    def test_one_to_one_threshold_and_oracle_agreement(self, make_scene, shape, seed):
         rng = np.random.default_rng((520, seed))
-        gt_masks, _, pred_masks, _ = random_scene(rng)
+        gt_masks, _, pred_masks, _ = make_scene(rng, shape)
         pairs = match_instances(gt_masks, pred_masks, 0.5)
 
         gs = [g for g, _ in pairs]
@@ -262,7 +303,14 @@ class TestMatchInstances:
         assert set(gs) <= set(range(len(gt_masks)))
         assert set(ps) <= set(range(len(pred_masks)))
         for gi, pi in pairs:
-            assert iou_oracle(gt_masks[gi], pred_masks[pi]) >= 0.5
+            value = iou_oracle(gt_masks[gi], pred_masks[pi])
+            assert value >= 0.5
+            # The library's IoU == the oracle's: the pair passes a threshold
+            # of exactly ``value`` and fails at the next float above it.
+            one_gt, one_pred = gt_masks[gi:gi + 1], pred_masks[pi:pi + 1]
+            assert match_instances(one_gt, one_pred, value) == [(0, 0)]
+            if value < 1.0:
+                assert match_instances(one_gt, one_pred, np.nextafter(value, 2.0)) == []
 
         assert pairs == greedy_match_oracle(gt_masks, pred_masks, 0.5)
         oracle_pairs = exhaustive_match_oracle(gt_masks, pred_masks, 0.5)

@@ -1,5 +1,6 @@
 """Variant wiring, optimizer behavior, and the training/evaluation loop."""
 
+import gc
 import json
 import re
 import warnings
@@ -22,6 +23,7 @@ from vsorank.temporal import ScoringParams
 from vsorank.trainer import (
     ModelConfig,
     TrainingDiverged,
+    _sequence_loss,
     build_dataset,
     evaluate,
     train,
@@ -147,6 +149,36 @@ class TestOptimizer:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(TrainingDiverged, match="iteration"):
                 train(config, train_set, eval_set)
+
+
+def _cyclic_garbage(run) -> int:
+    """Objects only the cyclic GC can free after ``run()``, with it switched off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestGraphsFreed:
+    """A graph holds no reference cycle, so it is freed when its output is dropped."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_step_leaves_no_cyclic_garbage(self, variant):
+        config = ModelConfig(variant=variant, seed=0)
+        sample = build_dataset(SynthConfig(), 1, seed=0)[0]
+        params = init_model_params(config.C, config.H, config.W, config.seed)
+
+        assert _cyclic_garbage(lambda: _sequence_loss(sample, params, config).backward()) == 0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evaluate_leaves_no_cyclic_garbage(self, variant):
+        config = ModelConfig(variant=variant, seed=0)
+        eval_set = build_dataset(SynthConfig(), 2, seed=1)
+        params = init_model_params(config.C, config.H, config.W, config.seed)
+        assert _cyclic_garbage(lambda: evaluate(params, config, eval_set)) == 0
 
 
 class TestTrainingRun:
