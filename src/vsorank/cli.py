@@ -226,6 +226,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail unless ``path`` is a directory or can be made one: the nearest
+    existing path among it and its ancestors must be a directory."""
+    probe = path
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise CliError(f"out_dir {path!r}: {probe!r} exists and is not a directory")
+
+
 def cmd_train(args) -> int:
     settings = _settings(args, _TRAIN_KEYS)
     try:
@@ -242,6 +252,8 @@ def cmd_train(args) -> int:
     params_dir = settings.get("out_dir")
     if params_dir is not None and not isinstance(params_dir, str):
         raise CliError(f"out_dir must be a string, got {params_dir!r}")
+    if params_dir:
+        _check_out_dir(params_dir)
 
     train_set = build_dataset(synth_config, train_sequences, seed=model_config.seed)
     eval_set = build_dataset(synth_config, eval_sequences,

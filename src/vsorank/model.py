@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .dataset import FrameSample, read_tensor_file, read_text, write_tensor_file
-from .spatial import SpatialParams, spatial_forward, spatial_params_init
+from .spatial import Projection, SpatialParams, spatial_forward, spatial_params_init
 from .temporal import (
     ScoringParams,
     TemporalParams,
@@ -91,8 +91,17 @@ def model_scores(frames: list[FrameSample], params: ModelParams,
 
 def model_forward(frames: list[FrameSample], params: ModelParams,
                   variant: str) -> list[np.ndarray]:
-    """Score and rank every frame of a sequence: one rank array per frame."""
-    return [rank_assign(scores.data) for scores in model_scores(frames, params, variant)]
+    """Score and rank every frame of a sequence: one rank array per frame.
+
+    Scores on a detached view of ``params``, the same weight and bias arrays
+    in tensors that need no gradient, so no op records an edge and no graph
+    is built: each intermediate is freed as soon as the pass moves past it.
+    """
+    detached = ModelParams(*(
+        type(stage)(*(Projection(Tensor(proj.weight.data), Tensor(proj.bias.data))
+                      for proj in vars(stage).values()))
+        for stage in (params.spatial, params.temporal, params.scoring)))
+    return [rank_assign(scores.data) for scores in model_scores(frames, detached, variant)]
 
 
 def save_model_params(path, params: ModelParams, config) -> None:

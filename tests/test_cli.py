@@ -306,6 +306,22 @@ class TestTrain:
         assert code == 1 and out == ""
         assert "out_dir must be a string" in err
 
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/run", "afile/"],
+                             ids=["is-a-file", "parent-is-a-file", "trailing-slash"])
+    def test_out_dir_blocked_by_a_file_fails_before_training(self, tmp_path, capsys,
+                                                             monkeypatch, out_dir):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--train-sequences", "1",
+                                 "--eval-sequences", "1", "--out-dir", out_dir)
+        assert code == 1 and out == ""
+        assert f"out_dir {out_dir!r}" in err and "'afile' exists and is not a directory" in err
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
 
 class TestSettings:
     """One reader for ``synth`` and ``train`` settings: file, alias, flags."""

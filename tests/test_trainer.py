@@ -3,11 +3,13 @@
 import gc
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from vsorank import autodiff
 from vsorank.dataset import SynthConfig, synth_generate, write_tensor_file
 from vsorank.model import (
     VARIANTS,
@@ -19,7 +21,7 @@ from vsorank.model import (
     save_model_params,
 )
 from vsorank.spatial import Projection
-from vsorank.temporal import ScoringParams
+from vsorank.temporal import ScoringParams, rank_assign
 from vsorank.trainer import (
     ModelConfig,
     TrainingDiverged,
@@ -42,6 +44,13 @@ def trained_full():
     return config, params, report, eval_set
 
 
+def _params_with_live_head(seed):
+    params = init_model_params(16, 7, 7, seed=seed)
+    rng = np.random.default_rng(seed)
+    params.scoring.score_head.weight.data[...] = rng.standard_normal((1, 32))
+    return params
+
+
 class TestVariantWiring:
     def test_all_variants_produce_valid_ranked_frames(self):
         sample = synth_generate(SynthConfig(), 5)
@@ -59,17 +68,10 @@ class TestVariantWiring:
         with pytest.raises(ValueError, match="variant"):
             model_scores(sample.frames, params, "everything")
 
-    @staticmethod
-    def params_with_live_head(seed):
-        params = init_model_params(16, 7, 7, seed=seed)
-        rng = np.random.default_rng(seed)
-        params.scoring.score_head.weight.data[...] = rng.standard_normal((1, 32))
-        return params
-
     @pytest.mark.parametrize("variant", ["basic", "spatial"])
     def test_without_temporal_stage_scores_are_frame_local(self, variant):
         sample = synth_generate(SynthConfig(noise_level=0.3), 6)
-        params = self.params_with_live_head(2)
+        params = _params_with_live_head(2)
         base = [s.data.copy() for s in model_scores(sample.frames, params, variant)]
         perturbed_frames = list(sample.frames)
         changed = type(sample.frames[1])(
@@ -84,7 +86,7 @@ class TestVariantWiring:
     @pytest.mark.parametrize("variant", ["temporal", "full"])
     def test_with_temporal_stage_scores_mix_frames(self, variant):
         sample = synth_generate(SynthConfig(noise_level=0.3), 6)
-        params = self.params_with_live_head(2)
+        params = _params_with_live_head(2)
         base = [s.data.copy() for s in model_scores(sample.frames, params, variant)]
         perturbed_frames = list(sample.frames)
         changed = type(sample.frames[1])(
@@ -179,6 +181,75 @@ class TestGraphsFreed:
         eval_set = build_dataset(SynthConfig(), 2, seed=1)
         params = init_model_params(config.C, config.H, config.W, config.seed)
         assert _cyclic_garbage(lambda: evaluate(params, config, eval_set)) == 0
+
+
+CROWDED = SynthConfig(K_range=(2, 7), frame_resolution=(128, 128))
+
+
+class TestInferenceBuildsNoGraph:
+    """``model_forward`` scores on a detached view of the parameters."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_inference_records_no_edge(self, variant, monkeypatch):
+        results = []
+
+        def recording_op(*args):
+            out = op(*args)
+            results.append(out)
+            return out
+
+        op = autodiff._op
+        monkeypatch.setattr(autodiff, "_op", recording_op)
+        config = ModelConfig(variant=variant, seed=0)
+        sample = build_dataset(SynthConfig(), 1, seed=1)[0]
+        params = init_model_params(config.C, config.H, config.W, config.seed)
+        evaluate(params, config, [sample])
+        model_forward(sample.frames, params, variant)
+        assert results
+        assert sum(1 for out in results if out._edges) == 0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ranks_equal_those_of_the_live_parameters(self, variant):
+        params = _params_with_live_head(5)
+        for sample in build_dataset(CROWDED, 6, seed=2):
+            live = [rank_assign(s.data) for s in model_scores(sample.frames, params, variant)]
+            ranked = model_forward(sample.frames, params, variant)
+            assert len(ranked) == len(live)
+            for got, want in zip(ranked, live):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evaluate_leaves_parameters_and_gradients_alone(self, variant):
+        config = ModelConfig(variant=variant, seed=0)
+        train_set = build_dataset(CROWDED, 1, seed=3)
+        params = _params_with_live_head(6)
+        _sequence_loss(train_set[0], params, config).backward()
+        # Parameters the variant does not use get no gradient.
+        before = [(p.data.copy(), None if p.grad is None else p.grad.copy())
+                  for _, p in named_params(params)]
+        assert any(grad is not None for _, grad in before)
+        evaluate(params, config, build_dataset(CROWDED, 2, seed=4))
+        for (_, p), (data, grad) in zip(named_params(params), before):
+            assert np.array_equal(p.data, data)
+            assert (p.grad is None) == (grad is None)
+            assert grad is None or np.array_equal(p.grad, grad)
+
+    def test_peak_memory_grows_by_less_than_an_attention_block_per_frame(self):
+        sample = synth_generate(SynthConfig(T=6, K_range=(7, 7), frame_resolution=(128, 128)), 0)
+        params = init_model_params(16, 7, 7, seed=0)
+
+        def traced_peak(frames):
+            tracemalloc.start()
+            try:
+                model_forward(frames, params, "full")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        model_forward(sample.frames, params, "full")  # fills the mask-resize grid cache
+        attention_block = 7 * 49 * 49 * np.dtype(np.float64).itemsize
+        growth_per_frame = (traced_peak(sample.frames) - traced_peak(sample.frames[:1])) / 5
+        assert growth_per_frame < attention_block
 
 
 class TestTrainingRun:
