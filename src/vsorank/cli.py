@@ -151,10 +151,8 @@ def cmd_eval(args) -> int:
     for name in sequences:
         gt_frames = load_annotations(os.path.join(args.gt, name))
         pred_dir = os.path.join(args.pred, name)
-        if not os.path.isfile(os.path.join(pred_dir, "manifest.json")):
-            missing.extend((name, idx) for idx, _ in gt_frames)
-            continue
-        pred_frames = dict(load_annotations(pred_dir))
+        pred_frames = (dict(load_annotations(pred_dir))
+                       if os.path.isfile(os.path.join(pred_dir, "manifest.json")) else {})
         for idx, gt_ann in gt_frames:
             if idx not in pred_frames:
                 missing.append((name, idx))

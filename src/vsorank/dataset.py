@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pgm import PgmError, read_pgm16, write_pgm16
+from .temporal import rank_assign
 
 __all__ = [
     "AnnotationError",
@@ -240,6 +241,8 @@ class SynthConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value))
         if k_min < 2:
             raise ValueError(f"K_range minimum must be >= 2, got {k_min}")
@@ -279,13 +282,6 @@ def _draw_latents(rng: np.random.Generator, k: int) -> np.ndarray:
     return ordered[rng.permutation(k)]
 
 
-def _ranks_from_latents(latents: np.ndarray) -> np.ndarray:
-    order = np.argsort(-latents)
-    ranks = np.empty(len(latents), dtype=np.int64)
-    ranks[order] = np.arange(1, len(latents) + 1)
-    return ranks
-
-
 def synth_generate(config: SynthConfig, seed: int) -> SequenceSample:
     """Deterministically build one synthetic sequence from a seed."""
     rng = np.random.default_rng(seed)
@@ -317,12 +313,12 @@ def synth_generate(config: SynthConfig, seed: int) -> SequenceSample:
     annotations = []
     for t in range(config.T):
         if t > 0 and rng.random() < config.rank_swap_prob:
-            previous_order = _ranks_from_latents(latents)
+            previous_order = rank_assign(latents)
             while True:
                 latents = _draw_latents(rng, k)
-                if not np.array_equal(_ranks_from_latents(latents), previous_order):
+                if not np.array_equal(rank_assign(latents), previous_order):
                     break
-        ranks = _ranks_from_latents(latents)
+        ranks = rank_assign(latents)
 
         features = np.zeros((k, config.C, config.H, config.W))
         features[:, 0] = latents[:, None, None]

@@ -44,10 +44,6 @@ class Projection:
     weight: Tensor  # (out, in)
     bias: Tensor  # (out,)
 
-    @property
-    def in_features(self) -> int:
-        return self.weight.shape[1]
-
 
 def projection_init(out_features: int, in_features: int, rng: np.random.Generator,
                     zero: bool = False) -> Projection:
@@ -102,11 +98,6 @@ def spatial_forward(x: Tensor, params: SpatialParams) -> SpatialOutput:
     n, c, h, w = x.shape
     if n == 0:
         raise EmptyFrameError("cannot attend over a frame with zero objects")
-    if params.kq_proj.in_features != c:
-        raise ShapeError(
-            f"channel mismatch: features have {c} channels, "
-            f"projection expects {params.kq_proj.in_features}"
-        )
     hw = h * w
 
     kq = conv1x1(x, params.kq_proj.weight, params.kq_proj.bias)  # (N, C, H, W)

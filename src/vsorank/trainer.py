@@ -7,6 +7,7 @@ even at learning rate zero.  Everything is deterministic given the config
 seed.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -57,6 +58,8 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.C, self.H, self.W) < 1:
             raise ValueError("C, H, W must all be positive")
         if self.margin <= 0:

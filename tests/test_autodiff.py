@@ -1,5 +1,7 @@
 """Tensor op semantics and gradient correctness against finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -382,3 +384,70 @@ class TestRandomizedGradients:
             return (conv1x1(t, w, b) * u).sum()
 
         assert grad_check(f, x) < 1e-5
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+def _overflowing_difference():
+    # f(1) is the largest float, so f(1 + eps) overflows: the analytic
+    # gradient and f(1) are finite, but the central difference is not.
+    x = Tensor([1.0], requires_grad=True)
+    with np.errstate(over="ignore"):
+        grad_check(lambda t: (t * np.finfo(np.float64).max).sum(), x)
+
+
+# Each input check: the call, the exact exception type and a message fragment.
+ERRORS = {
+    "item-non-scalar": (lambda: _zeros(2).item(), ShapeError, "item() needs a single element"),
+    "backward-no-gradient-path": (lambda: Tensor([1.0]).backward(), ValueError,
+                                  "no gradient path"),
+    "add-unequal-shapes": (lambda: _zeros(2) + _zeros(3), ShapeError,
+                           "add: shapes (2,) and (3,) differ"),
+    "mul-unequal-shapes": (lambda: _zeros(2) * _zeros(3), ShapeError,
+                           "mul: shapes (2,) and (3,) differ"),
+    "reshape-element-count": (lambda: _zeros(2, 3).reshape(4), ShapeError,
+                              "reshape: (2, 3) has 6 elements, target (4,)"),
+    "matmul-batch-shapes": (lambda: matmul(_zeros(2, 3, 2), _zeros(3, 2, 3)), ShapeError,
+                            "batch shapes incompatible"),
+    "matmul-inner-batch-extent": (lambda: matmul(_zeros(2, 3, 2), _zeros(2, 3, 3)), ShapeError,
+                                  "batch shapes incompatible"),
+    "matmul-unsupported-ranks": (lambda: matmul(_zeros(2), _zeros(2, 2)), ShapeError,
+                                 "unsupported ranks, (2,) x (2, 2)"),
+    "conv1x1-not-nchw": (lambda: conv1x1(_zeros(3, 2, 2), _zeros(4, 3), _zeros(4)), ShapeError,
+                         "input must be NCHW"),
+    "conv1x1-bias-length": (lambda: conv1x1(_zeros(1, 3, 2, 2), _zeros(4, 3), _zeros(5)),
+                            ShapeError, "conv1x1: bad parameter shapes (4, 3), (5,)"),
+    "conv1x1-weight-rank": (lambda: conv1x1(_zeros(1, 3, 2, 2), _zeros(3), _zeros(3)),
+                            ShapeError, "conv1x1: bad parameter shapes"),
+    "linear-bias-rank": (lambda: linear(_zeros(2, 5), _zeros(3, 5), _zeros(3, 1)), ShapeError,
+                         "linear: bad parameter shapes (3, 5), (3, 1)"),
+    "linear-feature-mismatch": (lambda: linear(_zeros(2, 4), _zeros(3, 5), _zeros(3)),
+                                ShapeError, "linear: feature mismatch"),
+    "scaled-softmax-scale-dim": (lambda: scaled_softmax(_zeros(2, 2), 0), ValueError,
+                                 "scale_dim must be positive, got 0"),
+    "transpose-1d": (lambda: transpose_last2(_zeros(3)), ShapeError, "needs >= 2 axes"),
+    "stack-nothing": (lambda: stack([]), ShapeError, "stack: empty input"),
+    "stack-unequal-shapes": (lambda: stack([_zeros(2), _zeros(3)]), ShapeError,
+                             "stack: shapes (2,) and (3,) differ"),
+    "take-out-of-range": (lambda: take(_zeros(3, 2), 3), ShapeError,
+                          "take: index 3 out of range"),
+    "take-negative": (lambda: take(_zeros(3, 2), -1), ShapeError,
+                      "take: index -1 out of range"),
+    "concat-leading-shapes": (lambda: concat(_zeros(2, 3), _zeros(3, 3)), ShapeError,
+                              "concat: leading shapes differ"),
+    "grad-check-non-finite-value": (
+        lambda: grad_check(lambda t: (t * np.inf).sum(), Tensor([1.0])), ValueError,
+        "non-finite function value"),
+    "grad-check-non-finite-gradient": (_overflowing_difference, ValueError,
+                                       "non-finite gradient"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_bad_input_raises(name):
+    call, error, fragment = ERRORS[name]
+    with pytest.raises(error, match=re.escape(fragment)) as raised:
+        call()
+    assert type(raised.value) is error

@@ -42,6 +42,15 @@ def dataset_dir(tmp_path, capsys):
     return out
 
 
+@pytest.fixture()
+def no_training(monkeypatch):
+    """Fails a ``vsorank train`` run that gets as far as training."""
+    def train(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", train)
+
+
 class TestSynth:
     def test_deterministic_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -158,6 +167,27 @@ class TestEval:
                                "--pred", str(pred))
         assert code == 1
         assert "seq_0001" in err
+
+    def test_missing_frame_and_missing_sequence_listed_together(self, tmp_path, capsys):
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        for out in (gt, pred):
+            run_json(capsys, "synth", "--out", str(out), "--sequences", "3", "--seed", "5")
+        manifest = pred / "seq_0002" / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["frames"].remove(1)
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.rmtree(pred / "seq_0000")
+        code, out, err = run_cli(capsys, "eval", "--gt", str(gt), "--pred", str(pred))
+        assert code == 1 and out == ""
+        assert err == ("error: missing predictions for frames: "
+                       "seq_0000/0, seq_0000/1, seq_0000/2, seq_0002/1\n")
+
+    def test_gt_without_sequences_fails(self, tmp_path, dataset_dir, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run_cli(capsys, "eval", "--gt", str(empty), "--pred", str(dataset_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {empty}: no sequences found\n"
 
     def test_empty_pred_dir_fails(self, tmp_path, dataset_dir, capsys):
         pred = tmp_path / "empty"
@@ -293,12 +323,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", [True, False, 2024, 0, 1.5, ["run"], {"dir": "run"}],
                              ids=["true", "false", "2024", "0", "1.5", "array", "object"])
-    def test_non_string_out_dir_fails_before_training(self, tmp_path, capsys, monkeypatch,
+    def test_non_string_out_dir_fails_before_training(self, tmp_path, capsys, no_training,
                                                       value):
-        def no_training(*args):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(cli, "train", no_training)
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"train_sequences": 1, "eval_sequences": 1,
                                    "out_dir": value}), encoding="utf-8")
@@ -309,11 +335,7 @@ class TestTrain:
     @pytest.mark.parametrize("out_dir", ["afile", "afile/run", "afile/"],
                              ids=["is-a-file", "parent-is-a-file", "trailing-slash"])
     def test_out_dir_blocked_by_a_file_fails_before_training(self, tmp_path, capsys,
-                                                             monkeypatch, out_dir):
-        def no_training(*args):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(cli, "train", no_training)
+                                                             monkeypatch, no_training, out_dir):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "train", "--train-sequences", "1",
@@ -321,6 +343,16 @@ class TestTrain:
         assert code == 1 and out == ""
         assert f"out_dir {out_dir!r}" in err and "'afile' exists and is not a directory" in err
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
+    @pytest.mark.parametrize("flag", ["--train-sequences", "--eval-sequences"])
+    def test_zero_sequences_fails_before_training(self, capsys, no_training, flag):
+        code, out, err = run_cli(capsys, "train", flag, "0")
+        assert code == 1 and out == ""
+        assert "train_sequences and eval_sequences must be positive" in err
+
+
+# A run small enough to finish fast wherever a bad setting is not caught.
+_SMALL_RUN = "iterations=5\ntrain_sequences=3\neval_sequences=2"
 
 
 class TestSettings:
@@ -427,6 +459,34 @@ class TestSettings:
         pytest.param("train", '{"weight_decay": "0"}',
                      "bad model config: weight_decay must be a number, got '0'",
                      id="weight_decay-string"),
+        pytest.param("synth", '{"noise_level": NaN}',
+                     "bad generator config: noise_level must be finite, got nan",
+                     id="noise_level-json-nan"),
+        pytest.param("synth", "rank_swap_prob=inf",
+                     "bad generator config: rank_swap_prob must be finite, got inf",
+                     id="rank_swap_prob-inf"),
+        pytest.param("train", f"noise_level=nan\n{_SMALL_RUN}",
+                     "bad generator config: noise_level must be finite, got nan",
+                     id="train-noise_level-nan"),
+        pytest.param("train", f"noise_level=inf\n{_SMALL_RUN}",
+                     "bad generator config: noise_level must be finite, got inf",
+                     id="train-noise_level-inf"),
+        pytest.param("train", f"learning_rate=nan\n{_SMALL_RUN}",
+                     "bad model config: learning_rate must be finite, got nan",
+                     id="learning_rate-nan"),
+        pytest.param("train", '{"learning_rate": Infinity, "iterations": 5, '
+                     '"train_sequences": 3, "eval_sequences": 2}',
+                     "bad model config: learning_rate must be finite, got inf",
+                     id="learning_rate-json-inf"),
+        pytest.param("train", f"margin=nan\n{_SMALL_RUN}",
+                     "bad model config: margin must be finite, got nan", id="margin-nan"),
+        pytest.param("train", '{"momentum": -Infinity}',
+                     "bad model config: momentum must be finite, got -inf",
+                     id="momentum-json-minus-inf"),
+        pytest.param("train", '{"weight_decay": NaN, "iterations": 5, '
+                     '"train_sequences": 3, "eval_sequences": 2}',
+                     "bad model config: weight_decay must be finite, got nan",
+                     id="weight_decay-json-nan"),
     ])
     def test_non_number_float_value_rejected(self, tmp_path, capsys, command, content, message):
         cfg = tmp_path / "settings.cfg"
@@ -437,6 +497,19 @@ class TestSettings:
         assert code == 1
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--noise-level", "nan"],
+                     "bad generator config: noise_level must be finite, got nan", id="noise-nan"),
+        pytest.param(["--learning-rate", "inf"],
+                     "bad model config: learning_rate must be finite, got inf", id="lr-inf"),
+        pytest.param(["--weight-decay", "nan"],
+                     "bad model config: weight_decay must be finite, got nan", id="decay-nan"),
+    ])
+    def test_non_finite_flag_fails_before_training(self, capsys, no_training, argv, message):
+        code, out, err = run_cli(capsys, "train", *argv)
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_int_and_numpy_float_values_accepted(self):
         synth = cli._synth_config({"noise_level": 0, "rank_swap_prob": np.float32(0.25)})

@@ -267,6 +267,14 @@ class TestSynthGenerate:
                      id="swap-bool"),
         pytest.param("rank_swap_prob", None, "rank_swap_prob must be a number, got None",
                      id="swap-none"),
+        pytest.param("noise_level", float("nan"), "noise_level must be finite, got nan",
+                     id="noise-nan"),
+        pytest.param("noise_level", float("inf"), "noise_level must be finite, got inf",
+                     id="noise-inf"),
+        pytest.param("rank_swap_prob", float("nan"), "rank_swap_prob must be finite, got nan",
+                     id="swap-nan"),
+        pytest.param("rank_swap_prob", float("-inf"), "rank_swap_prob must be finite, got -inf",
+                     id="swap-minus-inf"),
     ])
     def test_field_types_checked(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from vsorank import autodiff
-from vsorank.dataset import SynthConfig, synth_generate, write_tensor_file
+from vsorank.dataset import (
+    FrameSample,
+    RankAnnotation,
+    SequenceSample,
+    SynthConfig,
+    synth_generate,
+    write_tensor_file,
+)
+from vsorank.losses import RankTarget, rank_loss
 from vsorank.model import (
     VARIANTS,
     init_model_params,
@@ -151,6 +159,72 @@ class TestOptimizer:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(TrainingDiverged, match="iteration"):
                 train(config, train_set, eval_set)
+
+
+def _hand_sequence(counts, seed):
+    """Frame t holds ``counts[t]`` objects, one per lane of a 32x32 frame, with
+    random features and ranks; ``SynthConfig`` cannot make one-object frames."""
+    rng = np.random.default_rng(seed)
+    frames, annotations = [], []
+    for k in counts:
+        instance_map = np.zeros((32, 32), dtype=np.uint16)
+        for i in range(k):
+            instance_map[6 * i:6 * i + 4, 3:20] = i + 1
+        ids = np.arange(1, k + 1)
+        frames.append(FrameSample(features=rng.standard_normal((k, 16, 7, 7)),
+                                  masks=instance_map == ids[:, None, None]))
+        ranks = rng.permutation(k) + 1
+        annotations.append(RankAnnotation(instance_map=instance_map,
+                                          ranks={i + 1: int(ranks[i]) for i in range(k)}))
+    return SequenceSample(frames=frames, annotations=annotations, seed=seed)
+
+
+class TestSkippedWork:
+    """Frames with fewer than two objects have nothing to rank: training skips
+    them, and so does the SA-SOR mean."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sequence_loss_skips_single_object_frames(self, variant):
+        sample = _hand_sequence([1, 3, 1, 2], seed=1)
+        params = _params_with_live_head(3)
+        config = ModelConfig(variant=variant)
+        scores = model_scores(sample.frames, params, variant)
+        expected = 0.0
+        for t in (1, 3):
+            target = RankTarget(tuple(sample.annotations[t].ranks_in_id_order()))
+            expected += rank_loss(scores[t], target, config.margin).item()
+        loss = _sequence_loss(sample, params, config)
+        assert expected > 0.0 and loss.item() == expected
+
+    def test_sequence_without_rankable_frame_has_no_loss(self):
+        sample = _hand_sequence([1, 1, 1], seed=2)
+        assert _sequence_loss(sample, _params_with_live_head(3), ModelConfig()) is None
+
+    def test_skipped_iterations_take_no_step(self):
+        # With decay, any optimizer step would move the parameters, even at
+        # learning rate zero.
+        config = ModelConfig(iterations=6, learning_rate=0.0, weight_decay=0.01, seed=4)
+        params, report = train(config, [_hand_sequence([1, 1], seed=3)],
+                               [_hand_sequence([1, 2], seed=5)])
+        fresh = init_model_params(config.C, config.H, config.W, config.seed)
+        for (_, a), (_, b) in zip(named_params(params), named_params(fresh)):
+            assert np.array_equal(a.data, b.data)
+        assert report.loss_curve == []
+
+    def test_loss_curve_counts_only_the_steps_taken(self):
+        config = ModelConfig(iterations=12, seed=4)
+        train_set = [_hand_sequence([1, 1], seed=3), _hand_sequence([3, 2], seed=6)]
+        _, report = train(config, train_set, [_hand_sequence([1, 2], seed=5)])
+        picker = np.random.default_rng(config.seed)
+        rankable = sum(int(picker.integers(2)) for _ in range(config.iterations))
+        assert 0 < len(report.loss_curve) == rankable < config.iterations
+
+    def test_evaluate_counts_undefined_frames(self):
+        eval_set = [_hand_sequence([1, 3, 1], seed=7), _hand_sequence([2, 1], seed=8)]
+        result = evaluate(_params_with_live_head(3), ModelConfig(), eval_set)
+        assert result.undefined_count == 3
+        assert result.frame_count == 5
+        assert result.sa_sor is not None
 
 
 def _cyclic_garbage(run) -> int:
@@ -303,6 +377,27 @@ class TestTrainingRun:
     def test_float_fields_reject_other_types(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["margin", "learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_float_fields_reject_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value!r}")):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"C": 0}, "C, H, W must all be positive", id="C"),
+        pytest.param({"H": 0}, "C, H, W must all be positive", id="H"),
+        pytest.param({"W": -2}, "C, H, W must all be positive", id="W"),
+        pytest.param({"learning_rate": -0.01}, "learning_rate and iterations must be non-negative",
+                     id="learning_rate"),
+        pytest.param({"iterations": -1}, "learning_rate and iterations must be non-negative",
+                     id="iterations"),
+        pytest.param({"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001",
+                     id="weight_decay"),
+    ])
+    def test_out_of_range_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(**kwargs)
 
     def test_float_fields_accept_ints_and_numpy_floats(self):
         config = ModelConfig(margin=1, learning_rate=np.float64(0.1), momentum=np.float32(0.5),
