@@ -51,9 +51,12 @@ def _ranked_stack(masks, ranks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _packed_rows(masks: np.ndarray, side: str) -> np.ndarray:
-    """One row of packed pixel bits per instance; every instance needs a pixel."""
+    """One row of packed pixel bits per instance, as 64-bit words; every
+    instance needs a pixel."""
     n, height, width = masks.shape
-    rows = np.packbits(masks.reshape(n, height * width), axis=1)
+    packed = np.packbits(masks.reshape(n, height * width), axis=1)
+    rows = np.zeros((n, -(-packed.shape[1] // 8)), dtype=np.uint64)
+    rows.view(np.uint8)[:, :packed.shape[1]] = packed
     empty = np.flatnonzero(~rows.any(axis=1))
     if empty.size:
         raise ValueError(f"{side} instance {empty[0]} has no foreground pixels")
@@ -74,10 +77,13 @@ def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
         raise ValueError(f"mask shapes differ: {gt_masks.shape[1:]} vs {pred_masks.shape[1:]}")
     gt = _packed_rows(gt_masks, "ground-truth")
     pred = _packed_rows(pred_masks, "predicted")
-    # Pixel counts are exact int64 popcounts of the packed rows (the zero
+    # Pixel counts are exact int64 popcounts of the packed words (the zero
     # padding bits count nothing), so each IoU is the float64 quotient of
-    # two exact integers.
-    intersection = np.bitwise_count(gt[:, None] & pred[None]).sum(axis=2, dtype=np.int64)
+    # two exact integers.  One ground-truth row at a time: a (K, K, words)
+    # block would be another full-frame temporary per frame.
+    intersection = np.empty((len(gt), len(pred)), dtype=np.int64)
+    for row, counts in zip(gt, intersection):
+        np.bitwise_count(row & pred).sum(axis=1, dtype=np.int64, out=counts)
     gt_area = np.bitwise_count(gt).sum(axis=1, dtype=np.int64)
     pred_area = np.bitwise_count(pred).sum(axis=1, dtype=np.int64)
     union = gt_area[:, None] + pred_area[None, :] - intersection
@@ -123,7 +129,7 @@ def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     for r in range(n, 0, -1):
         (idx,) = np.nonzero(ranks == r)
         for i in idx:
-            rank_map[masks[i]] = (n - r + 1) / n
+            np.copyto(rank_map, (n - r + 1) / n, where=masks[i])
     return rank_map
 
 
@@ -135,7 +141,11 @@ def mae(predicted: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError(f"rank map shapes differ: {predicted.shape} vs {truth.shape}")
     # One full-size temporary, not two: each one freed is heap that glibc
     # may hand back to the OS and fault in again on the next frame.
-    diff = predicted - truth
+    return _mean_abs(predicted - truth)
+
+
+def _mean_abs(diff: np.ndarray) -> float:
+    """Mean of ``|diff|``, taking the absolute value in ``diff``'s buffer."""
     np.abs(diff, out=diff)
     return float(diff.mean())
 
@@ -175,5 +185,8 @@ def score_frame(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ran
     The ground-truth ranks must be a permutation of 1..N.
     """
     correlation = sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold)
-    error = mae(render_rank_map(pred_masks, pred_ranks), render_rank_map(gt_masks, gt_ranks))
-    return correlation, error
+    # ``mae`` of the two rank maps, with the difference taken in the
+    # predicted map's buffer: two full-size maps per frame, not three.
+    diff = render_rank_map(pred_masks, pred_ranks)
+    np.subtract(diff, render_rank_map(gt_masks, gt_ranks), out=diff)
+    return correlation, _mean_abs(diff)

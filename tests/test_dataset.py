@@ -82,6 +82,30 @@ class TestRankAnnotation:
         with pytest.raises(AnnotationError, match="permutation"):
             RankAnnotation(instance_map=instance_map, ranks={1: 1, 2: 3})
 
+    @pytest.mark.parametrize("value", [1.5, 0.25, np.nan, -0.5])
+    def test_fractional_ids_rejected(self, value):
+        instance_map = np.array([[0.0, 1.0], [0.0, value]])
+        with pytest.raises(AnnotationError, match="whole numbers"):
+            RankAnnotation(instance_map=instance_map, ranks={1: 1})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, -1.0, 65536.0])
+    def test_out_of_range_float_ids_rejected(self, value):
+        instance_map = np.array([[0.0, 1.0], [0.0, value]])
+        with pytest.raises(AnnotationError, match="fit in uint16"):
+            RankAnnotation(instance_map=instance_map, ranks={1: 1})
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8, np.bool_])
+    def test_whole_ids_of_any_dtype_accepted(self, dtype):
+        annotation = RankAnnotation(instance_map=np.array([[0, 1], [1, 0]], dtype=dtype),
+                                    ranks={1: 1})
+        assert annotation.instance_map.dtype == np.uint16
+        assert annotation.instance_map.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size_map_rejected(self, shape):
+        with pytest.raises(AnnotationError, match=re.escape(f"got shape {shape}")):
+            RankAnnotation(instance_map=np.zeros(shape, dtype=np.uint16), ranks={})
+
     def test_save_load_round_trip(self, tmp_path):
         annotation = simple_annotation()
         save_annotation(annotation, tmp_path / "f.pgm", tmp_path / "f.json")
