@@ -3,8 +3,8 @@
 Only the operations the ranking pipeline needs are implemented: matrix
 products (plain, batched, and batched-times-shared), 1x1 convolution over
 NCHW blocks, an affine map over the last axis, a scaled softmax, axis means,
-and a few elementwise primitives.  Every product, forward and backward, is
-an ``np.matmul`` (``@``) call, which numpy hands to BLAS.  The graph is
+and a few elementwise primitives.  Every matrix product, forward and
+backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.  The graph is
 built define-by-run: an op's result records one edge ``(parent, vjp)`` per
 operand whose ``requires_grad`` is set when the op runs (setting it later
 adds no edge), and ``vjp(g)`` maps the result's gradient ``g`` to that
@@ -14,6 +14,13 @@ the differentiable nodes in exact reverse creation order; a parent's first
 ``vjp(g)`` becomes its ``grad`` as a C-contiguous copy, and each later one is
 added to it.  A vjp never refers to its result, so a graph holds no
 reference cycle and is freed as soon as its output is dropped.
+
+Each model stage (the spatial relation, the object means, the temporal mix,
+frame scoring and the rank loss) is a single node built by ``stage_op``,
+whose edges share one hand-derived vjp, because a graph's cost is mostly
+the Python work per node.  The primitives above remain for the value
+projection, the gradient suite and tests; both attention stages use
+``scaled_softmax``'s kernel, ``softmax_rows``, in place.
 
 Tensors must be treated as read-only while any tensor derived from them is
 alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and
@@ -32,12 +39,11 @@ __all__ = [
     "conv1x1",
     "linear",
     "scaled_softmax",
+    "softmax_rows",
+    "softmax_rows_vjp",
     "mean_axis",
-    "transpose_last2",
-    "stack",
-    "take",
-    "concat",
     "relu",
+    "stage_op",
     "grad_check",
 ]
 
@@ -187,6 +193,37 @@ def _op(data: np.ndarray, *edges: tuple[Tensor, object]) -> Tensor:
     return out
 
 
+def stage_op(data: np.ndarray, operands, vjp) -> Tensor:
+    """The result of a whole model stage as one node, with one edge per
+    operand that needs a gradient.
+
+    ``vjp(g, needed)`` returns one gradient per operand, in order, in the
+    operand's full shape; an entry whose ``needed`` flag is false may be None
+    and need not be computed.  Every edge of the node is served by the same
+    call: ``backward`` visits a node's edges one after the other with the
+    same ``g``, so the first edge calls ``vjp`` and each edge, the first
+    included, takes its own share.  The edges thereby share intermediates
+    (such as the gradient of a projection that several operands feed), and
+    the node holds no gradient once its last edge has been visited.
+    """
+    # Lists, not tuple(generator): such a tuple is allocated for 10 items and
+    # shrunk, so every call drew on CPython's free list of 10-item tuples and
+    # returned the tuple to the free list of its own length, which grew to
+    # its cap; that raised the peak RSS of `evaluate` by about 1 MB.
+    needed = [operand.requires_grad for operand in operands]
+    shares = {}
+
+    def edge(i):
+        def share(g):
+            if not shares:
+                shares.update((j, grad) for j, grad in enumerate(vjp(g, needed)) if needed[j])
+            return shares.pop(i)
+
+        return share
+
+    return _op(data, *[(operand, edge(i)) for i, operand in enumerate(operands) if needed[i]])
+
+
 # -- linear algebra --------------------------------------------------------
 
 
@@ -254,6 +291,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                (bias, lambda g: g.reshape(-1, weight.shape[0]).sum(axis=0)))
 
 
+def softmax_rows(x: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of ``x / scale``, written to ``out``.
+
+    Stabilized by max subtraction.  With ``out=x`` the logits buffer becomes
+    the attention: the kernel of ``scaled_softmax`` and of both attention
+    stages, which hold one buffer per attention this way.
+    """
+    y = np.divide(x, scale, out=out)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def softmax_rows_vjp(g: np.ndarray, y: np.ndarray, scale: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient with respect to the logits of ``y = softmax_rows(x, scale)``,
+    given the gradient ``g`` of ``y``; with ``out=g`` it overwrites ``g``."""
+    row_dot = np.einsum("...i,...i->...", g, y)[..., None]
+    dx = np.subtract(g, row_dot, out=out)
+    dx *= y
+    dx /= scale
+    return dx
+
+
 def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
     """Softmax over the last axis of ``x / sqrt(scale_dim)``.
 
@@ -263,11 +325,8 @@ def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
     if scale_dim < 1:
         raise ValueError(f"scaled_softmax: scale_dim must be positive, got {scale_dim}")
     scale = math.sqrt(scale_dim)
-    y = x.data / scale  # one buffer, updated in place, for the (N, HW, HW) attention
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    return _op(y, (x, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)) / scale))
+    y = softmax_rows(x.data, scale)
+    return _op(y, (x, lambda g: softmax_rows_vjp(g, y, scale)))
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -278,47 +337,6 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     n = x.shape[axis]
     return _op(x.data.mean(axis=axis),
                (x, lambda g: np.broadcast_to(np.expand_dims(g, axis) / n, x.shape)))
-
-
-def transpose_last2(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.ndim < 2:
-        raise ShapeError(f"transpose_last2: needs >= 2 axes, got shape {x.shape}")
-    return _op(np.swapaxes(x.data, -1, -2), (x, lambda g: np.swapaxes(g, -1, -2)))
-
-
-def stack(tensors: list[Tensor]) -> Tensor:
-    """Stack equally shaped tensors along a new leading axis."""
-    if not tensors:
-        raise ShapeError("stack: empty input")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"stack: shapes {shape} and {t.shape} differ")
-    return _op(np.stack([t.data for t in tensors]),
-               *((t, lambda g, i=i: g[i]) for i, t in enumerate(tensors)))
-
-
-def take(x: Tensor, index: int) -> Tensor:
-    """Select one slice along the leading axis."""
-    if not 0 <= index < x.shape[0]:
-        raise ShapeError(f"take: index {index} out of range for shape {x.shape}")
-
-    def grad_x(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        return gx
-
-    return _op(x.data[index], (x, grad_x))
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last axis; leading extents must match."""
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat: leading shapes differ, {a.shape} vs {b.shape}")
-    split = a.shape[-1]
-    return _op(np.concatenate([a.data, b.data], axis=-1),
-               (a, lambda g: g[..., :split]), (b, lambda g: g[..., split:]))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    concat,
     conv1x1,
     grad_check,
     linear,
@@ -19,9 +18,6 @@ from .autodiff import (
     mean_axis,
     relu,
     scaled_softmax,
-    stack,
-    take,
-    transpose_last2,
 )
 from .losses import RankTarget, rank_loss
 from .spatial import SpatialParams, projection_init, spatial_forward
@@ -97,13 +93,12 @@ def _mean_axis(rng):
 
 def _elementwise(rng):
     x = _rand(rng, 2, 3, 4)
-    u = Tensor(rng.standard_normal((2, 4, 3)))
+    u = Tensor(rng.standard_normal((2, 3, 4)))
 
     def f(t):
-        y = transpose_last2(relu(t * 0.7 + 0.1) - t * t)
-        y = concat(y, y * u)
-        y = stack([take(y, 0), take(y, 1)])
-        return y.reshape(2 * 2 * 4 * 3).mean()
+        y = relu(t * 0.7 + 0.1) - t * t
+        y = (y + y * u).reshape(4, 6)
+        return (2.0 - y).mean()
 
     return [(f, x)]
 
@@ -126,11 +121,17 @@ def _spatial_module(rng):
     return [
         (relation_sum, x),
         (relation_sum, params.kq_proj.weight),
+        (relation_sum, params.kq_proj.bias),
         (output_sum, params.v_proj.weight),
+        (output_sum, params.v_proj.bias),
     ]
 
 
 def _temporal_module(rng):
+    """Every operand of ``temporal_mix``, ``object_means`` and ``frame_scores``
+    but ``temporal.q_proj.bias``: the softmax is shift-invariant along each
+    row and that bias shifts whole rows, so its true gradient is 0 and a
+    finite difference of it is pure noise."""
     t_frames, n, c, h, w = 2, 2, 2, 2, 2
     temporal = TemporalParams(
         k_proj=projection_init(c, c, rng),
@@ -146,14 +147,20 @@ def _temporal_module(rng):
     masks = rng.random((t_frames, n, 6, 6)) > 0.4
     masks[:, :, 2, 2] = True  # keep every instance non-empty
 
-    def mean_score(_):
-        scores = sequence_scores(relations, values, list(masks), temporal, scoring)
-        total = sum((s.sum() for s in scores[1:]), scores[0].sum())
-        return total * (1.0 / sum(s.size for s in scores))
+    def mean_score(mix):
+        def f(_):
+            scores = sequence_scores(relations, values, list(masks), mix, scoring)
+            total = sum((s.sum() for s in scores[1:]), scores[0].sum())
+            return total * (1.0 / sum(s.size for s in scores))
 
-    return [(mean_score, x) for x in (values[0], relations[1], temporal.k_proj.weight,
-                                      temporal.v_proj.weight, scoring.mask_embed.weight,
-                                      scoring.score_head.weight)]
+        return f
+
+    checked = [*relations, *values, temporal.k_proj.weight, temporal.k_proj.bias,
+               temporal.q_proj.weight, temporal.v_proj.weight, temporal.v_proj.bias,
+               scoring.mask_embed.weight, scoring.mask_embed.bias,
+               scoring.score_head.weight, scoring.score_head.bias]
+    return ([(mean_score(temporal), x) for x in checked]
+            + [(mean_score(None), x) for x in (relations[0], values[1])])
 
 
 def _rank_loss(rng):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, relu
+from .autodiff import Tensor, stage_op
 
 __all__ = ["RankTarget", "rank_loss", "DEFAULT_MARGIN"]
 
@@ -41,17 +41,16 @@ def rank_loss(scores: Tensor, target: RankTarget, margin: float = DEFAULT_MARGIN
     if margin <= 0:
         raise ValueError(f"margin must be positive, got {margin}")
 
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if target.gt_ranks[i] < target.gt_ranks[j]
-    ]
-    selector = np.zeros((len(pairs), n))
-    for row, (i, j) in enumerate(pairs):
-        selector[row, i] = 1.0
-        selector[row, j] = -1.0
+    gt = np.asarray(target.gt_ranks)
+    above, below = np.nonzero(gt[:, None] < gt[None, :])  # the pairs in row-major order
+    flat = scores.data.reshape(n)
+    hinge = margin - (flat[above] - flat[below])
+    pair_count = len(above)
 
-    diffs = matmul(Tensor(selector), scores.reshape(n, 1)).reshape(len(pairs))
-    return relu(margin - diffs).mean()
+    def vjp(g, needed):
+        # Each active pair pulls its more salient score up and the other down.
+        weight = (hinge > 0.0) * (g / pair_count)
+        grad = np.bincount(below, weight, minlength=n) - np.bincount(above, weight, minlength=n)
+        return (grad.reshape(scores.shape),)
 
+    return stage_op(np.maximum(hinge, 0.0).mean(), (scores,), vjp)

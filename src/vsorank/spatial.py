@@ -8,19 +8,12 @@ context; the value projection itself is the second output and feeds the
 cross-frame stage.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    conv1x1,
-    matmul,
-    mean_axis,
-    scaled_softmax,
-    transpose_last2,
-)
+from .autodiff import ShapeError, Tensor, conv1x1, softmax_rows, softmax_rows_vjp, stage_op
 
 __all__ = [
     "EmptyFrameError",
@@ -91,25 +84,60 @@ def spatial_forward(x: Tensor, params: SpatialParams) -> SpatialOutput:
     so the pre-softmax attention is the Gram matrix of per-position channel
     vectors.  Each attention row then mixes the frame-global value map (the
     object-mean of the value projection), and the result is added back onto
-    the input.
+    the input.  The value projection is one op and the rest of the stage
+    another (``_relation``).
     """
     if x.ndim != 4:
         raise ShapeError(f"object features must be (N, C, H, W), got {x.shape}")
-    n, c, h, w = x.shape
-    if n == 0:
+    if x.shape[0] == 0:
         raise EmptyFrameError("cannot attend over a frame with zero objects")
-    hw = h * w
-
-    kq = conv1x1(x, params.kq_proj.weight, params.kq_proj.bias)  # (N, C, H, W)
-    queries = kq.reshape(n, c, hw)  # (N, C, HW)
-    keys = transpose_last2(queries)  # (N, HW, C)
-    attention = scaled_softmax(matmul(keys, queries), c)  # (N, HW, HW)
-
     value = conv1x1(x, params.v_proj.weight, params.v_proj.bias)  # (N, C, H, W)
-    global_value = mean_axis(value, 0)  # (C, H, W)
-    global_value = transpose_last2(global_value.reshape(c, hw))  # (HW, C)
+    return SpatialOutput(relation=_relation(x, value, params.kq_proj), value=value)
 
-    aggregated = matmul(attention, global_value)  # (N, HW, C)
-    aggregated = transpose_last2(aggregated).reshape(n, c, h, w)
 
-    return SpatialOutput(relation=x + aggregated, value=value)
+def _relation(x: Tensor, value: Tensor, kq_proj: Projection) -> Tensor:
+    """``x`` plus, per object, the Gram attention of its key/query projection
+    applied to the object-mean of ``value``: one op with a closed-form vjp.
+
+    Forward, with ``kq = W x + b`` per position as (N, C, HW) and the global
+    map ``v`` = mean over objects of ``value`` as (C, HW):
+    ``A = softmax(kq^T kq / sqrt(C))`` and ``out = x + (A v^T)^T``.
+    Backward, from ``g`` as (N, C, HW): ``dA = g^T v``, ``dv = mean-spread of
+    sum_n g A``, ``dL = softmax_rows_vjp(dA)`` and ``dkq = kq (dL + dL^T)``,
+    which gives ``dx = g + W^T dkq``, ``dW = sum_n dkq x^T`` and
+    ``db = sum dkq``.
+    """
+    n, c, h, w = x.shape
+    hw = h * w
+    weight, bias = kq_proj.weight, kq_proj.bias
+    scale = math.sqrt(c)
+
+    x3 = x.data.reshape(n, c, hw)
+    kq = np.matmul(weight.data, x3)  # (N, C, HW)
+    kq += bias.data[None, :, None]
+    # One (N, HW, HW) buffer: the logits, then the attention in place.
+    logits = np.matmul(np.swapaxes(kq, 1, 2), kq)
+    attention = softmax_rows(logits, scale, out=logits)
+    global_value = value.data.mean(axis=0).reshape(c, hw)  # (C, HW)
+    aggregated = np.matmul(attention, global_value.T)  # (N, HW, C)
+    data = np.swapaxes(aggregated, 1, 2).reshape(n, c, h, w)
+    data += x.data
+
+    def vjp(g, needed):
+        need_x, need_value, need_weight, need_bias = needed
+        g3 = g.reshape(n, c, hw)
+        d_value = None
+        if need_value:
+            d_global = np.matmul(g3, attention).sum(axis=0)  # (C, HW)
+            d_value = np.broadcast_to((d_global / n).reshape(1, c, h, w), value.shape)
+        if not (need_x or need_weight or need_bias):
+            return None, d_value, None, None
+        d_attention = np.matmul(np.swapaxes(g3, 1, 2), global_value)  # (N, HW, HW)
+        d_logits = softmax_rows_vjp(d_attention, attention, scale, out=d_attention)
+        d_kq = np.matmul(kq, d_logits)
+        d_kq += np.matmul(kq, np.swapaxes(d_logits, 1, 2))
+        d_x = (g3 + np.matmul(weight.data.T, d_kq)).reshape(x.shape) if need_x else None
+        d_weight = np.matmul(d_kq, np.swapaxes(x3, 1, 2)).sum(axis=0) if need_weight else None
+        return d_x, d_value, d_weight, d_kq.sum(axis=(0, 2))
+
+    return stage_op(data, (x, value, weight, bias), vjp)

@@ -9,24 +9,13 @@ yields a saliency score per object.  Scores are differentiable; rank
 assignment operates on their detached values.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    concat,
-    conv1x1,
-    linear,
-    matmul,
-    mean_axis,
-    scaled_softmax,
-    stack,
-    take,
-    transpose_last2,
-)
+from .autodiff import ShapeError, Tensor, softmax_rows, softmax_rows_vjp, stage_op
 from .spatial import EmptyFrameError, Projection, projection_init
 
 __all__ = [
@@ -34,6 +23,7 @@ __all__ = [
     "ScoringParams",
     "temporal_params_init",
     "scoring_params_init",
+    "object_means",
     "temporal_mix",
     "frame_scores",
     "sequence_scores",
@@ -78,43 +68,145 @@ def scoring_params_init(channels: int, height: int, width: int, rng_seed: int) -
     )
 
 
-def temporal_mix(values: Tensor, params: TemporalParams) -> Tensor:
-    """T x T attention over stacked frame maps; returns mixed maps (T, C, H, W)."""
-    if values.ndim != 4:
-        raise ShapeError(f"stacked values must be (T, C, H, W), got {values.shape}")
-    t, c, h, w = values.shape
-    chw = c * h * w
-
-    keys = conv1x1(values, params.k_proj.weight, params.k_proj.bias).reshape(t, chw)
-    queries = conv1x1(values, params.q_proj.weight, params.q_proj.bias).reshape(t, chw)
-    mixed_values = conv1x1(values, params.v_proj.weight, params.v_proj.bias).reshape(t, chw)
-
-    attention = scaled_softmax(matmul(keys, transpose_last2(queries)), chw)  # (T, T)
-    return matmul(attention, mixed_values).reshape(t, c, h, w)
+def _check_projection(name: str, proj: Projection, out_features: int, in_features: int):
+    if proj.weight.shape != (out_features, in_features) or proj.bias.shape != (out_features,):
+        raise ShapeError(f"{name}: shapes {proj.weight.shape}, {proj.bias.shape} do not map "
+                         f"{in_features} to {out_features} features")
 
 
-def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray,
+def _object_means(values: list[Tensor]) -> np.ndarray:
+    """Each frame's object-mean value map, stacked to (T, C, H, W)."""
+    return np.stack([value.data.mean(axis=0) for value in values])
+
+
+def _spread_means(values: list[Tensor], d_means: np.ndarray, needed) -> list:
+    """The gradients of the frames' value blocks, given that of their means."""
+    return [np.broadcast_to(d_means[t][None] / value.shape[0], value.shape) if need else None
+            for t, (value, need) in enumerate(zip(values, needed))]
+
+
+def object_means(values: list[Tensor]) -> Tensor:
+    """Each frame's object-mean value map, stacked to (T, C, H, W), as one op.
+
+    The frame contexts when no cross-frame attention runs.
+    """
+    return stage_op(_object_means(values), values,
+                    lambda g, needed: _spread_means(values, g, needed))
+
+
+def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
+    """T x T attention over the frames' object-mean maps; returns mixed maps (T, C, H, W).
+
+    ``values[t]`` is frame t's (N_t, C, H, W) value block.  One op with a
+    closed-form vjp.  Forward, with the means ``m`` as (T, C, HW) and each
+    projection ``P m = W m + b`` flattened to (T, CHW):
+    ``A = softmax(K Q^T / sqrt(CHW))`` and ``out = A V``.  Backward, from
+    ``g`` as (T, CHW): ``dA = g V^T``, ``dV = A^T g``,
+    ``dL = softmax_rows_vjp(dA)``, ``dK = dL Q`` and ``dQ = dL^T K``; each
+    projection gives ``dW = sum_t dP m^T``, ``db = sum dP`` and its share
+    ``W^T dP`` of ``dm``, which spreads evenly over each frame's objects.
+    """
+    if not values or any(value.ndim != 4 or value.shape[1:] != values[0].shape[1:]
+                         for value in values):
+        raise ShapeError(f"values must be (N, C, H, W) blocks of one (C, H, W), got "
+                         f"{[value.shape for value in values]}")
+    means = _object_means(values)
+    t, c, h, w = means.shape
+    hw, chw = h * w, c * h * w
+    projections = (params.k_proj, params.q_proj, params.v_proj)
+    for name, proj in zip(("k_proj", "q_proj", "v_proj"), projections):
+        _check_projection(name, proj, c, c)
+    scale = math.sqrt(chw)
+
+    m3 = means.reshape(t, c, hw)
+
+    def project(proj):
+        out = np.matmul(proj.weight.data, m3)
+        out += proj.bias.data[None, :, None]
+        return out.reshape(t, chw)
+
+    keys, queries, mixed_values = map(project, projections)
+    logits = np.matmul(keys, queries.T)
+    attention = softmax_rows(logits, scale, out=logits)  # (T, T)
+    data = np.matmul(attention, mixed_values).reshape(t, c, h, w)
+
+    def vjp(g, needed):
+        g2 = g.reshape(t, chw)
+        d_attention = np.matmul(g2, mixed_values.T)
+        d_logits = softmax_rows_vjp(d_attention, attention, scale, out=d_attention)
+        d_projected = (np.matmul(d_logits, queries), np.matmul(d_logits.T, keys),
+                       np.matmul(attention.T, g2))
+        need_means = any(needed[:t])
+        d_m3 = np.zeros((t, c, hw)) if need_means else None
+        d_params = []
+        for proj, d_p in zip(projections, d_projected):
+            d_p3 = d_p.reshape(t, c, hw)
+            d_params.append(np.matmul(d_p3, np.swapaxes(m3, 1, 2)).sum(axis=0))
+            d_params.append(d_p3.sum(axis=(0, 2)))
+            if need_means:
+                d_m3 += np.matmul(proj.weight.data.T, d_p3)
+        d_values = (_spread_means(values, d_m3.reshape(t, c, h, w), needed) if need_means
+                    else [None] * t)
+        return d_values + d_params
+
+    operands = list(values)
+    for proj in projections:
+        operands += [proj.weight, proj.bias]
+    return stage_op(data, operands, vjp)
+
+
+def frame_scores(relation: Tensor, contexts: Tensor, frame: int, masks: np.ndarray,
                  scoring: ScoringParams) -> Tensor:
-    """Saliency score per object of one frame, shape (N,).
+    """Saliency score per object of frame ``frame``, shape (N,).
 
-    Each object's (C, HW) relation block is multiplied with the frame context
-    viewed as (HW, C); the row means of the resulting C x C map, concatenated
-    with the embedded initial mask, feed the score head.
+    ``contexts`` holds every frame's (C, H, W) context map, (T, C, H, W).
+    Each object's (C, HW) relation block is multiplied with the frame's
+    context viewed as (HW, C); the row means of the resulting C x C map,
+    concatenated with the embedded initial mask, feed the score head.
+
+    One op with a closed-form vjp.  Every row of the C x C map's gradient is
+    the same, so with ``p`` the pooled means and ``s`` the context summed
+    over channels, ``dR[n, a, :] = dp[n, a] s / C`` and the context's
+    gradient is ``sum_{n,a} dp[n, a] R[n, a, :] / C`` on every channel.
     """
     n, c, h, w = relation.shape
     hw = h * w
-    if context.shape != (c, h, w):
-        raise ShapeError(f"context shape {context.shape} does not match blocks {(c, h, w)}")
+    if contexts.ndim != 4 or contexts.shape[1:] != (c, h, w):
+        raise ShapeError(f"context shape {contexts.shape[1:]} does not match blocks {(c, h, w)}")
+    if not 0 <= frame < contexts.shape[0]:
+        raise ShapeError(f"frame {frame} out of range for {contexts.shape[0]} contexts")
+    mask_embed, score_head = scoring.mask_embed, scoring.score_head
+    _check_projection("mask_embed", mask_embed, c, hw)
+    _check_projection("score_head", score_head, 1, 2 * c)
 
-    context_flat = transpose_last2(context.reshape(c, hw))  # (HW, C)
-    fused = matmul(relation.reshape(n, c, hw), context_flat)  # (N, C, C)
-    pooled = mean_axis(fused, 2)  # (N, C)
+    relation3 = relation.data.reshape(n, c, hw)
+    context = contexts.data[frame].reshape(c, hw)
+    pooled = np.matmul(relation3, context.T).mean(axis=2)  # (N, C)
+    # C order, as BLAS rounds the product by layout.
+    mask_inputs = np.ascontiguousarray(downsample_mask(masks, h, w).reshape(n, hw))
+    mask_vec = mask_inputs @ mask_embed.weight.data.T  # (N, C)
+    mask_vec += mask_embed.bias.data
+    joint = np.concatenate([pooled, mask_vec], axis=-1)  # (N, 2C)
+    data = joint @ score_head.weight.data.T
+    data += score_head.bias.data
 
-    mask_inputs = downsample_mask(masks, h, w).reshape(n, hw)
-    mask_vec = linear(Tensor(mask_inputs), scoring.mask_embed.weight, scoring.mask_embed.bias)
+    def vjp(g, needed):
+        g_col = g.reshape(n, 1)
+        d_joint = g_col @ score_head.weight.data  # (N, 2C)
+        d_pooled, d_mask_vec = d_joint[:, :c] / c, d_joint[:, c:]
+        d_relation = d_contexts = None
+        if needed[0]:
+            d_relation = (d_pooled[:, :, None] * context.sum(axis=0)).reshape(relation.shape)
+        if needed[1]:
+            d_contexts = np.zeros(contexts.shape)
+            d_contexts[frame] = (d_pooled.reshape(1, n * c)
+                                 @ relation3.reshape(n * c, hw)).reshape(1, h, w)
+        return (d_relation, d_contexts, d_mask_vec.T @ mask_inputs, d_mask_vec.sum(axis=0),
+                g_col.T @ joint, g_col.sum(axis=0))
 
-    joint = concat(pooled, mask_vec)  # (N, 2C)
-    return linear(joint, scoring.score_head.weight, scoring.score_head.bias).reshape(n)
+    operands = (relation, contexts, mask_embed.weight, mask_embed.bias,
+                score_head.weight, score_head.bias)
+    return stage_op(data.reshape(n), operands, vjp)
 
 
 def sequence_scores(relations: list[Tensor], values: list[Tensor], masks: list[np.ndarray],
@@ -141,12 +233,9 @@ def sequence_scores(relations: list[Tensor], values: list[Tensor], masks: list[n
         if relation.shape[1:] != block:
             raise ShapeError(f"frame {t} block shape {relation.shape[1:]} differs from {block}")
 
-    contexts = [mean_axis(value, 0) for value in values]
-    if temporal is not None:
-        mixed = temporal_mix(stack(contexts), temporal)
-        contexts = [take(mixed, t) for t in range(len(contexts))]
-    return [frame_scores(relation, context, frame_masks, scoring)
-            for relation, context, frame_masks in zip(relations, contexts, masks)]
+    contexts = object_means(values) if temporal is None else temporal_mix(values, temporal)
+    return [frame_scores(relation, contexts, t, frame_masks, scoring)
+            for t, (relation, frame_masks) in enumerate(zip(relations, masks))]
 
 
 def rank_assign(scores) -> np.ndarray:

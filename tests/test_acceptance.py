@@ -78,7 +78,7 @@ def test_criterion_2_attention_invariants():
     # Single-frame temporal case is an exact identity mix.
     values = Tensor(rng.standard_normal((1, 3, 2, 2)))
     temporal = temporal_params_init(3, 1)
-    mixed = temporal_mix(values, temporal)
+    mixed = temporal_mix([values], temporal)
     w, b = temporal.v_proj.weight.data, temporal.v_proj.bias.data
     expected = np.matmul(w, values.data.reshape(1, 3, 4)) + b[None, :, None]
     assert np.array_equal(mixed.data, expected.reshape(values.shape))

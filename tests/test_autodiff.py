@@ -8,7 +8,6 @@ import pytest
 from vsorank.autodiff import (
     ShapeError,
     Tensor,
-    concat,
     conv1x1,
     grad_check,
     linear,
@@ -16,9 +15,6 @@ from vsorank.autodiff import (
     mean_axis,
     relu,
     scaled_softmax,
-    stack,
-    take,
-    transpose_last2,
 )
 
 
@@ -225,19 +221,6 @@ class TestStructuralOps:
         u = Tensor(rng.standard_normal((2, 6)))
         assert grad_check(lambda t: (t.reshape(2, 6) * u).sum(), x) < 1e-6
 
-    def test_transpose_stack_take_concat_gradients(self):
-        rng = np.random.default_rng(13)
-        x = rand_tensor(rng, 2, 3, 4)
-        u = Tensor(rng.standard_normal((2, 4, 3)))
-
-        def f(t):
-            y = transpose_last2(t)
-            y = concat(y, y * u)
-            y = stack([take(y, 1), take(y, 0)])
-            return relu(y).sum()
-
-        assert grad_check(f, x) < 1e-5
-
     def test_elementwise_gradients(self):
         rng = np.random.default_rng(14)
         x = rand_tensor(rng, 5)
@@ -293,10 +276,6 @@ GRAPHS = {
     "linear": ([(2, 3, 4), (5, 4), (5,)], linear),
     "scaled_softmax": ([(3, 4)], lambda x: scaled_softmax(x, 4)),
     "mean_axis": ([(2, 3, 4)], lambda x: mean_axis(x, 1)),
-    "transpose_last2": ([(2, 3, 4)], transpose_last2),
-    "stack": ([(3, 4), (3, 4)], lambda a, b: stack([a, b, a])),
-    "take": ([(3, 4)], lambda x: take(x, 1)),
-    "concat": ([(2, 3), (2, 4)], concat),
     "relu": ([(3, 4)], relu),
     "add": ([(3, 4), (3, 4)], lambda a, b: a + b),
     "sub": ([(3, 4), (3, 4)], lambda a, b: a - b),
@@ -427,16 +406,6 @@ ERRORS = {
                                 ShapeError, "linear: feature mismatch"),
     "scaled-softmax-scale-dim": (lambda: scaled_softmax(_zeros(2, 2), 0), ValueError,
                                  "scale_dim must be positive, got 0"),
-    "transpose-1d": (lambda: transpose_last2(_zeros(3)), ShapeError, "needs >= 2 axes"),
-    "stack-nothing": (lambda: stack([]), ShapeError, "stack: empty input"),
-    "stack-unequal-shapes": (lambda: stack([_zeros(2), _zeros(3)]), ShapeError,
-                             "stack: shapes (2,) and (3,) differ"),
-    "take-out-of-range": (lambda: take(_zeros(3, 2), 3), ShapeError,
-                          "take: index 3 out of range"),
-    "take-negative": (lambda: take(_zeros(3, 2), -1), ShapeError,
-                      "take: index -1 out of range"),
-    "concat-leading-shapes": (lambda: concat(_zeros(2, 3), _zeros(3, 3)), ShapeError,
-                              "concat: leading shapes differ"),
     "grad-check-non-finite-value": (
         lambda: grad_check(lambda t: (t * np.inf).sum(), Tensor([1.0])), ValueError,
         "non-finite function value"),

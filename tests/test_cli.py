@@ -223,6 +223,17 @@ class TestEval:
         assert all(f["sa_sor"] is None and f["mae"] > 0.0 for f in payload["frames"])
         assert payload["aggregate"]["sa_sor_undefined_count"] == 6
 
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    def test_repeated_frame_in_a_manifest_fails(self, tmp_path, dataset_dir, capsys, side):
+        copy = tmp_path / "copy"
+        shutil.copytree(dataset_dir, copy)
+        manifest = copy / "seq_0001" / "manifest.json"
+        manifest.write_text('{"frames": [0, 0, 1, 2], "seed": 0}', encoding="utf-8")
+        gt, pred = (copy, dataset_dir) if side == "gt" else (dataset_dir, copy)
+        code, out, err = run_cli(capsys, "eval", "--gt", str(gt), "--pred", str(pred))
+        assert code == 1 and out == ""
+        assert err == f"error: {manifest}: frame 0 is listed more than once\n"
+
     def test_prediction_shape_mismatch_names_the_frame(self, tmp_path, dataset_dir, capsys):
         pred = tmp_path / "pred"
         shutil.copytree(dataset_dir, pred)

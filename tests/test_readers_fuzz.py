@@ -28,7 +28,7 @@ from vsorank.dataset import (
     save_annotations,
     write_tensor_file,
 )
-from vsorank.pgm import read_pgm16, write_pgm16
+from vsorank.pgm import PgmError, read_pgm16, write_pgm16
 
 # Hypothesis caches constants read from the source while collecting tests,
 # even with no example database; keep that cache out of the working tree.
@@ -126,6 +126,92 @@ def _pgm_headers():
 def test_pgm_bytes_load_or_reject(content):
     with tempfile.TemporaryDirectory() as tmp:
         _loads_or_rejects(read_pgm16, os.path.join(tmp, "map.pgm"), content)
+
+
+def _oracle_token(f) -> bytes:
+    token = b""
+    while True:
+        ch = f.read(1)
+        if ch == b"":
+            raise EOFError
+        if ch == b"#":
+            while ch not in (b"\n", b"", b"\r"):
+                ch = f.read(1)
+            continue
+        if ch.isspace():
+            if token:
+                return token
+            continue
+        token += ch
+
+
+def oracle_read_pgm16(path):
+    """The reader ``read_pgm16`` replaced, one ``f.read(1)`` per header byte,
+    with its one fault mended: an end of file in the header is reported as
+    such, not as a non-numeric header field."""
+    with open(path, "rb") as f:
+        magic = f.read(2)
+        if magic != b"P5":
+            raise PgmError(f"{path}: not a binary PGM (magic {magic!r})")
+        try:
+            width = int(_oracle_token(f))
+            height = int(_oracle_token(f))
+            maxval = int(_oracle_token(f))
+        except EOFError:
+            raise PgmError(f"{path}: unexpected end of file in header") from None
+        except ValueError as exc:
+            raise PgmError(f"{path}: non-numeric header field") from exc
+        if width < 1 or height < 1:
+            raise PgmError(f"{path}: bad dimensions {width}x{height}")
+        if maxval != 65535:
+            raise PgmError(f"{path}: expected maxval 65535, got {maxval}")
+        size = width * height * 2
+        if size > os.fstat(f.fileno()).st_size - f.tell():
+            raise PgmError(f"{path}: truncated pixel data")
+        return np.frombuffer(f.read(size), dtype=">u2").reshape(height, width).astype(np.uint16)
+
+
+def _small_pgms():
+    """Headers that mostly parse: small sizes, comments ended by CR or LF, and
+    now and then a comment inside a number, a comment to the end of the file
+    or a field that ``int`` reads in its own way."""
+    field = st.sampled_from([b"1", b"2", b"3", b"2", b"3", b"0", b"-1", b"2#c\n3", b"+2", b"1_0",
+                             b"0x2", b"\xd9\xa1"])
+    sep = st.sampled_from([b" ", b"\n", b"\r\n", b"\x0b", b"\t# c\r", b"\n# x\n ", b" ", b"\n",
+                           b"#", b""])
+    maxval = st.sampled_from([b"65535", b"65535", b"65535", b"065535", b"255", b"3"])
+    parts = st.tuples(st.sampled_from([b"P5", b"P5", b"P5", b"P5#\n", b"P"]), sep, field, sep, field,
+                      sep, maxval, sep, st.binary(min_size=2, max_size=40))
+    return parts.map(b"".join)
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.binary(max_size=64) | _small_pgms()
+       | st.tuples(_pgm_headers(), st.binary(max_size=64)).map(b"".join))
+def test_pgm_reader_matches_byte_at_a_time_oracle(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.pgm")
+        with open(path, "wb") as f:
+            f.write(content)
+        results = []
+        for read in (read_pgm16, oracle_read_pgm16):
+            try:
+                results.append(read(path))
+            except PgmError as exc:
+                results.append(str(exc))
+    got, expected = results
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.dtype == np.uint16 and np.array_equal(got, expected)
+
+
+def test_pgm_end_of_file_in_header_names_the_path(tmp_path):
+    path = tmp_path / "map.pgm"
+    path.write_bytes(b"P5\n128 128\n65535")
+    with pytest.raises(PgmError) as raised:
+        read_pgm16(path)
+    assert str(raised.value) == f"{path}: unexpected end of file in header"
 
 
 def _tensor_headers():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vsorank.autodiff import ShapeError, Tensor, grad_check, mean_axis, stack
+from vsorank.autodiff import ShapeError, Tensor, grad_check
 from vsorank.dataset import FrameSample
 from vsorank.metrics import render_rank_map
 from vsorank.model import VARIANTS, init_model_params, model_forward, model_scores
@@ -144,11 +144,6 @@ def random_setup(rng, counts, c, h, w, mask_hw=(6, 6)):
     return relations, values, masks, temporal, scoring
 
 
-def object_means(values):
-    """Object-mean value map per frame, stacked to (T, C, H, W)."""
-    return stack([mean_axis(value, 0) for value in values])
-
-
 class TestOracle:
     def test_three_frames_match_reference(self):
         rng = np.random.default_rng(0)
@@ -195,9 +190,9 @@ class TestTemporalMix:
         rng = np.random.default_rng(1)
         values = Tensor(rng.standard_normal((1, 3, 2, 2)))
         params = temporal_params_init(3, 0)
-        mixed = temporal_mix(values, params)
+        mixed = temporal_mix([values], params)
         # A 1x1 softmax is exactly [[1]], so mixing passes the projected
-        # value map through unchanged.
+        # value map (the mean of one object is that object) through unchanged.
         w, b = params.v_proj.weight.data, params.v_proj.bias.data
         expected = np.matmul(w, values.data.reshape(1, 3, 4)) + b[None, :, None]
         assert np.array_equal(mixed.data, expected.reshape(values.shape))
@@ -206,7 +201,7 @@ class TestTemporalMix:
         # With a zero value projection the mixed maps equal the bias
         # everywhere regardless of the attention, because rows sum to 1.
         rng = np.random.default_rng(2)
-        values = Tensor(rng.standard_normal((3, 2, 2, 2)))
+        values = [Tensor(rng.standard_normal((n, 2, 2, 2))) for n in (1, 3, 2)]
         params = TemporalParams(
             k_proj=temporal_params_init(2, 3).k_proj,
             q_proj=temporal_params_init(2, 4).q_proj,
@@ -221,10 +216,10 @@ class TestTemporalMix:
     def test_frame_permutation_covariance(self):
         rng = np.random.default_rng(3)
         _, values, _, temporal, _ = random_setup(rng, (2, 3, 1), 2, 2, 2)
-        mixed = temporal_mix(object_means(values), temporal).data
+        mixed = temporal_mix(values, temporal).data
         for perm in ([1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]):
             permuted_values = [values[i] for i in perm]
-            mixed_perm = temporal_mix(object_means(permuted_values), temporal).data
+            mixed_perm = temporal_mix(permuted_values, temporal).data
             np.testing.assert_allclose(mixed_perm, mixed[perm], atol=1e-12)
 
 
