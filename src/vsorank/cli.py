@@ -143,6 +143,8 @@ def _eval_frame(name, idx, gt_ann, pred_ann, iou_threshold):
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.iou <= 1.0:  # also false for NaN
+        raise CliError(f"--iou must be in (0, 1], got {args.iou}")
     sequences = list_sequences(args.gt)
     if not sequences:
         raise CliError(f"{args.gt}: no sequences found")

@@ -253,9 +253,11 @@ def rank_assign(scores) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _resize_grid(in_h: int, in_w: int, out_h: int, out_w: int):
-    """Source rows ``y0, y1`` (a column), columns ``x0, x1`` and the weights
-    ``fy, fx`` of the far sample, for a bilinear resize from (in_h, in_w) to
-    (out_h, out_w).  The arrays are shared between calls, so read-only."""
+    """For a bilinear resize from (in_h, in_w) to (out_h, out_w): the flat
+    source indices ``corners`` of shape (4, out_h, out_w), of the samples at
+    rows ``y0, y0, y1, y1`` and columns ``x0, x1, x0, x1``, and the weights
+    ``fy`` (a column) and ``fx`` of the far row and column.  The arrays are
+    shared between calls, so read-only."""
     sy = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     sx = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     sy = np.clip(sy, 0.0, in_h - 1.0)[:, None]  # a column: rows index the second-last axis
@@ -264,7 +266,9 @@ def _resize_grid(in_h: int, in_w: int, out_h: int, out_w: int):
     x0 = np.floor(sx).astype(np.int64)
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
-    grid = (y0, y1, x0, x1, sy - y0, sx - x0)
+    corners = np.stack(np.broadcast_arrays(y0 * in_w + x0, y0 * in_w + x1,
+                                           y1 * in_w + x0, y1 * in_w + x1))
+    grid = (corners, sy - y0, sx - x0)
     for array in grid:
         array.flags.writeable = False
     return grid
@@ -275,17 +279,18 @@ def downsample_mask(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     ``mask`` is one (H, W) mask or a stack of them, e.g. a frame's (N, H, W)
     instance masks, of any real dtype; the result is float64 of shape
-    ``mask.shape[:-2] + (out_h, out_w)``.  Only the four gathered corner
-    samples are converted to float64, which gives the same values as
-    converting the whole stack first.  Every output element goes through the
-    same arithmetic whether its mask is resized alone or in a stack, so both
+    ``mask.shape[:-2] + (out_h, out_w)``.  The four corner samples are
+    gathered with one ``np.take`` on the flattened masks, and only they are
+    converted to float64, which gives the same values as converting the
+    whole stack first.  Every output element goes through the same
+    arithmetic whether its mask is resized alone or in a stack, so both
     give the same bits.
     """
     src = np.asarray(mask)
     in_h, in_w = src.shape[-2:]
-    y0, y1, x0, x1, fy, fx = _resize_grid(in_h, in_w, out_h, out_w)
+    corners, fy, fx = _resize_grid(in_h, in_w, out_h, out_w)
 
-    f64 = np.float64
-    top = src[..., y0, x0].astype(f64) * (1 - fx) + src[..., y0, x1].astype(f64) * fx
-    bottom = src[..., y1, x0].astype(f64) * (1 - fx) + src[..., y1, x1].astype(f64) * fx
-    return top * (1 - fy) + bottom * fy
+    flat = src.reshape(src.shape[:-2] + (in_h * in_w,))
+    samples = np.take(flat, corners, axis=-1).astype(np.float64)  # (..., 4, out_h, out_w)
+    rows = samples[..., 0::2, :, :] * (1 - fx) + samples[..., 1::2, :, :] * fx  # top, bottom
+    return rows[..., 0, :, :] * (1 - fy) + rows[..., 1, :, :] * fy

@@ -3,8 +3,10 @@
 One optimizer step consumes one whole sequence (the scoring stage needs all
 T frames).  Parameters are updated by stochastic gradient descent with
 momentum and a decoupled weight decay, so a nonzero decay shrinks parameters
-even at learning rate zero.  Everything is deterministic given the config
-seed.
+even at learning rate zero.  A step whose loss is 0.0 (every pair ranked by
+the margin) has a zero gradient, so it runs no backward pass: momentum and
+decay alone move the parameters.  Everything is deterministic given the
+config seed.
 """
 
 import math
@@ -82,6 +84,8 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class TrainReport:
+    # One entry per step taken; the 0.0 entries are the steps that ran no
+    # backward pass.
     loss_curve: list[float]
     eval_sa_sor: float | None
     eval_mae: float
@@ -96,22 +100,34 @@ def build_dataset(synth: SynthConfig, count: int, seed: int) -> list[SequenceSam
 
 
 class _SgdMomentum:
-    """SGD with momentum and learning-rate-decoupled weight decay."""
+    """SGD with momentum and learning-rate-decoupled weight decay.
+
+    The parameters live in one flat float64 buffer: each tensor's ``data``
+    becomes a view of its slice, so a step is a few whole-buffer operations,
+    with the same elementwise arithmetic as a step per tensor.
+    """
 
     def __init__(self, params, learning_rate: float, momentum: float, weight_decay: float):
-        self.params = params  # list of (name, Tensor)
+        self.tensors = [p for _, p in params]
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {name: np.zeros_like(p.data) for name, p in params}
+        self.flat = np.concatenate([p.data.ravel() for p in self.tensors])
+        offset = 0
+        for p in self.tensors:
+            p.data = self.flat[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+        self.velocity = np.zeros_like(self.flat)
 
-    def step(self) -> None:
-        for name, p in self.params:
-            grad = p.grad if p.grad is not None else 0.0
-            v = self.velocity[name]
-            v *= self.momentum
-            v += grad
-            p.data -= self.learning_rate * v + self.weight_decay * p.data
+    def step(self, with_gradients: bool) -> None:
+        """One update.  Without gradients (a zero loss) only momentum and decay
+        act, and any ``grad`` left from an earlier step is ignored."""
+        v = self.velocity
+        v *= self.momentum
+        if with_gradients:
+            v += np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.size)
+                                 for p in self.tensors])
+        self.flat -= self.learning_rate * v + self.weight_decay * self.flat
 
 
 def _sequence_loss(sample: SequenceSample, params: ModelParams, config: ModelConfig):
@@ -151,8 +167,12 @@ def train(config: ModelConfig, train_set: list[SequenceSample],
                 f"non-finite loss {value} at iteration {iteration} "
                 f"(variant={config.variant}, lr={config.learning_rate})"
             )
-        loss.backward()
-        optimizer.step()
+        # A sum of hinge means is 0.0 only when no pair is active, and then
+        # every gradient is zero: the step applies momentum and decay alone.
+        with_gradients = value > 0.0
+        if with_gradients:
+            loss.backward()
+        optimizer.step(with_gradients)
         curve.append(value)
 
     result = evaluate(params, config, eval_set)

@@ -234,6 +234,25 @@ class TestEval:
         assert code == 1 and out == ""
         assert err == f"error: {manifest}: frame 0 is listed more than once\n"
 
+    @pytest.mark.parametrize("iou, shown", [("0", "0.0"), ("-0.5", "-0.5"), ("1.5", "1.5"),
+                                            ("nan", "nan"), ("inf", "inf")])
+    def test_iou_outside_unit_interval_fails_before_reading(self, tmp_path, capsys, iou, shown):
+        # Neither directory exists, so any read would fail with another message.
+        code, out, err = run_cli(capsys, "eval", "--gt", str(tmp_path / "gt"),
+                                 "--pred", str(tmp_path / "pred"), "--iou", iou)
+        assert code == 1 and out == ""
+        assert err == f"error: --iou must be in (0, 1], got {shown}\n"
+
+    @pytest.mark.parametrize("iou, code", [("0", 1), ("nan", 1), ("1", 0)])
+    def test_iou_checked_when_no_frame_is_scored(self, tmp_path, capsys, iou, code):
+        for side in ("gt", "pred"):
+            save_annotations(tmp_path / side / "seq_0000", [])
+        got, out, _ = run_cli(capsys, "eval", "--gt", str(tmp_path / "gt"),
+                              "--pred", str(tmp_path / "pred"), "--iou", iou)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["aggregate"]["frame_count"] == 0
+
     def test_prediction_shape_mismatch_names_the_frame(self, tmp_path, dataset_dir, capsys):
         pred = tmp_path / "pred"
         shutil.copytree(dataset_dir, pred)

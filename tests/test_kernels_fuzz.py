@@ -4,9 +4,11 @@ Each kernel on the ``vsorank eval`` path has a faster form than the obvious
 one: the id set of an instance map comes from one sort, ``masks()`` compares
 in the map's own dtype, IoU counts pixels on packed 64-bit words, the
 rank-map painter writes with ``np.copyto``, and ``score_frame`` takes the MAE
-difference in one of the two rank maps.  Every test here keeps the plain
-form as an oracle and asks for the same result, bit for bit, on maps whose
-pixel counts are not a multiple of 8 or 64.
+difference in one of the two rank maps.  The mask resize that every scored
+frame runs in training and inference gathers its corner samples with one
+``np.take`` and converts only them.  Every test here keeps the plain form as an oracle and asks for
+the same result, bit for bit, on maps whose pixel counts are not a multiple
+of 8 or 64.
 """
 
 import atexit
@@ -19,8 +21,11 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra import numpy as hnp
 
+from test_temporal import resize_converting_first
+
 from vsorank.dataset import AnnotationError, RankAnnotation
 from vsorank.metrics import mae, match_instances, render_rank_map, score_frame
+from vsorank.temporal import downsample_mask
 
 # Hypothesis caches constants read from the source while collecting tests,
 # even with no example database; keep that cache out of the working tree.
@@ -189,3 +194,27 @@ def test_score_frame_mae_matches_painted_maps(data):
     _, error = score_frame(gt, gt_ranks, pred, pred_ranks)
     painted = oracle_render(pred, pred_ranks), oracle_render(gt, gt_ranks)
     assert error == float(np.abs(painted[0] - painted[1]).mean()) == mae(*painted)
+
+
+# -- downsample_mask ----------------------------------------------------------------
+
+
+MASK_DTYPES = st.sampled_from([np.bool_, np.uint8, np.uint16, np.int64, np.float32, np.float64])
+
+
+@FUZZ
+@given(st.data(), MASK_DTYPES)
+def test_downsample_matches_converting_first(data, dtype):
+    # Stacks of rank 2 to 4, including empty ones, resized down, up or to
+    # their own size.
+    lead = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+    in_hw = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=20))
+    out_h, out_w = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+    # Finite samples: a weight of 0 times inf raises an invalid-value warning.
+    finite = {"allow_nan": False, "allow_infinity": False}
+    mask = data.draw(hnp.arrays(dtype, lead + in_hw,
+                                elements=finite if np.dtype(dtype).kind == "f" else None))
+    got = downsample_mask(mask, out_h, out_w)
+    expected = resize_converting_first(mask, out_h, out_w)
+    assert got.dtype == np.float64 and got.shape == lead + (out_h, out_w)
+    assert got.tobytes() == expected.tobytes()

@@ -5,11 +5,12 @@ import json
 import re
 import tracemalloc
 import warnings
+from itertools import count
 
 import numpy as np
 import pytest
 
-from vsorank import autodiff
+from vsorank import autodiff, trainer
 from vsorank.dataset import (
     FrameSample,
     RankAnnotation,
@@ -159,6 +160,103 @@ class TestOptimizer:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(TrainingDiverged, match="iteration"):
                 train(config, train_set, eval_set)
+
+
+def _oracle_train(config, train_set, sequence_loss=_sequence_loss):
+    """Training as a plain loop: a backward pass on every step, then one SGD
+    update per tensor.  Returns the parameters and the loss curve."""
+    params = init_model_params(config.C, config.H, config.W, config.seed)
+    named = named_params(params)
+    velocity = [np.zeros_like(p.data) for _, p in named]
+    picker = np.random.default_rng(config.seed)
+    curve = []
+    for _ in range(config.iterations):
+        loss = sequence_loss(train_set[int(picker.integers(len(train_set)))], params, config)
+        if loss is None:
+            continue
+        loss.backward()
+        for (_, p), v in zip(named, velocity):
+            v *= config.momentum
+            v += p.grad if p.grad is not None else 0.0
+            p.data -= config.learning_rate * v + config.weight_decay * p.data
+        curve.append(loss.item())
+    return params, curve
+
+
+def _param_bytes(params):
+    return [p.data.tobytes() for _, p in named_params(params)]
+
+
+@pytest.fixture()
+def backward_calls(monkeypatch):
+    """The number of ``Tensor.backward`` calls made so far, in a one-item list."""
+    calls = [0]
+    inner = autodiff.Tensor.backward
+
+    def backward(self):
+        calls[0] += 1
+        return inner(self)
+
+    monkeypatch.setattr(autodiff.Tensor, "backward", backward)
+    return calls
+
+
+def _zeroed_on(steps):
+    """``_sequence_loss`` with the loss of the given steps (counted from 0)
+    multiplied by 0.0: a zero loss on the live graph, whose gradients are 0."""
+    step = count()
+
+    def sequence_loss(sample, params, config):
+        loss = _sequence_loss(sample, params, config)
+        return loss * 0.0 if next(step) in steps else loss
+
+    return sequence_loss
+
+
+class TestPassiveSteps:
+    """A step whose loss is 0.0 runs no backward pass; momentum and decay still
+    act, and no gradient from an earlier step is applied."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_curve_and_parameters_equal_the_plain_loop(self, variant, backward_calls):
+        config = ModelConfig(variant=variant, iterations=120, seed=1)
+        train_set = build_dataset(SynthConfig(), 12, seed=3)
+        params, report = train(config, train_set, train_set[:1])
+        steps_run = backward_calls[0]
+        oracle_params, oracle_curve = _oracle_train(config, train_set)
+        assert np.asarray(report.loss_curve).tobytes() == np.asarray(oracle_curve).tobytes()
+        assert _param_bytes(params) == _param_bytes(oracle_params)
+        assert steps_run == sum(1 for value in report.loss_curve if value > 0.0) > 0
+        if variant != "basic":  # ``basic`` seldom ranks a whole sequence by the margin
+            assert steps_run < len(report.loss_curve)
+
+    def test_zero_loss_step_runs_no_backward_yet_decays(self, monkeypatch, backward_calls):
+        config = ModelConfig(iterations=3, weight_decay=0.01, seed=2)
+        train_set = build_dataset(SynthConfig(), 2, seed=4)
+        sequence_loss = _zeroed_on({0, 1, 2})
+        monkeypatch.setattr(trainer, "_sequence_loss", sequence_loss)
+        params, report = train(config, train_set, train_set)
+        assert backward_calls[0] == 0 and report.loss_curve == [0.0] * 3
+
+        expected = init_model_params(config.C, config.H, config.W, config.seed)
+        for _ in range(3):
+            for _, p in named_params(expected):
+                p.data -= config.weight_decay * p.data
+        assert _param_bytes(params) == _param_bytes(expected)
+        fresh = init_model_params(config.C, config.H, config.W, config.seed)
+        assert _param_bytes(params) != _param_bytes(fresh)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_no_stale_gradient_after_a_positive_step(self, monkeypatch, momentum, backward_calls):
+        config = ModelConfig(iterations=2, momentum=momentum, seed=2)
+        train_set = build_dataset(SynthConfig(), 2, seed=4)
+        monkeypatch.setattr(trainer, "_sequence_loss", _zeroed_on({1}))
+        params, report = train(config, train_set, train_set)
+        assert backward_calls[0] == 1
+        assert report.loss_curve[0] > 0.0 and report.loss_curve[1] == 0.0
+        oracle_params, oracle_curve = _oracle_train(config, train_set, _zeroed_on({1}))
+        assert report.loss_curve == oracle_curve
+        assert _param_bytes(params) == _param_bytes(oracle_params)
 
 
 def _hand_sequence(counts, seed):
