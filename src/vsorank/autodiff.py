@@ -4,23 +4,19 @@ Only the operations the ranking pipeline needs are implemented: matrix
 products (plain, batched, and batched-times-shared), 1x1 convolution over
 NCHW blocks, an affine map over the last axis, a scaled softmax, axis means,
 and a few elementwise primitives.  Every matrix product, forward and
-backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.  The graph is
-built define-by-run: an op's result records one edge ``(parent, vjp)`` per
-operand whose ``requires_grad`` is set when the op runs (setting it later
-adds no edge), and ``vjp(g)`` maps the result's gradient ``g`` to that
-operand's share, in the operand's full shape (no broadcastable shorthand).
-``Tensor.backward`` is the only code that accumulates gradients: it visits
-the differentiable nodes in exact reverse creation order; a parent's first
-``vjp(g)`` becomes its ``grad`` as a C-contiguous copy, and each later one is
-added to it.  A vjp never refers to its result, so a graph holds no
-reference cycle and is freed as soon as its output is dropped.
+backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.
+
+The graph is built define-by-run, and ``op`` builds every node: it records
+the operands, their ``requires_grad`` flags and one vjp.  ``Tensor.backward``
+is the only code that accumulates gradients.  A vjp never refers to its
+result, so a graph holds no reference cycle and is freed as soon as its
+output is dropped.
 
 Each model stage (the spatial relation, the object means, the temporal mix,
-frame scoring and the rank loss) is a single node built by ``stage_op``,
-whose edges share one hand-derived vjp, because a graph's cost is mostly
-the Python work per node.  The primitives above remain for the value
-projection, the gradient suite and tests; both attention stages use
-``scaled_softmax``'s kernel, ``softmax_rows``, in place.
+frame scoring and the rank loss) is a single node with a hand-derived vjp,
+because a graph's cost is mostly the Python work per node.  The primitives
+above remain for the value projection, the gradient suite and tests; both
+attention stages use ``scaled_softmax``'s kernel, ``softmax_rows``, in place.
 
 Tensors must be treated as read-only while any tensor derived from them is
 alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and
@@ -43,7 +39,7 @@ __all__ = [
     "softmax_rows_vjp",
     "mean_axis",
     "relu",
-    "stage_op",
+    "op",
     "grad_check",
 ]
 
@@ -58,17 +54,17 @@ _node_counter = count()
 class Tensor:
     """Row-major float64 array plus an optional gradient buffer.
 
-    ``_edges`` holds an op result's ``(parent, vjp)`` pairs; a result has
-    ``requires_grad`` set exactly when it has an edge.
+    ``_node`` holds an op result's ``(operands, needed, vjp)``, or None; a
+    result has ``requires_grad`` set exactly when it has a node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges", "_nid")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_nid")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._edges: tuple = ()
+        self._node: tuple | None = None
         self._nid = next(_node_counter)
 
     @property
@@ -99,38 +95,34 @@ class Tensor:
         Must be called on a single-element output.  Grad buffers of the
         reachable subgraph are dropped first, so each call yields exactly the
         gradients of this output (no accumulation across calls); tensors it
-        does not reach keep theirs.  A buffer is allocated on its first
-        contribution as a C-contiguous copy of that ``vjp(g)``, so it never
-        shares memory with another buffer, and the BLAS products that read
-        it round the same way whatever layout the vjp returned; later
-        contributions are added in place.  Hence every vjp must return its
-        parent's full shape.  The graph is left intact (and holds no
-        cycle), so it is freed with the last reference to its output.
+        does not reach keep theirs.  Each node's vjp is called once, in exact
+        reverse creation order, and its shares are handed out in operand
+        order.  A buffer is allocated on its first share as a C-contiguous
+        copy, so it never shares memory with another buffer, and the BLAS
+        products that read it round the same way whatever layout the vjp
+        returned; later shares are added in place.  The graph is left intact,
+        so it is freed with the last reference to its output.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no gradient path")
 
-        reached: dict[int, Tensor] = {}
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in reached:
-                continue
-            reached[id(node)] = node
-            stack.extend(parent for parent, _ in node._edges)
-
-        nodes = sorted(reached.values(), key=lambda t: t._nid, reverse=True)
-        for node in nodes:
-            node.grad = None
+        tensors = _reached(self)
+        for tensor in tensors:
+            tensor.grad = None
         self.grad = np.ones_like(self.data)
-        for node in nodes:
-            for parent, vjp in node._edges:
+        for tensor in tensors:
+            if tensor._node is None:
+                continue
+            operands, needed, vjp = tensor._node
+            for parent, need, share in zip(operands, needed, vjp(tensor.grad, needed)):
+                if not need:
+                    continue
                 if parent.grad is None:
-                    parent.grad = vjp(node.grad).copy()
+                    parent.grad = share.copy()
                 else:
-                    parent.grad += vjp(node.grad)
+                    parent.grad += share
 
     # -- elementwise and shape ops ----------------------------------------
 
@@ -138,13 +130,13 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"add: shapes {self.shape} and {other.shape} differ")
-            return _op(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
-        return _op(self.data + float(other), (self, lambda g: g))
+            return op(self.data + other.data, (self, other), lambda g, needed: (g, g))
+        return op(self.data + float(other), (self,), lambda g, needed: (g,))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _op(-self.data, (self, lambda g: -g))
+        return op(-self.data, (self,), lambda g, needed: (-g,))
 
     def __sub__(self, other):
         return self + (-other)
@@ -156,10 +148,10 @@ class Tensor:
         if isinstance(other, Tensor):
             if self.shape != other.shape:
                 raise ShapeError(f"mul: shapes {self.shape} and {other.shape} differ")
-            return _op(self.data * other.data,
-                       (self, lambda g: g * other.data), (other, lambda g: g * self.data))
+            return op(self.data * other.data, (self, other),
+                      lambda g, needed: (g * other.data, g * self.data))
         scale = float(other)
-        return _op(self.data * scale, (self, lambda g: g * scale))
+        return op(self.data * scale, (self,), lambda g, needed: (g * scale,))
 
     __rmul__ = __mul__
 
@@ -168,60 +160,53 @@ class Tensor:
             shape = tuple(shape[0])
         if math.prod(shape) != self.size:
             raise ShapeError(f"reshape: {self.shape} has {self.size} elements, target {shape}")
-        return _op(self.data.reshape(shape), (self, lambda g: g.reshape(self.shape)))
+        return op(self.data.reshape(shape), (self,), lambda g, needed: (g.reshape(self.shape),))
 
     def sum(self):
-        return _op(self.data.sum(), (self, lambda g: np.broadcast_to(g, self.shape)))
+        return op(self.data.sum(), (self,), lambda g, needed: (np.broadcast_to(g, self.shape),))
 
     def mean(self):
         n = self.size
-        return _op(self.data.mean(), (self, lambda g: np.broadcast_to(g / n, self.shape)))
+        return op(self.data.mean(), (self,),
+                  lambda g, needed: (np.broadcast_to(g / n, self.shape),))
 
 
-def _op(data: np.ndarray, *edges: tuple[Tensor, object]) -> Tensor:
-    """The result of an op: ``data`` plus the ``(parent, vjp)`` edges whose
-    parent needs a gradient now.
+def op(data: np.ndarray, operands, vjp) -> Tensor:
+    """The result of an op: ``data``, plus a node if an operand needs a gradient.
 
-    ``vjp(g)`` takes the result's gradient as its argument and may refer to
-    the operands but never to the result, so the result is not part of a
-    reference cycle: a graph is freed by reference counting as soon as its
-    output is dropped.
+    ``vjp(g, needed)`` takes the result's gradient and the operands'
+    ``requires_grad`` flags as they were when the op ran (setting one later
+    changes nothing), and returns one gradient per operand, in order, each in
+    its operand's full shape (no broadcastable shorthand); an entry whose
+    flag is false may be None.  It may refer to the operands but never to the
+    result.  A result with no node keeps no operand alive.
     """
-    out = Tensor(data)
-    out._edges = tuple(edge for edge in edges if edge[0].requires_grad)
-    out.requires_grad = bool(out._edges)
-    return out
-
-
-def stage_op(data: np.ndarray, operands, vjp) -> Tensor:
-    """The result of a whole model stage as one node, with one edge per
-    operand that needs a gradient.
-
-    ``vjp(g, needed)`` returns one gradient per operand, in order, in the
-    operand's full shape; an entry whose ``needed`` flag is false may be None
-    and need not be computed.  Every edge of the node is served by the same
-    call: ``backward`` visits a node's edges one after the other with the
-    same ``g``, so the first edge calls ``vjp`` and each edge, the first
-    included, takes its own share.  The edges thereby share intermediates
-    (such as the gradient of a projection that several operands feed), and
-    the node holds no gradient once its last edge has been visited.
-    """
-    # Lists, not tuple(generator): such a tuple is allocated for 10 items and
+    # A list, not tuple(generator): such a tuple is allocated for 10 items and
     # shrunk, so every call drew on CPython's free list of 10-item tuples and
     # returned the tuple to the free list of its own length, which grew to
     # its cap; that raised the peak RSS of `evaluate` by about 1 MB.
     needed = [operand.requires_grad for operand in operands]
-    shares = {}
+    out = Tensor(data)
+    if any(needed):
+        out._node = (operands, needed, vjp)
+        out.requires_grad = True
+    return out
 
-    def edge(i):
-        def share(g):
-            if not shares:
-                shares.update((j, grad) for j, grad in enumerate(vjp(g, needed)) if needed[j])
-            return shares.pop(i)
 
-        return share
-
-    return _op(data, *[(operand, edge(i)) for i, operand in enumerate(operands) if needed[i]])
+def _reached(out: Tensor) -> list[Tensor]:
+    """``out`` and every tensor reachable from it through operands that
+    needed a gradient: the tensors ``out.backward()`` visits, newest first."""
+    reached: dict[int, Tensor] = {}
+    stack = [out]
+    while stack:
+        tensor = stack.pop()
+        if id(tensor) in reached:
+            continue
+        reached[id(tensor)] = tensor
+        if tensor._node is not None:
+            operands, needed, _ = tensor._node
+            stack.extend(parent for parent, need in zip(operands, needed) if need)
+    return sorted(reached.values(), key=lambda t: t._nid, reverse=True)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -243,12 +228,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"matmul: unsupported ranks, {a.shape} x {b.shape}")
 
-    def grad_b(g):
+    def vjp(g, needed):
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return gb.sum(axis=0) if shared_rhs else gb
+        return np.matmul(g, np.swapaxes(b.data, -1, -2)), gb.sum(axis=0) if shared_rhs else gb
 
-    return _op(np.matmul(a.data, b.data),
-               (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))), (b, grad_b))
+    return op(np.matmul(a.data, b.data), (a, b), vjp)
 
 
 def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -271,10 +255,14 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x3 = x.data.reshape(n, c, hw)
     data = np.matmul(weight.data, x3)
     data += bias.data[None, :, None]
-    return _op(data.reshape(n, o, h, w),
-               (x, lambda g: np.matmul(weight.data.T, g.reshape(n, o, hw)).reshape(x.shape)),
-               (weight, lambda g: np.matmul(g.reshape(n, o, hw), np.swapaxes(x3, 1, 2)).sum(0)),
-               (bias, lambda g: g.sum(axis=(0, 2, 3))))
+
+    def vjp(g, needed):
+        g3 = g.reshape(n, o, hw)
+        # The model's input features need no gradient.
+        d_x = np.matmul(weight.data.T, g3).reshape(x.shape) if needed[0] else None
+        return d_x, np.matmul(g3, np.swapaxes(x3, 1, 2)).sum(0), g.sum(axis=(0, 2, 3))
+
+    return op(data.reshape(n, o, h, w), (x, weight, bias), vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -284,11 +272,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: feature mismatch, input {x.shape} vs weight {weight.shape}")
 
-    return _op(x.data @ weight.data.T + bias.data,
-               (x, lambda g: g @ weight.data),
-               (weight, lambda g: g.reshape(-1, weight.shape[0]).T
-                @ x.data.reshape(-1, weight.shape[1])),
-               (bias, lambda g: g.reshape(-1, weight.shape[0]).sum(axis=0)))
+    def vjp(g, needed):
+        g2 = g.reshape(-1, weight.shape[0])
+        return g @ weight.data, g2.T @ x.data.reshape(-1, weight.shape[1]), g2.sum(axis=0)
+
+    return op(x.data @ weight.data.T + bias.data, (x, weight, bias), vjp)
 
 
 def softmax_rows(x: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -326,7 +314,7 @@ def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
         raise ValueError(f"scaled_softmax: scale_dim must be positive, got {scale_dim}")
     scale = math.sqrt(scale_dim)
     y = softmax_rows(x.data, scale)
-    return _op(y, (x, lambda g: softmax_rows_vjp(g, y, scale)))
+    return op(y, (x,), lambda g, needed: (softmax_rows_vjp(g, y, scale),))
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -335,12 +323,12 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     axis = axis % x.ndim
     n = x.shape[axis]
-    return _op(x.data.mean(axis=axis),
-               (x, lambda g: np.broadcast_to(np.expand_dims(g, axis) / n, x.shape)))
+    return op(x.data.mean(axis=axis), (x,),
+              lambda g, needed: (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape),))
 
 
 def relu(x: Tensor) -> Tensor:
-    return _op(np.maximum(x.data, 0.0), (x, lambda g: (x.data > 0.0) * g))
+    return op(np.maximum(x.data, 0.0), (x,), lambda g, needed: ((x.data > 0.0) * g,))
 
 
 # -- gradient verification --------------------------------------------------

@@ -196,14 +196,20 @@ def cmd_stats(args) -> int:
     sequences = list_sequences(args.data)
     if not sequences:
         raise CliError(f"{args.data}: no sequences found")
-    per_sequence = [
-        [ann for _, ann in load_annotations(os.path.join(args.data, name))]
-        for name in sequences
-    ]
+    per_sequence = []
+    for name in sequences:
+        path = os.path.join(args.data, name)
+        annotations = [ann for _, ann in load_annotations(path)]
+        if args.per == "video" and not annotations:
+            raise CliError(f"{os.path.join(path, 'manifest.json')}: the sequence lists no frames")
+        per_sequence.append(annotations)
     if args.per == "video":
         stats = compute_video_stats(per_sequence)
     else:
-        stats = compute_stats([ann for seq in per_sequence for ann in seq])
+        frames = [ann for seq in per_sequence for ann in seq]
+        if not frames:
+            raise CliError(f"{args.data}: no sequence lists a frame")
+        stats = compute_stats(frames)
     payload = asdict(stats)
     payload["per"] = args.per
     _emit(payload)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, stage_op
+from .autodiff import Tensor, op
 
 __all__ = ["RankTarget", "rank_loss", "DEFAULT_MARGIN"]
 
@@ -53,4 +53,4 @@ def rank_loss(scores: Tensor, target: RankTarget, margin: float = DEFAULT_MARGIN
         grad = np.bincount(below, weight, minlength=n) - np.bincount(above, weight, minlength=n)
         return (grad.reshape(scores.shape),)
 
-    return stage_op(np.maximum(hinge, 0.0).mean(), (scores,), vjp)
+    return op(np.maximum(hinge, 0.0).mean(), (scores,), vjp)

@@ -94,7 +94,7 @@ def model_forward(frames: list[FrameSample], params: ModelParams,
     """Score and rank every frame of a sequence: one rank array per frame.
 
     Scores on a detached view of ``params``, the same weight and bias arrays
-    in tensors that need no gradient, so no op records an edge and no graph
+    in tensors that need no gradient, so no op records a node and no graph
     is built: each intermediate is freed as soon as the pass moves past it.
     """
     detached = ModelParams(*(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, conv1x1, softmax_rows, softmax_rows_vjp, stage_op
+from .autodiff import ShapeError, Tensor, conv1x1, op, softmax_rows, softmax_rows_vjp
 
 __all__ = [
     "EmptyFrameError",
@@ -140,4 +140,4 @@ def _relation(x: Tensor, value: Tensor, kq_proj: Projection) -> Tensor:
         d_weight = np.matmul(d_kq, np.swapaxes(x3, 1, 2)).sum(axis=0) if need_weight else None
         return d_x, d_value, d_weight, d_kq.sum(axis=(0, 2))
 
-    return stage_op(data, (x, value, weight, bias), vjp)
+    return op(data, (x, value, weight, bias), vjp)

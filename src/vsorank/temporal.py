@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, softmax_rows, softmax_rows_vjp, stage_op
+from .autodiff import ShapeError, Tensor, op, softmax_rows, softmax_rows_vjp
 from .spatial import EmptyFrameError, Projection, projection_init
 
 __all__ = [
@@ -90,8 +90,8 @@ def object_means(values: list[Tensor]) -> Tensor:
 
     The frame contexts when no cross-frame attention runs.
     """
-    return stage_op(_object_means(values), values,
-                    lambda g, needed: _spread_means(values, g, needed))
+    return op(_object_means(values), values,
+              lambda g, needed: _spread_means(values, g, needed))
 
 
 def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
@@ -152,7 +152,7 @@ def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
     operands = list(values)
     for proj in projections:
         operands += [proj.weight, proj.bias]
-    return stage_op(data, operands, vjp)
+    return op(data, operands, vjp)
 
 
 def frame_scores(relation: Tensor, contexts: Tensor, frame: int, masks: np.ndarray,
@@ -206,7 +206,7 @@ def frame_scores(relation: Tensor, contexts: Tensor, frame: int, masks: np.ndarr
 
     operands = (relation, contexts, mask_embed.weight, mask_embed.bias,
                 score_head.weight, score_head.bias)
-    return stage_op(data.reshape(n), operands, vjp)
+    return op(data.reshape(n), operands, vjp)
 
 
 def sequence_scores(relations: list[Tensor], values: list[Tensor], masks: list[np.ndarray],

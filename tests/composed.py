@@ -16,11 +16,11 @@ import numpy as np
 from vsorank.autodiff import (
     ShapeError,
     Tensor,
-    _op,
     conv1x1,
     linear,
     matmul,
     mean_axis,
+    op,
     relu,
     scaled_softmax,
 )
@@ -34,7 +34,7 @@ def transpose_last2(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.ndim < 2:
         raise ShapeError(f"transpose_last2: needs >= 2 axes, got shape {x.shape}")
-    return _op(np.swapaxes(x.data, -1, -2), (x, lambda g: np.swapaxes(g, -1, -2)))
+    return op(np.swapaxes(x.data, -1, -2), (x,), lambda g, needed: (np.swapaxes(g, -1, -2),))
 
 
 def stack(tensors: list[Tensor]) -> Tensor:
@@ -45,8 +45,7 @@ def stack(tensors: list[Tensor]) -> Tensor:
     for t in tensors[1:]:
         if t.shape != shape:
             raise ShapeError(f"stack: shapes {shape} and {t.shape} differ")
-    return _op(np.stack([t.data for t in tensors]),
-               *((t, lambda g, i=i: g[i]) for i, t in enumerate(tensors)))
+    return op(np.stack([t.data for t in tensors]), tensors, lambda g, needed: list(g))
 
 
 def take(x: Tensor, index: int) -> Tensor:
@@ -54,12 +53,12 @@ def take(x: Tensor, index: int) -> Tensor:
     if not 0 <= index < x.shape[0]:
         raise ShapeError(f"take: index {index} out of range for shape {x.shape}")
 
-    def grad_x(g):
+    def vjp(g, needed):
         gx = np.zeros_like(x.data)
         gx[index] = g
-        return gx
+        return (gx,)
 
-    return _op(x.data[index], (x, grad_x))
+    return op(x.data[index], (x,), vjp)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -67,8 +66,8 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat: leading shapes differ, {a.shape} vs {b.shape}")
     split = a.shape[-1]
-    return _op(np.concatenate([a.data, b.data], axis=-1),
-               (a, lambda g: g[..., :split]), (b, lambda g: g[..., split:]))
+    return op(np.concatenate([a.data, b.data], axis=-1), (a, b),
+              lambda g, needed: (g[..., :split], g[..., split:]))
 
 
 # -- stages --------------------------------------------------------------------

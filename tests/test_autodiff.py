@@ -8,6 +8,7 @@ import pytest
 from vsorank.autodiff import (
     ShapeError,
     Tensor,
+    _reached,
     conv1x1,
     grad_check,
     linear,
@@ -254,17 +255,6 @@ class TestBackwardSemantics:
         c = Tensor([2.0])
         (x * c).sum().backward()
         assert c.grad is None
-
-
-def _reached(out):
-    """Every tensor that ``out.backward()`` visits."""
-    seen, pending = {}, [out]
-    while pending:
-        node = pending.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            pending.extend(parent for parent, _ in node._edges)
-    return list(seen.values())
 
 
 # Operand shapes and the op under test; each graph ends in ``(op(...) * u).sum()``.

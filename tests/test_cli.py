@@ -121,6 +121,27 @@ class TestStats:
         assert code == 1
         assert "no sequences" in err
 
+    @staticmethod
+    def _list_no_frames(dataset_dir, name):
+        manifest = dataset_dir / name / "manifest.json"
+        manifest.write_text(json.dumps({"frames": [], "seed": 0}), encoding="utf-8")
+        return manifest
+
+    def test_sequence_without_frames_names_its_manifest(self, dataset_dir, capsys):
+        manifest = self._list_no_frames(dataset_dir, "seq_0001")
+        code, out, err = run_cli(capsys, "stats", "--data", str(dataset_dir), "--per", "video")
+        assert code == 1 and out == ""
+        assert f"error: {manifest}: the sequence lists no frames" in err
+        # Per frame, the other sequence's frames are still counted.
+        assert run_json(capsys, "stats", "--data", str(dataset_dir))["frame_count"] == 3
+
+    def test_data_set_without_frames_names_its_directory(self, dataset_dir, capsys):
+        for name in ("seq_0000", "seq_0001"):
+            self._list_no_frames(dataset_dir, name)
+        code, out, err = run_cli(capsys, "stats", "--data", str(dataset_dir))
+        assert code == 1 and out == ""
+        assert f"error: {dataset_dir}: no sequence lists a frame" in err
+
 
 class TestEval:
     def test_self_evaluation_is_perfect(self, dataset_dir, capsys):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import composed
-from vsorank.autodiff import ShapeError, Tensor, grad_check, relu
+from vsorank.autodiff import ShapeError, Tensor, _reached, grad_check, relu
 from vsorank.dataset import FrameSample, SynthConfig, synth_generate
 from vsorank.losses import RankTarget, rank_loss
 from vsorank.model import VARIANTS, ModelParams, init_model_params, model_scores, named_params
@@ -206,14 +206,8 @@ def test_sequence_loss_uses_the_stage_ops():
     config = ModelConfig(variant="full")
     params = init_model_params(config.C, config.H, config.W, config.seed)
     loss = _sequence_loss(sample, params, config)
-    nodes, pending = {}, [loss]
-    while pending:
-        node = pending.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            pending.extend(parent for parent, _ in node._edges)
     frames = len(sample.frames)
-    ops = sum(1 for node in nodes.values() if node._edges)
+    ops = sum(1 for tensor in _reached(loss) if tensor._node is not None)
     # per frame: value projection, relation, scores and loss; the mix; the sum
     assert ops == 4 * frames + 1 + (frames - 1)
 
