@@ -12,10 +12,12 @@ is the only code that accumulates gradients.  A vjp never refers to its
 result, so a graph holds no reference cycle and is freed as soon as its
 output is dropped.
 
-Each model stage (the spatial relation, the object means, the temporal mix,
-frame scoring and the rank loss) is a single node with a hand-derived vjp,
-because a graph's cost is mostly the Python work per node.  The primitives
-above remain for the value projection, the gradient suite and tests; both
+Each model stage is a single node with a hand-derived vjp, because a
+graph's cost is mostly the Python work per node.  The spatial relation runs
+once per frame, after ``conv1x1`` (the value projection); the object means or
+the temporal mix, frame scoring and the rank loss run once per sequence,
+over every frame's objects stacked in frame order.  The primitives above
+remain for the value projection, the gradient suite and tests; both
 attention stages use ``scaled_softmax``'s kernel, ``softmax_rows``, in place.
 
 Tensors must be treated as read-only while any tensor derived from them is
@@ -338,8 +340,12 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     """Compare the analytic gradient of a scalar function against central
     finite differences.
 
-    Returns the max over elements of
-    ``|analytic - numeric| / max(1e-12, |analytic| + |numeric|)``.
+    Returns the max over elements of ``|analytic - numeric| / scale``, with
+    ``scale = max(1e-12, max over elements of |analytic| + |numeric|)``.
+    Each element is measured against the gradient's scale, not its own
+    size: a central difference carries a rounding error of about
+    ``|f| * 1e-16 / eps`` in every element, which would be a large part of
+    an element whose true gradient is near zero.
     """
     x.requires_grad = True
     out = f(x)
@@ -363,5 +369,5 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         raise ValueError("grad_check: non-finite gradient")
 
-    denom = np.maximum(1e-12, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    scale = max(1e-12, float(np.max(np.abs(analytic) + np.abs(numeric))))
+    return float(np.max(np.abs(analytic - numeric))) / scale

@@ -22,11 +22,14 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .autodiff import ShapeError
+from .losses import RankPairs, RankTarget
 from .pgm import PgmError, read_pgm16, write_pgm16
-from .temporal import rank_assign
+from .temporal import downsample_mask, rank_assign
 
 __all__ = [
     "AnnotationError",
@@ -217,10 +220,31 @@ def compute_video_stats(sequences) -> DatasetStats:
 
 @dataclass(frozen=True)
 class FrameSample:
-    """Raw per-frame data: object features (N, C, H, W) and masks (N, Hf, Wf)."""
+    """Raw per-frame data: object features (N, C, H, W) and masks (N, Hf, Wf).
+
+    The sample keeps the arrays it is given and makes them read-only, so
+    ``mask_inputs``, worked out from them on first use and kept, cannot go
+    stale.
+    """
 
     features: np.ndarray
     masks: np.ndarray
+
+    def __post_init__(self):
+        for name in ("features", "masks"):
+            array = np.asarray(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def mask_inputs(self) -> np.ndarray:
+        """The masks resized to the features' (H, W) grid, (N, H, W) float64,
+        read-only: the scoring stage's mask input, the same at every step."""
+        if self.features.ndim != 4:
+            raise ShapeError(f"object features must be (N, C, H, W), got {self.features.shape}")
+        grid = downsample_mask(self.masks, *self.features.shape[2:])
+        grid.flags.writeable = False
+        return grid
 
 
 @dataclass(frozen=True)
@@ -228,6 +252,13 @@ class SequenceSample:
     frames: list[FrameSample]
     annotations: list[RankAnnotation]
     seed: int
+
+    @cached_property
+    def rank_pairs(self) -> RankPairs:
+        """Every frame's ranked object pairs, indexing the sequence's stacked
+        scores; worked out from the annotations on first use and kept."""
+        return RankPairs([RankTarget(tuple(annotation.ranks_in_id_order()))
+                          for annotation in self.annotations])
 
 
 @dataclass(frozen=True)

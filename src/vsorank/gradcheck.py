@@ -19,9 +19,9 @@ from .autodiff import (
     relu,
     scaled_softmax,
 )
-from .losses import RankTarget, rank_loss
+from .losses import RankPairs, RankTarget, rank_loss
 from .spatial import SpatialParams, projection_init, spatial_forward
-from .temporal import ScoringParams, TemporalParams, sequence_scores
+from .temporal import ScoringParams, TemporalParams, downsample_mask, sequence_scores
 
 __all__ = ["CheckResult", "run_suite", "DEFAULT_TOLERANCE"]
 
@@ -131,8 +131,8 @@ def _temporal_module(rng):
     """Every operand of ``temporal_mix``, ``object_means`` and ``frame_scores``
     but ``temporal.q_proj.bias``: the softmax is shift-invariant along each
     row and that bias shifts whole rows, so its true gradient is 0 and a
-    finite difference of it is pure noise."""
-    t_frames, n, c, h, w = 2, 2, 2, 2, 2
+    finite difference of it is pure noise.  The frames hold 2 and 1 objects."""
+    counts, c, h, w = (2, 1), 2, 2, 2
     temporal = TemporalParams(
         k_proj=projection_init(c, c, rng),
         q_proj=projection_init(c, c, rng),
@@ -142,16 +142,18 @@ def _temporal_module(rng):
         mask_embed=projection_init(c, h * w, rng),
         score_head=projection_init(1, 2 * c, rng),
     )
-    relations = [_rand(rng, n, c, h, w) for _ in range(t_frames)]
-    values = [_rand(rng, n, c, h, w) for _ in range(t_frames)]
-    masks = rng.random((t_frames, n, 6, 6)) > 0.4
-    masks[:, :, 2, 2] = True  # keep every instance non-empty
+    relations = [_rand(rng, n, c, h, w) for n in counts]
+    values = [_rand(rng, n, c, h, w) for n in counts]
+    mask_inputs = []
+    for n in counts:
+        masks = rng.random((n, 6, 6)) > 0.4
+        masks[:, 2, 2] = True  # keep every instance non-empty
+        mask_inputs.append(downsample_mask(masks, h, w))
 
     def mean_score(mix):
         def f(_):
-            scores = sequence_scores(relations, values, list(masks), mix, scoring)
-            total = sum((s.sum() for s in scores[1:]), scores[0].sum())
-            return total * (1.0 / sum(s.size for s in scores))
+            scores = sequence_scores(relations, values, mask_inputs, mix, scoring)
+            return scores.sum() * (1.0 / scores.size)
 
         return f
 
@@ -164,26 +166,25 @@ def _temporal_module(rng):
 
 
 def _rank_loss(rng):
-    n = 4
-    ranks = tuple(int(r) for r in rng.permutation(n) + 1)
-    target = RankTarget(ranks)
-    pairs = [(i, j) for i in range(n) for j in range(n) if ranks[i] < ranks[j]]
+    """One sequence whose frames hold 4, 1 and 3 objects; the lone object is
+    in no pair, so its partial is exactly 0."""
+    pairs = RankPairs([RankTarget(tuple(int(r) for r in rng.permutation(n) + 1))
+                       for n in (4, 1, 3)])
+    ranked = np.zeros(pairs.size, dtype=bool)
+    ranked[pairs.above] = ranked[pairs.below] = True
     # Sample scores clear of hinge kinks and with a nonzero subgradient for
-    # every element; a zero true partial would turn finite-difference noise
-    # into a full relative error.
+    # every ranked element.
     while True:
-        scores = rng.standard_normal(n)
-        slack = [0.5 - (scores[i] - scores[j]) for i, j in pairs]
-        if any(abs(s) < 1e-3 for s in slack):
+        scores = rng.standard_normal(pairs.size)
+        slack = 0.5 - (scores[pairs.above] - scores[pairs.below])
+        if np.any(np.abs(slack) < 1e-3):
             continue
-        net = np.zeros(n)
-        for (i, j), s in zip(pairs, slack):
-            if s > 0:
-                net[i] -= 1.0
-                net[j] += 1.0
-        if np.all(net != 0):
+        active = (slack > 0).astype(np.float64)
+        net = (np.bincount(pairs.below, active, minlength=pairs.size)
+               - np.bincount(pairs.above, active, minlength=pairs.size))
+        if np.all(net[ranked] != 0):
             break
-    return [(lambda t: rank_loss(t, target, 0.5), Tensor(scores, requires_grad=True))]
+    return [(lambda t: rank_loss(t, pairs, 0.5), Tensor(scores, requires_grad=True))]
 
 
 _CHECKS = [

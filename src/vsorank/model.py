@@ -69,9 +69,9 @@ def named_params(params: ModelParams) -> list[tuple[str, Tensor]]:
     return out
 
 
-def model_scores(frames: list[FrameSample], params: ModelParams,
-                 variant: str) -> list[Tensor]:
-    """Differentiable per-frame score vectors under the chosen variant."""
+def model_scores(frames: list[FrameSample], params: ModelParams, variant: str) -> Tensor:
+    """Differentiable scores of every frame's objects under the chosen variant,
+    stacked in frame order, (ΣN,)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     relations, values = [], []
@@ -85,7 +85,7 @@ def model_scores(frames: list[FrameSample], params: ModelParams,
             relations.append(features)
             values.append(features)
     temporal = params.temporal if variant in ("temporal", "full") else None
-    return sequence_scores(relations, values, [frame.masks for frame in frames],
+    return sequence_scores(relations, values, [frame.mask_inputs for frame in frames],
                            temporal, params.scoring)
 
 
@@ -101,7 +101,9 @@ def model_forward(frames: list[FrameSample], params: ModelParams,
         type(stage)(*(Projection(Tensor(proj.weight.data), Tensor(proj.bias.data))
                       for proj in vars(stage).values()))
         for stage in (params.spatial, params.temporal, params.scoring)))
-    return [rank_assign(scores.data) for scores in model_scores(frames, detached, variant)]
+    scores = model_scores(frames, detached, variant).data
+    ends = np.cumsum([len(frame.features) for frame in frames[:-1]], dtype=np.intp)
+    return [rank_assign(frame_scores) for frame_scores in np.split(scores, ends)]
 
 
 def save_model_params(path, params: ModelParams, config) -> None:

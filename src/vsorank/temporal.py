@@ -12,6 +12,7 @@ assignment operates on their detached values.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -155,87 +156,115 @@ def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
     return op(data, operands, vjp)
 
 
-def frame_scores(relation: Tensor, contexts: Tensor, frame: int, masks: np.ndarray,
+def frame_scores(relations: list[Tensor], contexts: Tensor, mask_inputs: list[np.ndarray],
                  scoring: ScoringParams) -> Tensor:
-    """Saliency score per object of frame ``frame``, shape (N,).
+    """Saliency score per object of every frame, stacked in frame order, (ΣN,).
 
-    ``contexts`` holds every frame's (C, H, W) context map, (T, C, H, W).
-    Each object's (C, HW) relation block is multiplied with the frame's
+    ``relations[t]`` is frame t's (N_t, C, H, W) relation block,
+    ``contexts`` holds every frame's (C, H, W) context map, (T, C, H, W),
+    and ``mask_inputs[t]`` is frame t's (N_t, H, W) masks on the same grid.
+    Each object's (C, HW) relation block is multiplied with its frame's
     context viewed as (HW, C); the row means of the resulting C x C map,
-    concatenated with the embedded initial mask, feed the score head.
+    concatenated with the embedded mask, feed the score head.
 
     One op with a closed-form vjp.  Every row of the C x C map's gradient is
     the same, so with ``p`` the pooled means and ``s`` the context summed
-    over channels, ``dR[n, a, :] = dp[n, a] s / C`` and the context's
-    gradient is ``sum_{n,a} dp[n, a] R[n, a, :] / C`` on every channel.
+    over channels, ``dR[n, a, :] = dp[n, a] s / C`` and each frame's context
+    gradient is ``sum_{n,a} dp[n, a] R[n, a, :] / C`` on every channel over
+    that frame's objects.  Each product that sums over objects or pairs a
+    frame's rows with its own context runs on that frame's rows alone, and
+    the parameter gradients add up from the last frame to the first, so
+    every value rounds as it did when each frame was its own op.
     """
-    n, c, h, w = relation.shape
+    if not relations or contexts.ndim != 4 or len(relations) != contexts.shape[0]:
+        raise ShapeError(f"need one (C, H, W) context per frame, got contexts of shape "
+                         f"{contexts.shape} for {len(relations)} frames")
+    c, h, w = contexts.shape[1:]
     hw = h * w
-    if contexts.ndim != 4 or contexts.shape[1:] != (c, h, w):
-        raise ShapeError(f"context shape {contexts.shape[1:]} does not match blocks {(c, h, w)}")
-    if not 0 <= frame < contexts.shape[0]:
-        raise ShapeError(f"frame {frame} out of range for {contexts.shape[0]} contexts")
     mask_embed, score_head = scoring.mask_embed, scoring.score_head
     _check_projection("mask_embed", mask_embed, c, hw)
     _check_projection("score_head", score_head, 1, 2 * c)
 
-    relation3 = relation.data.reshape(n, c, hw)
-    context = contexts.data[frame].reshape(c, hw)
-    pooled = np.matmul(relation3, context.T).mean(axis=2)  # (N, C)
-    # C order, as BLAS rounds the product by layout.
-    mask_inputs = np.ascontiguousarray(downsample_mask(masks, h, w).reshape(n, hw))
-    mask_vec = mask_inputs @ mask_embed.weight.data.T  # (N, C)
-    mask_vec += mask_embed.bias.data
-    joint = np.concatenate([pooled, mask_vec], axis=-1)  # (N, 2C)
-    data = joint @ score_head.weight.data.T
+    ends = list(accumulate(relation.shape[0] for relation in relations))
+    rows = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+    contexts3 = contexts.data.reshape(-1, c, hw)
+    # C order, as BLAS rounds a product by layout.
+    flat_masks = [np.ascontiguousarray(masks.reshape(-1, hw)) for masks in mask_inputs]
+    joint = np.empty((ends[-1], 2 * c))  # pooled relations, then embedded masks
+    for relation, context, masks, frame in zip(relations, contexts3, flat_masks, rows):
+        # The sum half of a mean over the last axis; the division follows.
+        np.add.reduce(np.matmul(relation.data.reshape(-1, c, hw), context.T), axis=2,
+                      out=joint[frame, :c])
+        joint[frame, c:] = masks @ mask_embed.weight.data.T
+    joint[:, :c] /= c
+    joint[:, c:] += mask_embed.bias.data
+    data = np.empty((ends[-1], 1))
+    for frame in rows:
+        data[frame] = joint[frame] @ score_head.weight.data.T
     data += score_head.bias.data
 
     def vjp(g, needed):
-        g_col = g.reshape(n, 1)
-        d_joint = g_col @ score_head.weight.data  # (N, 2C)
+        g_col = g.reshape(-1, 1)
+        d_joint = g_col @ score_head.weight.data  # (ΣN, 2C)
         d_pooled, d_mask_vec = d_joint[:, :c] / c, d_joint[:, c:]
-        d_relation = d_contexts = None
-        if needed[0]:
-            d_relation = (d_pooled[:, :, None] * context.sum(axis=0)).reshape(relation.shape)
-        if needed[1]:
+        d_relations = [(d_pooled[frame, :, None] * context.sum(axis=0)).reshape(relation.shape)
+                       if need else None
+                       for relation, context, frame, need in zip(relations, contexts3, rows,
+                                                                  needed)]
+        d_contexts = None
+        if needed[len(relations)]:
             d_contexts = np.zeros(contexts.shape)
-            d_contexts[frame] = (d_pooled.reshape(1, n * c)
-                                 @ relation3.reshape(n * c, hw)).reshape(1, h, w)
-        return (d_relation, d_contexts, d_mask_vec.T @ mask_inputs, d_mask_vec.sum(axis=0),
-                g_col.T @ joint, g_col.sum(axis=0))
+            for t, (relation, frame) in enumerate(zip(relations, rows)):
+                d_contexts[t] = (d_pooled[frame].reshape(1, -1)
+                                 @ relation.data.reshape(-1, hw)).reshape(1, h, w)
+        d_params = None
+        for masks, frame in zip(reversed(flat_masks), reversed(rows)):
+            shares = (d_mask_vec[frame].T @ masks, d_mask_vec[frame].sum(axis=0),
+                      g_col[frame].T @ joint[frame], g_col[frame].sum(axis=0))
+            if d_params is None:
+                d_params = shares
+            else:
+                for total, share in zip(d_params, shares):
+                    total += share
+        return d_relations + [d_contexts, *d_params]
 
-    operands = (relation, contexts, mask_embed.weight, mask_embed.bias,
-                score_head.weight, score_head.bias)
-    return op(data.reshape(n), operands, vjp)
+    operands = [*relations, contexts, mask_embed.weight, mask_embed.bias,
+                score_head.weight, score_head.bias]
+    return op(data.reshape(-1), operands, vjp)
 
 
-def sequence_scores(relations: list[Tensor], values: list[Tensor], masks: list[np.ndarray],
-                    temporal: TemporalParams | None, scoring: ScoringParams) -> list[Tensor]:
-    """Differentiable per-frame score vectors for a whole sequence.
+def sequence_scores(relations: list[Tensor], values: list[Tensor], mask_inputs: list[np.ndarray],
+                    temporal: TemporalParams | None, scoring: ScoringParams) -> Tensor:
+    """Differentiable scores of a whole sequence's objects, stacked in frame order, (ΣN,).
 
-    Frame t has (N_t, C, H, W) ``relations[t]`` and ``values[t]`` and one
-    mask per object in ``masks[t]``.  Each frame's context is the object-mean
-    of its values, mixed across frames by ``temporal`` unless that is None.
+    Frame t has (N_t, C, H, W) ``relations[t]`` and ``values[t]`` and its
+    masks resized to the (H, W) grid in ``mask_inputs[t]``, (N_t, H, W)
+    (see ``FrameSample.mask_inputs``).  Each frame's context is the
+    object-mean of its values, mixed across frames by ``temporal`` unless
+    that is None.
     """
     if not relations:
         raise ValueError("need at least one frame")
     block = relations[0].shape[1:]
-    for t, (relation, value, frame_masks) in enumerate(zip(relations, values, masks,
+    for t, (relation, value, frame_masks) in enumerate(zip(relations, values, mask_inputs,
                                                             strict=True)):
         if relation.ndim != 4 or relation.shape != value.shape:
             raise ShapeError(f"frame {t}: relation {relation.shape} and value {value.shape} "
                              f"must be equal (N, C, H, W)")
         if relation.shape[0] == 0:
             raise EmptyFrameError(f"frame {t} has zero objects")
-        if np.ndim(frame_masks) != 3 or len(frame_masks) != relation.shape[0]:
+        mask_shape = np.shape(frame_masks)
+        if len(mask_shape) != 3 or mask_shape[0] != relation.shape[0]:
             raise ShapeError(f"frame {t}: need one mask per object, got masks of shape "
-                             f"{np.shape(frame_masks)} for {relation.shape[0]} objects")
+                             f"{mask_shape} for {relation.shape[0]} objects")
         if relation.shape[1:] != block:
             raise ShapeError(f"frame {t} block shape {relation.shape[1:]} differs from {block}")
+        if mask_shape[1:] != block[1:]:
+            raise ShapeError(f"frame {t}: masks of shape {mask_shape} are not on the "
+                             f"{block[1:]} feature grid")
 
     contexts = object_means(values) if temporal is None else temporal_mix(values, temporal)
-    return [frame_scores(relation, contexts, t, frame_masks, scoring)
-            for t, (relation, frame_masks) in enumerate(zip(relations, masks))]
+    return frame_scores(relations, contexts, mask_inputs, scoring)
 
 
 def rank_assign(scores) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SequenceSample, SynthConfig, synth_generate
-from .losses import DEFAULT_MARGIN, RankTarget, rank_loss
+from .losses import DEFAULT_MARGIN, rank_loss
 from .metrics import score_frame
 from .model import VARIANTS, ModelParams, init_model_params, model_forward, model_scores, named_params
 
@@ -132,15 +132,10 @@ class _SgdMomentum:
 
 def _sequence_loss(sample: SequenceSample, params: ModelParams, config: ModelConfig):
     """Rank loss summed over the frames of one sequence (None if no frame has pairs)."""
-    scores = model_scores(sample.frames, params, config.variant)
-    total = None
-    for frame_scores_t, annotation in zip(scores, sample.annotations):
-        if annotation.instance_count < 2:
-            continue
-        target = RankTarget(tuple(annotation.ranks_in_id_order()))
-        term = rank_loss(frame_scores_t, target, config.margin)
-        total = term if total is None else total + term
-    return total
+    pairs = sample.rank_pairs
+    if not pairs.ends:
+        return None
+    return rank_loss(model_scores(sample.frames, params, config.variant), pairs, config.margin)
 
 
 def train(config: ModelConfig, train_set: list[SequenceSample],

@@ -7,8 +7,10 @@ form those ops replaced, built from matrix products, softmax, means and four
 shape ops that the package no longer needs (``transpose_last2``, ``stack``,
 ``take`` and ``concat``), so that the tests can ask both forms for the same
 values and gradients.  The stage functions here return what their fused
-counterparts return; ``temporal_mix`` takes the stacked object means,
-(T, C, H, W), as the composed form did.
+counterparts return, but one frame at a time: ``frame_scores`` and
+``rank_loss`` take one frame, where the package's ops take a sequence, and
+``temporal_mix`` takes the stacked object means, (T, C, H, W), as the
+composed form did.
 """
 
 import numpy as np

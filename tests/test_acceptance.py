@@ -13,7 +13,7 @@ import pytest
 
 from test_metrics import mae_oracle, random_scene, sa_sor_oracle
 from test_spatial import random_params, reference_forward
-from test_temporal import random_setup, reference_scores
+from test_temporal import frame_score_list, random_setup, reference_scores
 
 from vsorank.autodiff import Tensor, scaled_softmax
 from vsorank.dataset import (
@@ -30,7 +30,7 @@ from vsorank.gradcheck import run_suite
 from vsorank.metrics import mae, sa_sor
 from vsorank.model import init_model_params
 from vsorank.spatial import spatial_forward, spatial_params_init
-from vsorank.temporal import sequence_scores, temporal_mix, temporal_params_init
+from vsorank.temporal import temporal_mix, temporal_params_init
 from vsorank.trainer import ModelConfig, build_dataset, evaluate, train
 
 NOISE_FREE_TASK = SynthConfig(noise_level=0.0)
@@ -142,7 +142,7 @@ def test_criterion_4_module_oracles():
         counts = [int(rng.integers(1, 4)) for _ in range(t_count)]
         c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
         relations, values, masks, temporal, scoring = random_setup(rng, counts, c, h, w)
-        got = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
+        got = frame_score_list(relations, values, masks, temporal, scoring)
         expected = reference_scores(
             [r.data for r in relations],
             [v.data for v in values],

@@ -2,8 +2,10 @@
 
 ``fingerprints.json`` holds, per variant, the loss curve and final
 parameters of a 50-iteration training run, the ``EvalResult`` of the trained
-model and the ranks ``model_forward`` gives on one crowded sequence; and the
-SHA-256 of ``vsorank gradcheck --seed 0`` stdout.  The model is shrunk
+model and the ranks ``model_forward`` gives on one crowded sequence; the
+SHA-256 of ``vsorank gradcheck --seed 0`` stdout; and the SHA-256 of a small
+``vsorank synth`` tree and of ``vsorank eval`` stdout on it, scored against
+itself and against a copy with every frame's ranks reversed.  The model is shrunk
 (C=4, H=W=4) so the run stays cheap; every stage and the optimizer run the
 same code as at the default size.
 
@@ -24,13 +26,14 @@ import io
 import json
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from vsorank import cli
-from vsorank.dataset import SynthConfig
+from vsorank.dataset import RankAnnotation, SynthConfig, list_sequences, load_annotations, save_annotations
 from vsorank.model import VARIANTS, model_forward, named_params
 from vsorank.trainer import ModelConfig, build_dataset, evaluate, train
 
@@ -60,11 +63,52 @@ def model_fingerprints() -> dict:
     return out
 
 
-def gradcheck_sha256() -> str:
+def _stdout_sha256(argv) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert cli.main(["gradcheck", "--seed", "0"]) == 0
+        assert cli.main(argv) == 0
     return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+def gradcheck_sha256() -> str:
+    return _stdout_sha256(["gradcheck", "--seed", "0"])
+
+
+def _tree_sha256(root) -> str:
+    """One hash over every file's path, relative to ``root``, and bytes."""
+    digest = hashlib.sha256()
+    for directory, subdirectories, files in os.walk(root):
+        subdirectories.sort()
+        for name in sorted(files):
+            path = os.path.join(directory, name)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as f:
+                digest.update(f.read() + b"\0")
+    return digest.hexdigest()
+
+
+def cli_fingerprints() -> dict:
+    """A 4-sequence ``vsorank synth`` tree (K 2-5), and ``vsorank eval`` on it
+    against itself and against its ranks reversed in every frame."""
+    with tempfile.TemporaryDirectory() as work:
+        truth, reversed_ranks = os.path.join(work, "gt"), os.path.join(work, "reversed")
+        config = os.path.join(work, "synth.cfg")
+        with open(config, "w", encoding="utf-8") as f:
+            f.write("K_min=2\nK_max=5\nframe_height=24\nframe_width=20\nC=4\nH=4\nW=4\n")
+        _stdout_sha256(["synth", "--out", truth, "--sequences", "4", "--seed", "7",
+                        "--config", config])
+        for name in list_sequences(truth):
+            annotations = [RankAnnotation(a.instance_map,
+                                          {i: a.instance_count - r + 1 for i, r in a.ranks.items()})
+                           for _, a in load_annotations(os.path.join(truth, name))]
+            save_annotations(os.path.join(reversed_ranks, name), annotations)
+        # Eval stdout names sequences, not directories, so it is free of ``work``.
+        return {
+            "synth_tree_sha256": _tree_sha256(truth),
+            "eval_self_sha256": _stdout_sha256(["eval", "--gt", truth, "--pred", truth]),
+            "eval_reversed_sha256": _stdout_sha256(["eval", "--gt", truth,
+                                                    "--pred", reversed_ranks]),
+        }
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +166,12 @@ def test_gradcheck_stdout(expected):
     assert gradcheck_sha256() == expected["gradcheck_seed0_sha256"]
 
 
+def test_synth_tree_and_eval_stdout(expected):
+    assert cli_fingerprints() == expected["cli"]
+
+
 if __name__ == "__main__":
-    json.dump({"variants": model_fingerprints(), "gradcheck_seed0_sha256": gradcheck_sha256()},
+    json.dump({"variants": model_fingerprints(), "gradcheck_seed0_sha256": gradcheck_sha256(),
+               "cli": cli_fingerprints()},
               sys.stdout, indent=1)
     sys.stdout.write("\n")

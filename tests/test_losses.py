@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from vsorank.autodiff import Tensor, grad_check
-from vsorank.losses import RankTarget, rank_loss
+from vsorank.losses import RankPairs, RankTarget, rank_loss
+
+
+def pairs_of(*frame_ranks):
+    return RankPairs([RankTarget(tuple(ranks)) for ranks in frame_ranks])
 
 
 def loss_value(scores, ranks, margin=0.5):
-    return rank_loss(Tensor(scores), RankTarget(tuple(ranks)), margin).item()
+    return rank_loss(Tensor(scores), pairs_of(ranks), margin).item()
 
 
 class TestRankLossValues:
@@ -41,7 +45,7 @@ class TestRankLossValidation:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="ranks for"):
-            rank_loss(Tensor([1.0, 0.0, 2.0]), RankTarget((1, 2)), 0.5)
+            rank_loss(Tensor([1.0, 0.0, 2.0]), pairs_of((1, 2)), 0.5)
 
 
 class TestRankLossProperties:
@@ -96,8 +100,7 @@ class TestRankLossProperties:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_away_from_kinks(self, seed):
         # Points are sampled clear of hinge kinks and with every element in
-        # at least one unbalanced active pair, so no true partial is zero
-        # (a zero partial makes the relative-error metric all noise).
+        # at least one unbalanced active pair, so no true partial is zero.
         rng = np.random.default_rng((42, seed))
         n = 4
         ranks = tuple(int(r) for r in rng.permutation(n) + 1)
@@ -115,5 +118,38 @@ class TestRankLossProperties:
             if np.all(net != 0):
                 break
         x = Tensor(scores, requires_grad=True)
-        err = grad_check(lambda t: rank_loss(t, RankTarget(ranks), 0.5), x)
+        err = grad_check(lambda t: rank_loss(t, pairs_of(ranks), 0.5), x)
         assert err < 1e-6
+
+
+class TestSequenceSegments:
+    """One loss over a sequence's stacked scores: the frame means, added in
+    frame order."""
+
+    def test_pairs_index_the_stacked_scores(self):
+        pairs = pairs_of((2, 1), (1,), (1, 3, 2))
+        assert pairs.size == 6
+        assert pairs.ends == (1, 4)
+        assert pairs.above.tolist() == [1, 3, 3, 5]
+        assert pairs.below.tolist() == [0, 4, 5, 4]
+        assert pairs.pair_counts.tolist() == [1.0, 3.0, 3.0, 3.0]
+        for array in (pairs.above, pairs.below, pairs.pair_counts):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_frame_losses_added_in_order(self, seed):
+        rng = np.random.default_rng((43, seed))
+        counts = [int(n) for n in rng.integers(1, 8, size=4)]
+        counts[int(rng.integers(4))] = 5  # at least one frame with pairs
+        frame_ranks = [[int(r) for r in rng.permutation(n) + 1] for n in counts]
+        scores = rng.standard_normal(sum(counts))
+        starts = np.cumsum([0] + counts[:-1])
+        expected = 0
+        for start, n, ranks in zip(starts, counts, frame_ranks):
+            if n > 1:
+                expected = expected + loss_value(scores[start:start + n], ranks)
+        assert rank_loss(Tensor(scores), pairs_of(*frame_ranks), 0.5).item() == expected
+
+    def test_sequence_without_pairs_rejected(self):
+        with pytest.raises(ValueError, match="two objects"):
+            rank_loss(Tensor([1.0, 2.0]), pairs_of((1,), (1,)), 0.5)

@@ -1,12 +1,13 @@
 """The stage ops against the composed form they replaced.
 
-Each model stage is one autodiff op with a hand-derived vjp.  ``composed``
-keeps the stages as they were built before, from matrix products, softmax,
+Each model stage is one autodiff op with a hand-derived vjp; scoring and the
+rank loss each take a whole sequence.  ``composed`` keeps the stages as they
+were built before, one frame at a time, from matrix products, softmax,
 means and the shape ops ``transpose_last2``, ``stack``, ``take`` and
 ``concat``.  The property tests here ask both forms for the same forward
 values and the same gradient of every operand, each within a relative 1e-12
 of the largest element, on frames whose object counts vary, on one-frame
-sequences and on one-object frames.  The forms are not bit-identical: a
+sequences, on one-object frames and on sequences with no pair to rank.  The forms are not bit-identical: a
 composed op copies each transposed operand to C order before its product,
 and BLAS rounds a product by operand layout.  The shape ops, which live on
 only in the oracle, keep their own tests here.
@@ -24,11 +25,17 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import composed
 from vsorank.autodiff import ShapeError, Tensor, _reached, grad_check, relu
-from vsorank.dataset import FrameSample, SynthConfig, synth_generate
-from vsorank.losses import RankTarget, rank_loss
-from vsorank.model import VARIANTS, ModelParams, init_model_params, model_scores, named_params
+from vsorank.dataset import (
+    FrameSample,
+    RankAnnotation,
+    SequenceSample,
+    SynthConfig,
+    synth_generate,
+)
+from vsorank.losses import RankPairs, RankTarget, rank_loss
+from vsorank.model import VARIANTS, ModelParams, init_model_params, named_params
 from vsorank.spatial import Projection, SpatialParams, spatial_forward
-from vsorank.temporal import ScoringParams, TemporalParams, sequence_scores
+from vsorank.temporal import ScoringParams, TemporalParams, downsample_mask, sequence_scores
 from vsorank.trainer import ModelConfig, _sequence_loss
 
 # Hypothesis caches constants read from the source while collecting tests,
@@ -121,24 +128,30 @@ def test_spatial_forward_matches_composed(case):
             assert_close(got, expect, name)
 
 
+def _on_grid(masks, relations):
+    h, w = relations[0].shape[2:]
+    return [downsample_mask(frame_masks, h, w) for frame_masks in masks]
+
+
 @FUZZ
 @given(SEQUENCES, st.booleans())
 @example(ONE_FRAME_ONE_OBJECT, True)
 @example(VARYING_COUNTS, True)
 @example(VARYING_COUNTS, False)
 def test_sequence_scores_match_composed(case, mix):
+    """The stacked scores against the composed form's per-frame scores."""
     params, relations, values, masks, cotangents = _sequence(case)
     temporal = params.temporal if mix else None
     leaves = [*relations, *values, *(t for _, t in named_params(params)[4:])]
-    results = []
-    for scorer in (sequence_scores, composed.sequence_scores):
-        scores = scorer(relations, values, masks, temporal, params.scoring)
-        loss = sum(((s * u).sum() for s, u in zip(scores[1:], cotangents[1:])),
-                   (scores[0] * cotangents[0]).sum())
-        results.append(([s.data for s in scores], _gradients(loss, leaves)))
-    (fused_scores, fused), (want_scores, want) = results
-    for got_array, want_array in zip(fused_scores, want_scores):
-        assert_close(got_array, want_array, "forward")
+    scores = sequence_scores(relations, values, _on_grid(masks, relations), temporal,
+                             params.scoring)
+    cotangent = Tensor(np.concatenate([u.data for u in cotangents]))
+    fused = _gradients((scores * cotangent).sum(), leaves)
+    frame_scores = composed.sequence_scores(relations, values, masks, temporal, params.scoring)
+    loss = sum(((s * u).sum() for s, u in zip(frame_scores[1:], cotangents[1:])),
+               (frame_scores[0] * cotangents[0]).sum())
+    want = _gradients(loss, leaves)
+    assert_close(scores.data, np.concatenate([s.data for s in frame_scores]), "forward")
     for name, leaf, got, expect in zip(range(len(leaves)), leaves, fused, want):
         if expect is None:
             # A parameter of the temporal stage when it does not run.
@@ -150,49 +163,91 @@ def test_sequence_scores_match_composed(case, mix):
             assert_close(got, expect, name)
 
 
+FRAME_RANKS = st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(
+    lambda counts: st.tuples(*(st.permutations(range(1, n + 1)) for n in counts)))
+
+
 @FUZZ
-@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 0.01]))
-def test_rank_loss_matches_composed(n, seed, margin):
-    rng = np.random.default_rng(seed)
-    target = RankTarget(tuple(int(r) for r in rng.permutation(n) + 1))
-    scores = Tensor(rng.standard_normal(n), requires_grad=True)
-    fused = rank_loss(scores, target, margin)
+@given(FRAME_RANKS, st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 0.01]))
+@example(([2, 1],), 0, 0.5)
+@example(([1], [3, 1, 2], [1], [1, 2]), 1, 0.5)
+@example(([1], [1]), 2, 0.5)
+def test_rank_loss_matches_composed(frame_ranks, seed, margin):
+    """The segmented loss against the composed loss of each frame with pairs,
+    added in frame order; a sequence without pairs is rejected."""
+    pairs = RankPairs([RankTarget(tuple(ranks)) for ranks in frame_ranks])
+    scores = Tensor(np.random.default_rng(seed).standard_normal(pairs.size), requires_grad=True)
+    if not pairs.ends:
+        with pytest.raises(ValueError, match="two objects"):
+            rank_loss(scores, pairs, margin)
+        return
+    fused = rank_loss(scores, pairs, margin)
     [fused_grad] = _gradients(fused, [scores])
-    want = composed.rank_loss(scores, target, margin)
-    [want_grad] = _gradients(want, [scores])
+    ends = np.cumsum([len(ranks) for ranks in frame_ranks])
+    frame_scores = [Tensor(s, requires_grad=True) for s in np.split(scores.data, ends[:-1])]
+    terms = [composed.rank_loss(s, RankTarget(tuple(ranks)), margin)
+             for s, ranks in zip(frame_scores, frame_ranks) if len(ranks) > 1]
+    want = sum(terms[1:], terms[0])
+    want_grad = np.concatenate([np.zeros(s.shape) if g is None else g
+                                for s, g in zip(frame_scores, _gradients(want, frame_scores))])
     assert fused.shape == want.shape
     assert fused.item() == want.item()
     assert_close(fused_grad, want_grad, "scores")
 
 
+def _sample(counts, c, h, w, seed):
+    """A sequence whose frame t holds ``counts[t]`` objects, one per lane,
+    with random features and ranks; ``SynthConfig`` cannot make frames of
+    one object."""
+    rng = np.random.default_rng(seed)
+    frames, annotations = [], []
+    for n in counts:
+        instance_map = np.zeros((16, 5), dtype=np.uint16)
+        for i in range(n):
+            instance_map[4 * i:4 * i + 3, 1:1 + int(rng.integers(1, 5))] = i + 1
+        ids = np.arange(1, n + 1, dtype=np.uint16)
+        frames.append(FrameSample(features=rng.standard_normal((n, c, h, w)),
+                                  masks=instance_map == ids[:, None, None]))
+        ranks = rng.permutation(n) + 1
+        annotations.append(RankAnnotation(instance_map=instance_map,
+                                          ranks={i + 1: int(ranks[i]) for i in range(n)}))
+    return SequenceSample(frames=frames, annotations=annotations, seed=seed)
+
+
 @FUZZ
-@given(st.sampled_from(VARIANTS), st.integers(0, 2**32 - 1))
-def test_training_step_gradients_match_composed(variant, seed):
-    """Every parameter's gradient of one sequence's summed rank loss."""
-    case = {"counts": [3, 2, 3], "c": 3, "h": 2, "w": 3, "seed": seed}
-    params, relations, _, masks, _ = _sequence(case)
-    rng = np.random.default_rng(seed + 1)
-    ranks = [RankTarget(tuple(int(r) for r in rng.permutation(len(m)) + 1)) for m in masks]
+@given(st.sampled_from(VARIANTS), SEQUENCES)
+@example("full", {"counts": [3, 1, 2], "c": 3, "h": 2, "w": 3, "seed": 0})
+@example("spatial", {"counts": [4], "c": 2, "h": 2, "w": 2, "seed": 1})
+@example("full", {"counts": [1, 1], "c": 2, "h": 1, "w": 2, "seed": 2})
+def test_training_step_gradients_match_composed(variant, case):
+    """One sequence's loss, and every parameter's gradient, against the
+    composed stages and per-frame losses; a sequence without pairs has no
+    loss."""
+    c, h, w = case["c"], case["h"], case["w"]
+    params = _model_params(np.random.default_rng(case["seed"]), c, h, w)
+    sample = _sample(case["counts"], c, h, w, case["seed"] + 1)
+    config = ModelConfig(variant=variant, C=c, H=h, W=w)
+    loss = _sequence_loss(sample, params, config)
+    if all(n < 2 for n in case["counts"]):
+        assert loss is None
+        return
     leaves = [t for _, t in named_params(params)]
+    fused = _gradients(loss, leaves)
 
-    def composed_scores():
-        if variant in ("spatial", "full"):
-            outputs = [composed.spatial_forward(x, params.spatial) for x in relations]
-            rel, val = [o.relation for o in outputs], [o.value for o in outputs]
-        else:
-            rel, val = relations, relations
-        temporal = params.temporal if variant in ("temporal", "full") else None
-        return composed.sequence_scores(rel, val, masks, temporal, params.scoring)
-
-    frames = [FrameSample(features=x.data, masks=m) for x, m in zip(relations, masks)]
-    results = []
-    for scores, loss in ((model_scores(frames, params, variant), rank_loss),
-                         (composed_scores(), composed.rank_loss)):
-        total = sum((loss(s, r, 0.5) for s, r in zip(scores[1:], ranks[1:])),
-                    loss(scores[0], ranks[0], 0.5))
-        results.append((total.item(), _gradients(total, leaves)))
-    (fused_loss, fused), (want_loss, want) = results
-    assert abs(fused_loss - want_loss) <= RTOL * abs(want_loss)
+    features = [Tensor(frame.features) for frame in sample.frames]
+    if variant in ("spatial", "full"):
+        outputs = [composed.spatial_forward(x, params.spatial) for x in features]
+        relations, values = [o.relation for o in outputs], [o.value for o in outputs]
+    else:
+        relations, values = features, features
+    temporal = params.temporal if variant in ("temporal", "full") else None
+    scores = composed.sequence_scores(relations, values, [frame.masks for frame in sample.frames],
+                                      temporal, params.scoring)
+    terms = [composed.rank_loss(s, RankTarget(tuple(a.ranks_in_id_order())), config.margin)
+             for s, a in zip(scores, sample.annotations) if a.instance_count > 1]
+    want_loss = sum(terms[1:], terms[0])
+    want = _gradients(want_loss, leaves)
+    assert abs(loss.item() - want_loss.item()) <= RTOL * abs(want_loss.item())
     for (name, leaf), got, expect in zip(named_params(params), fused, want):
         if expect is None or name == "temporal.q_proj.bias":
             assert got is None or np.abs(got).max() < 1e-12, name
@@ -200,16 +255,59 @@ def test_training_step_gradients_match_composed(variant, seed):
             assert_close(got, expect, name)
 
 
+def _nodes(loss):
+    return sum(1 for tensor in _reached(loss) if tensor._node is not None)
+
+
 def test_sequence_loss_uses_the_stage_ops():
-    """``_sequence_loss`` of a full-variant step records one node per stage."""
+    """A ``full`` step records one node per stage: the value projection and
+    the relation per frame, then the mix, the scores and the loss."""
     sample = synth_generate(SynthConfig(), 0)
     config = ModelConfig(variant="full")
     params = init_model_params(config.C, config.H, config.W, config.seed)
     loss = _sequence_loss(sample, params, config)
-    frames = len(sample.frames)
-    ops = sum(1 for tensor in _reached(loss) if tensor._node is not None)
-    # per frame: value projection, relation, scores and loss; the mix; the sum
-    assert ops == 4 * frames + 1 + (frames - 1)
+    assert len(sample.frames) == 3
+    assert _nodes(loss) == 2 * 3 + 3 == 9
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_node_count_per_variant(variant):
+    sample = _sample([3, 1, 2, 4], 2, 2, 2, seed=5)
+    config = ModelConfig(variant=variant, C=2, H=2, W=2)
+    params = init_model_params(config.C, config.H, config.W, config.seed)
+    loss = _sequence_loss(sample, params, config)
+    # The value projection and relation per frame; the context op, unless
+    # it reads only the input features (``basic``); the scores; the loss.
+    spatial_nodes = 2 * len(sample.frames) if variant in ("spatial", "full") else 0
+    assert _nodes(loss) == spatial_nodes + (variant != "basic") + 2
+
+
+def test_sample_memo_is_read_only_and_fresh():
+    """Each frame resizes its masks once and each sequence pairs its ranks
+    once; the arrays they come from cannot change under them."""
+    sample = synth_generate(SynthConfig(K_range=(2, 5), T=4), 3)
+    for frame in sample.frames:
+        for array in (frame.features, frame.masks, frame.mask_inputs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert frame.mask_inputs is frame.mask_inputs
+        fresh = downsample_mask(np.array(frame.masks), *frame.features.shape[2:])
+        assert frame.mask_inputs.tobytes() == fresh.tobytes()
+        assert frame.mask_inputs.shape == fresh.shape
+    pairs = sample.rank_pairs
+    assert pairs is sample.rank_pairs
+    fresh = RankPairs([RankTarget(tuple(a.ranks_in_id_order())) for a in sample.annotations])
+    for name in ("above", "below", "pair_counts"):
+        assert np.array_equal(getattr(pairs, name), getattr(fresh, name))
+        assert not getattr(pairs, name).flags.writeable
+    assert (pairs.ends, pairs.size) == (fresh.ends, fresh.size)
+
+
+def test_frame_without_four_axes_features_rejected():
+    frame = FrameSample(features=np.zeros((2, 3)), masks=np.zeros((2, 4, 4), bool))
+    with pytest.raises(ShapeError, match=re.escape("must be (N, C, H, W), got (2, 3)")):
+        frame.mask_inputs
 
 
 # -- the shape ops of the composed form ----------------------------------------

@@ -1,5 +1,7 @@
 """Cross-frame attention and scoring: oracle match, ranking heads, invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,11 +146,23 @@ def random_setup(rng, counts, c, h, w, mask_hw=(6, 6)):
     return relations, values, masks, temporal, scoring
 
 
+def on_grid(masks, relations):
+    """Each frame's masks resized to the relations' (H, W) grid."""
+    h, w = relations[0].shape[2:]
+    return [downsample_mask(frame_masks, h, w) for frame_masks in masks]
+
+
+def frame_score_list(relations, values, masks, temporal, scoring):
+    """``sequence_scores`` on masks at frame resolution, one array per frame."""
+    scores = sequence_scores(relations, values, on_grid(masks, relations), temporal, scoring)
+    return np.split(scores.data, np.cumsum([len(r.data) for r in relations])[:-1])
+
+
 class TestOracle:
     def test_three_frames_match_reference(self):
         rng = np.random.default_rng(0)
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2, 2), 2, 1, 1)
-        got = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
+        got = frame_score_list(relations, values, masks, temporal, scoring)
         expected = reference_scores(
             [r.data for r in relations],
             [v.data for v in values],
@@ -170,7 +184,7 @@ class TestOracle:
         c = int(rng.integers(1, 5))
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         relations, values, masks, temporal, scoring = random_setup(rng, counts, c, h, w)
-        got = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
+        got = frame_score_list(relations, values, masks, temporal, scoring)
         expected = reference_scores(
             [r.data for r in relations],
             [v.data for v in values],
@@ -234,13 +248,13 @@ class TestScoring:
     def test_object_permutation_permutes_scores(self):
         rng = np.random.default_rng(5)
         relations, values, masks, temporal, scoring = random_setup(rng, (3, 2), 2, 2, 2)
-        base = [s.data for s in sequence_scores(relations, values, masks, temporal, scoring)]
+        base = frame_score_list(relations, values, masks, temporal, scoring)
         perm = np.array([2, 0, 1])
-        got = [s.data for s in sequence_scores(
+        got = frame_score_list(
             [Tensor(relations[0].data[perm]), relations[1]],
             [Tensor(values[0].data[perm]), values[1]],
             [masks[0][perm], masks[1]],
-            temporal, scoring)]
+            temporal, scoring)
         np.testing.assert_allclose(got[0], base[0][perm], atol=1e-12)
         np.testing.assert_allclose(got[1], base[1], atol=1e-12)
 
@@ -249,10 +263,11 @@ class TestScoring:
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
         target = Tensor(values[0].data.copy(), requires_grad=True)
 
+        grid = on_grid(masks, relations)
+
         def f(t):
-            scores = sequence_scores(relations, [t, values[1]], masks, temporal, scoring)
-            total = scores[0].sum() + scores[1].sum()
-            return total * (1.0 / sum(s.size for s in scores))
+            scores = sequence_scores(relations, [t, values[1]], grid, temporal, scoring)
+            return scores.sum() * (1.0 / scores.size)
 
         assert grad_check(f, target) < 1e-5
 
@@ -262,8 +277,8 @@ class TestScoring:
         odd_relation = Tensor(rng.standard_normal((2, 3, 2, 2)))
         odd_value = Tensor(rng.standard_normal((2, 3, 2, 2)))
         with pytest.raises(ShapeError, match="block shape"):
-            sequence_scores([relations[0], odd_relation], [values[0], odd_value], masks,
-                            temporal, scoring)
+            sequence_scores([relations[0], odd_relation], [values[0], odd_value],
+                            on_grid(masks, relations), temporal, scoring)
 
     def test_empty_frame_rejected(self):
         rng = np.random.default_rng(8)
@@ -271,25 +286,28 @@ class TestScoring:
         empty = Tensor(np.zeros((0, 2, 2, 2)))
         with pytest.raises(EmptyFrameError, match="frame 1"):
             sequence_scores([relations[0], empty], [values[0], empty],
-                            [masks[0], np.zeros((0, 6, 6), dtype=bool)], temporal, scoring)
+                            [on_grid(masks, relations)[0], np.zeros((0, 2, 2))], temporal, scoring)
 
     @pytest.mark.parametrize("temporal_on", [True, False])
     def test_malformed_frames_rejected(self, temporal_on):
         rng = np.random.default_rng(9)
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
         temporal = temporal if temporal_on else None
+        grid = on_grid(masks, relations)
         with pytest.raises(ValueError, match="at least one frame"):
             sequence_scores([], [], [], temporal, scoring)
         with pytest.raises(ShapeError, match="must be equal"):
-            sequence_scores(relations, [values[0], Tensor(values[1].data[:1])], masks,
+            sequence_scores(relations, [values[0], Tensor(values[1].data[:1])], grid,
                             temporal, scoring)
         with pytest.raises(ShapeError, match="must be equal"):
-            sequence_scores([relations[0], relations[1].reshape(2, 2, 4)], values, masks,
+            sequence_scores([relations[0], relations[1].reshape(2, 2, 4)], values, grid,
                             temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, values, [masks[0], masks[1][:1]], temporal, scoring)
+            sequence_scores(relations, values, [grid[0], grid[1][:1]], temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, values, [masks[0], masks[1][0]], temporal, scoring)
+            sequence_scores(relations, values, [grid[0], grid[1][0]], temporal, scoring)
+        with pytest.raises(ShapeError, match=re.escape("are not on the (2, 2) feature grid")):
+            sequence_scores(relations, values, [grid[0], masks[1]], temporal, scoring)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_variant_checks_its_frames(self, variant):

@@ -20,7 +20,7 @@ from vsorank.dataset import (
     synth_generate,
     write_tensor_file,
 )
-from vsorank.losses import RankTarget, rank_loss
+from vsorank.losses import RankPairs, RankTarget, rank_loss
 from vsorank.model import (
     VARIANTS,
     init_model_params,
@@ -54,6 +54,12 @@ def trained_full():
     return config, params, report, eval_set
 
 
+def _frame_scores(frames, params, variant):
+    """``model_scores`` split into one score array per frame."""
+    scores = model_scores(frames, params, variant).data
+    return np.split(scores, np.cumsum([len(frame.features) for frame in frames])[:-1])
+
+
 def _params_with_live_head(seed):
     params = init_model_params(16, 7, 7, seed=seed)
     rng = np.random.default_rng(seed)
@@ -82,14 +88,14 @@ class TestVariantWiring:
     def test_without_temporal_stage_scores_are_frame_local(self, variant):
         sample = synth_generate(SynthConfig(noise_level=0.3), 6)
         params = _params_with_live_head(2)
-        base = [s.data.copy() for s in model_scores(sample.frames, params, variant)]
+        base = _frame_scores(sample.frames, params, variant)
         perturbed_frames = list(sample.frames)
         changed = type(sample.frames[1])(
             features=sample.frames[1].features + 3.0,
             masks=sample.frames[1].masks,
         )
         perturbed_frames[1] = changed
-        got = [s.data for s in model_scores(perturbed_frames, params, variant)]
+        got = _frame_scores(perturbed_frames, params, variant)
         np.testing.assert_array_equal(got[0], base[0])
         np.testing.assert_array_equal(got[2], base[2])
 
@@ -97,22 +103,22 @@ class TestVariantWiring:
     def test_with_temporal_stage_scores_mix_frames(self, variant):
         sample = synth_generate(SynthConfig(noise_level=0.3), 6)
         params = _params_with_live_head(2)
-        base = [s.data.copy() for s in model_scores(sample.frames, params, variant)]
+        base = _frame_scores(sample.frames, params, variant)
         perturbed_frames = list(sample.frames)
         changed = type(sample.frames[1])(
             features=sample.frames[1].features + 3.0,
             masks=sample.frames[1].masks,
         )
         perturbed_frames[1] = changed
-        got = [s.data for s in model_scores(perturbed_frames, params, variant)]
+        got = _frame_scores(perturbed_frames, params, variant)
         assert not np.array_equal(got[0], base[0])
 
     def test_untrained_scores_are_zero_from_zero_head(self):
         sample = synth_generate(SynthConfig(), 7)
         params = init_model_params(16, 7, 7, seed=3)
         for variant in VARIANTS:
-            for scores in model_scores(sample.frames, params, variant):
-                assert np.array_equal(scores.data, np.zeros_like(scores.data))
+            scores = model_scores(sample.frames, params, variant).data
+            assert np.array_equal(scores, np.zeros_like(scores))
 
 
 class TestOptimizer:
@@ -287,11 +293,11 @@ class TestSkippedWork:
         sample = _hand_sequence([1, 3, 1, 2], seed=1)
         params = _params_with_live_head(3)
         config = ModelConfig(variant=variant)
-        scores = model_scores(sample.frames, params, variant)
+        scores = _frame_scores(sample.frames, params, variant)
         expected = 0.0
         for t in (1, 3):
-            target = RankTarget(tuple(sample.annotations[t].ranks_in_id_order()))
-            expected += rank_loss(scores[t], target, config.margin).item()
+            pairs = RankPairs([RankTarget(tuple(sample.annotations[t].ranks_in_id_order()))])
+            expected += rank_loss(autodiff.Tensor(scores[t]), pairs, config.margin).item()
         loss = _sequence_loss(sample, params, config)
         assert expected > 0.0 and loss.item() == expected
 
@@ -385,8 +391,8 @@ class TestInferenceBuildsNoGraph:
         model_forward(sample.frames, params, variant)
         frames = len(sample.frames)
         # Per pass: conv1x1 and the relation per frame when the variant has
-        # spatial attention, one context op, and the scores per frame.
-        per_pass = (2 * frames if variant in ("spatial", "full") else 0) + 1 + frames
+        # spatial attention, one context op, and one op scoring every frame.
+        per_pass = (2 * frames if variant in ("spatial", "full") else 0) + 2
         assert len(results) == 2 * per_pass
         assert not any(out.requires_grad or out._node is not None for out in results)
 
@@ -394,7 +400,7 @@ class TestInferenceBuildsNoGraph:
     def test_ranks_equal_those_of_the_live_parameters(self, variant):
         params = _params_with_live_head(5)
         for sample in build_dataset(CROWDED, 6, seed=2):
-            live = [rank_assign(s.data) for s in model_scores(sample.frames, params, variant)]
+            live = [rank_assign(s) for s in _frame_scores(sample.frames, params, variant)]
             ranked = model_forward(sample.frames, params, variant)
             assert len(ranked) == len(live)
             for got, want in zip(ranked, live):
@@ -428,7 +434,8 @@ class TestInferenceBuildsNoGraph:
             finally:
                 tracemalloc.stop()
 
-        model_forward(sample.frames, params, "full")  # fills the mask-resize grid cache
+        # Fills the mask-resize grid cache and each frame's mask inputs.
+        model_forward(sample.frames, params, "full")
         attention_block = 7 * 49 * 49 * np.dtype(np.float64).itemsize
         growth_per_frame = (traced_peak(sample.frames) - traced_peak(sample.frames[:1])) / 5
         assert growth_per_frame < attention_block
