@@ -124,6 +124,11 @@ def _relation(x: Tensor, value: Tensor, kq_proj: Projection) -> Tensor:
     data += x.data
 
     def vjp(g, needed):
+        if not g.any():
+            # A frame whose scores no ranked pair reaches, e.g. one of one
+            # object: every share is zero, so skip the (N, HW, HW) products.
+            return [np.zeros(t.shape) if need else None
+                    for t, need in zip((x, value, weight, bias), needed)]
         need_x, need_value, need_weight, need_bias = needed
         g3 = g.reshape(n, c, hw)
         d_value = None

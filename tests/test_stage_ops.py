@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import composed
+from vsorank import spatial
 from vsorank.autodiff import ShapeError, Tensor, _reached, grad_check, relu
 from vsorank.dataset import (
     FrameSample,
@@ -280,6 +281,25 @@ def test_step_node_count_per_variant(variant):
     # it reads only the input features (``basic``); the scores; the loss.
     spatial_nodes = 2 * len(sample.frames) if variant in ("spatial", "full") else 0
     assert _nodes(loss) == spatial_nodes + (variant != "basic") + 2
+
+
+def test_unranked_frame_runs_no_attention_backward(monkeypatch):
+    """A one-object frame is in no pair, so no gradient reaches its scores:
+    its relation's vjp returns zeros without the (N, HW, HW) backward."""
+    calls = []
+    inner = spatial.softmax_rows_vjp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spatial, "softmax_rows_vjp", counted)
+    sample = _sample([1, 3, 1, 2], 2, 2, 2, seed=6)
+    params = _model_params(np.random.default_rng(6), 2, 2, 2)
+    loss = _sequence_loss(sample, params, ModelConfig(variant="full", C=2, H=2, W=2))
+    assert loss.item() > 0.0
+    loss.backward()
+    assert sorted(calls) == [2, 3]  # the frames of 3 and 2 objects
 
 
 def test_sample_memo_is_read_only_and_fresh():
