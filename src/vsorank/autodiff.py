@@ -158,8 +158,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def reshape(self, *shape: int):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         if math.prod(shape) != self.size:
             raise ShapeError(f"reshape: {self.shape} has {self.size} elements, target {shape}")
         return op(self.data.reshape(shape), (self,), lambda g, needed: (g.reshape(self.shape),))
@@ -335,16 +333,18 @@ def relu(x: Tensor) -> Tensor:
 
 # -- gradient verification --------------------------------------------------
 
+_EPS = 1e-5
 
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
+
+def grad_check(f, x: Tensor) -> float:
     """Compare the analytic gradient of a scalar function against central
-    finite differences.
+    finite differences of step ``_EPS``.
 
     Returns the max over elements of ``|analytic - numeric| / scale``, with
     ``scale = max(1e-12, max over elements of |analytic| + |numeric|)``.
     Each element is measured against the gradient's scale, not its own
     size: a central difference carries a rounding error of about
-    ``|f| * 1e-16 / eps`` in every element, which would be a large part of
+    ``|f| * 1e-16 / _EPS`` in every element, which would be a large part of
     an element whose true gradient is near zero.
     """
     x.requires_grad = True
@@ -360,12 +360,12 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     numeric = np.empty_like(analytic)
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + eps
+        flat[i] = saved + _EPS
         hi = f(x).item()
-        flat[i] = saved - eps
+        flat[i] = saved - _EPS
         lo = f(x).item()
         flat[i] = saved
-        numeric[i] = (hi - lo) / (2.0 * eps)
+        numeric[i] = (hi - lo) / (2.0 * _EPS)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         raise ValueError("grad_check: non-finite gradient")
 

@@ -62,10 +62,7 @@ def load_config_file(path) -> dict:
 
 def _parse_config(path, content: str) -> dict:
     if content.lstrip().startswith("{"):
-        doc = json.loads(content)
-        if not isinstance(doc, dict):
-            raise CliError(f"{path}: top-level JSON value must be an object")
-        return doc
+        return json.loads(content)  # text that starts with "{" parses to an object or fails
     config = {}
     for line_no, line in enumerate(content.splitlines(), start=1):
         line = line.strip()
@@ -219,6 +216,8 @@ def cmd_stats(args) -> int:
 def cmd_synth(args) -> int:
     if args.sequences < 1:
         raise CliError(f"--sequences must be positive, got {args.sequences}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     synth = _synth_config(_settings(args, _SYNTH_KEYS))
 
     os.makedirs(args.out, exist_ok=True)
@@ -286,6 +285,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     results = run_suite(seed=args.seed, corrupt=args.corrupt)
     all_passed = all(r.passed for r in results)
     _emit({

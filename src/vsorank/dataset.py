@@ -61,8 +61,8 @@ class AnnotationError(ValueError):
 
 
 class FileFormatError(AnnotationError):
-    """A file (rank table, manifest, ``params.json``, config) that is not UTF-8
-    text or does not parse; the message names the file."""
+    """A file (rank table, manifest, config) that is not UTF-8 text or does
+    not parse; the message names the file."""
 
 
 def read_text(path, parse):

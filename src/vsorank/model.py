@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .dataset import FrameSample, read_tensor_file, read_text, write_tensor_file
+from .dataset import FrameSample, write_tensor_file
 from .spatial import Projection, SpatialParams, spatial_forward, spatial_params_init
 from .temporal import (
     ScoringParams,
@@ -36,7 +36,6 @@ __all__ = [
     "model_scores",
     "model_forward",
     "save_model_params",
-    "load_model_params",
 ]
 
 VARIANTS = ("basic", "spatial", "temporal", "full")
@@ -119,29 +118,3 @@ def save_model_params(path, params: ModelParams, config) -> None:
     with open(os.path.join(path, "params.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f)
         f.write("\n")
-
-
-def load_model_params(path) -> ModelParams:
-    manifest_path = os.path.join(path, "params.json")
-    manifest = read_text(manifest_path, json.loads)
-    names = manifest.get("params") if isinstance(manifest, dict) else None
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise ValueError(f'{manifest_path}: expected an object with a "params" list of names')
-    arrays = {name: read_tensor_file(os.path.join(path, f"{name}.bin")) for name in names}
-
-    def array(name):
-        if name not in arrays:
-            raise ValueError(f"{path}: params.json lists no tensor {name!r}")
-        return arrays[name]
-
-    channels = array("spatial.kq_proj.weight").shape[0]
-    height_width = array("scoring.mask_embed.weight").shape[1]
-    # Rebuild with the right structure, then overwrite every tensor.
-    params = init_model_params(channels, 1, height_width, seed=0)
-    for name, tensor in named_params(params):
-        data = array(name)
-        if data.shape != tensor.shape:
-            raise ValueError(f"{path}: tensor {name!r} has shape {data.shape}, "
-                             f"expected {tensor.shape}")
-        tensor.data[...] = data
-    return params

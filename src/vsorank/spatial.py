@@ -118,7 +118,7 @@ def _relation(x: Tensor, value: Tensor, kq_proj: Projection) -> Tensor:
     # One (N, HW, HW) buffer: the logits, then the attention in place.
     logits = np.matmul(np.swapaxes(kq, 1, 2), kq)
     attention = softmax_rows(logits, scale, out=logits)
-    global_value = value.data.mean(axis=0).reshape(c, hw)  # (C, HW)
+    global_value = (np.add.reduce(value.data, axis=0) / n).reshape(c, hw)  # (C, HW)
     aggregated = np.matmul(attention, global_value.T)  # (N, HW, C)
     data = np.swapaxes(aggregated, 1, 2).reshape(n, c, h, w)
     data += x.data
@@ -129,14 +129,12 @@ def _relation(x: Tensor, value: Tensor, kq_proj: Projection) -> Tensor:
             # object: every share is zero, so skip the (N, HW, HW) products.
             return [np.zeros(t.shape) if need else None
                     for t, need in zip((x, value, weight, bias), needed)]
-        need_x, need_value, need_weight, need_bias = needed
+        need_x, need_value, need_weight, _ = needed
         g3 = g.reshape(n, c, hw)
         d_value = None
         if need_value:
             d_global = np.matmul(g3, attention).sum(axis=0)  # (C, HW)
             d_value = np.broadcast_to((d_global / n).reshape(1, c, h, w), value.shape)
-        if not (need_x or need_weight or need_bias):
-            return None, d_value, None, None
         d_attention = np.matmul(np.swapaxes(g3, 1, 2), global_value)  # (N, HW, HW)
         d_logits = softmax_rows_vjp(d_attention, attention, scale, out=d_attention)
         d_kq = np.matmul(kq, d_logits)

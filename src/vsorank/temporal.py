@@ -77,7 +77,7 @@ def _check_projection(name: str, proj: Projection, out_features: int, in_feature
 
 def _object_means(values: list[Tensor]) -> np.ndarray:
     """Each frame's object-mean value map, stacked to (T, C, H, W)."""
-    return np.stack([value.data.mean(axis=0) for value in values])
+    return np.stack([np.add.reduce(value.data, axis=0) / value.shape[0] for value in values])
 
 
 def _spread_means(values: list[Tensor], d_means: np.ndarray, needed) -> list:

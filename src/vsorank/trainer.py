@@ -64,6 +64,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.C, self.H, self.W) < 1:
             raise ValueError("C, H, W must all be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
         if self.learning_rate < 0 or self.iterations < 0:

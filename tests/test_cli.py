@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from vsorank.dataset import (
 )
 from vsorank.model import init_model_params, model_forward
 from vsorank.pgm import read_pgm16, write_pgm16
-from vsorank.trainer import ModelConfig, TrainReport, build_dataset, evaluate
+from vsorank.trainer import ModelConfig, TrainingDiverged, TrainReport, build_dataset, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,12 @@ class TestSynth:
                                  "--sequences", count)
         assert code == 1 and out == ""
         assert "--sequences" in err
+
+    def test_negative_seed_rejected_before_the_directory_is_made(self, tmp_path, capsys):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(capsys, "synth", "--out", str(out_dir), "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: --seed must be non-negative, got -1\n")
+        assert not out_dir.exists()
 
 
 class TestStats:
@@ -401,6 +408,21 @@ class TestTrain:
         assert code == 1 and out == ""
         assert "train_sequences and eval_sequences must be positive" in err
 
+    def test_negative_seed_fails_before_training(self, capsys, no_training):
+        code, out, err = run_cli(capsys, "train", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: bad model config: seed must be non-negative, got -1\n"
+
+    def test_divergence_exits_2(self, capsys, monkeypatch):
+        def train(*args):
+            raise TrainingDiverged("non-finite loss nan at iteration 3")
+
+        monkeypatch.setattr(cli, "train", train)
+        code, out, err = run_cli(capsys, "train", "--train-sequences", "1",
+                                 "--eval-sequences", "1")
+        assert code == 2 and out == ""
+        assert err == "unexpected error: TrainingDiverged: non-finite loss nan at iteration 3\n"
+
 
 # A run small enough to finish fast wherever a bad setting is not caught.
 _SMALL_RUN = "iterations=5\ntrain_sequences=3\neval_sequences=2"
@@ -411,6 +433,48 @@ class TestSettings:
 
     def test_empty_settings_give_generator_defaults(self):
         assert cli._synth_config({}) == SynthConfig()
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("# a comment\n\nT = 4\n   \n  # indented\nnoise_level=0.5 # kept\n",
+                       encoding="utf-8")
+        assert cli.load_config_file(cfg) == {"T": 4, "noise_level": "0.5 # kept"}
+
+    def test_readme_config_gives_the_defaults(self, tmp_path, capsys, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
+        assert "\n\n" in block and "\n#" in block
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(block, encoding="utf-8")
+        seen = {}
+
+        def fake_build_dataset(synth_config, count, seed):
+            seen.setdefault("synth", []).append((synth_config, count))
+            return []
+
+        def fake_train(config, train_set, eval_set):
+            seen["model"] = config
+            return None, TrainReport([], None, 0.0, 0, 0.0)
+
+        monkeypatch.setattr(cli, "build_dataset", fake_build_dataset)
+        monkeypatch.setattr(cli, "train", fake_train)
+        payload = run_json(capsys, "train", "--config", str(cfg))
+        assert seen == {"synth": [(SynthConfig(), 200), (SynthConfig(), 50)],
+                        "model": ModelConfig()}
+        assert payload["params_dir"] is None
+
+    @pytest.mark.parametrize("content, line_no, line", [
+        pytest.param("T=3\nno equals sign\n", 2, "no equals sign", id="plain-text"),
+        pytest.param("[1, 2]\n", 1, "[1, 2]", id="json-array"),
+    ])
+    def test_line_without_equals_sign_rejected(self, tmp_path, capsys, content, line_no, line):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(content, encoding="utf-8")
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:{line_no}: expected key=value, got {line!r}\n"
+        assert not out_dir.exists()
 
     def test_flags_beat_file_and_file_margin_beats_alias(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "train.cfg"
@@ -579,6 +643,10 @@ class TestGradcheck:
         code_b, out_b, _ = run_cli(capsys, "gradcheck", "--seed", "5")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: --seed must be non-negative, got -1\n")
 
     def test_corrupt_negative_control_fails(self, capsys):
         code, out, err = run_cli(capsys, "gradcheck", "--seed", "0", "--corrupt")

@@ -65,6 +65,19 @@ class TestPgm:
         with pytest.raises(PgmError, match="truncated"):
             read_pgm16(path)
 
+    @pytest.mark.parametrize("values, message", [
+        pytest.param(np.zeros(3, dtype=np.uint16), "image must be 2D, got shape (3,)", id="1d"),
+        pytest.param(np.zeros((1, 2, 2), dtype=np.uint16), "image must be 2D, got shape (1, 2, 2)",
+                     id="3d"),
+        pytest.param(np.array([[0, 65536]]), "pixel values must fit in uint16", id="too-large"),
+        pytest.param(np.array([[-1, 0]]), "pixel values must fit in uint16", id="negative"),
+    ])
+    def test_unwritable_image_rejected(self, tmp_path, values, message):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(PgmError, match=f"^{re.escape(message)}$"):
+            write_pgm16(path, values)
+        assert not path.exists()
+
 
 class TestRankAnnotation:
     def test_valid_two_instance_map(self):
@@ -100,6 +113,12 @@ class TestRankAnnotation:
                                     ranks={1: 1})
         assert annotation.instance_map.dtype == np.uint16
         assert annotation.instance_map.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 2)])
+    def test_map_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(AnnotationError,
+                           match=re.escape(f"instance map must be 2D, got shape {shape}")):
+            RankAnnotation(instance_map=np.zeros(shape, dtype=np.uint16), ranks={})
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_zero_size_map_rejected(self, shape):
@@ -204,6 +223,10 @@ class TestStats:
         with pytest.raises(ValueError, match="no annotations"):
             compute_stats([])
 
+    def test_video_without_annotations_rejected(self):
+        with pytest.raises(ValueError, match="^a sequence contains no annotations$"):
+            compute_video_stats([[self.annotation_with_count(1)], []])
+
 
 class TestSynthGenerate:
     def test_same_seed_is_identical(self):
@@ -258,13 +281,22 @@ class TestSynthGenerate:
             steps = np.diff(xs)
             assert np.ptp(steps) <= 1  # integer rounding of a constant velocity
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError, match="K_range"):
-            SynthConfig(K_range=(1, 3))
-        with pytest.raises(ValueError, match="rank_swap_prob"):
-            SynthConfig(rank_swap_prob=1.5)
-        with pytest.raises(ValueError, match="resolution"):
-            SynthConfig(K_range=(2, 8), frame_resolution=(16, 16))
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"K_range": (1, 3)}, "K_range minimum must be >= 2, got 1", id="K-min"),
+        pytest.param({"K_range": (4, 3)}, "K_range (4, 3) is not ordered", id="K-unordered"),
+        pytest.param({"T": 0}, "T, C, H, W must all be positive", id="T"),
+        pytest.param({"C": 0}, "T, C, H, W must all be positive", id="C"),
+        pytest.param({"H": -1}, "T, C, H, W must all be positive", id="H"),
+        pytest.param({"W": 0}, "T, C, H, W must all be positive", id="W"),
+        pytest.param({"K_range": (2, 8), "frame_resolution": (16, 16)},
+                     "frame resolution (16, 16) too small for up to 8 objects", id="resolution"),
+        pytest.param({"rank_swap_prob": 1.5}, "rank_swap_prob must be in [0, 1], got 1.5",
+                     id="swap"),
+        pytest.param({"noise_level": -0.1}, "noise_level must be >= 0, got -0.1", id="noise"),
+    ])
+    def test_invalid_configs_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthConfig(**kwargs)
 
     @pytest.mark.parametrize("field, value, message", [
         pytest.param("T", 2.5, "T must be an integer, got 2.5", id="T-float"),
@@ -375,6 +407,12 @@ class TestSequenceIo:
         assert [idx for idx, _ in loaded] == list(range(len(sample.annotations)))
         for (_, a), b in zip(loaded, sample.annotations):
             assert a.ranks == b.ranks
+
+    @pytest.mark.parametrize("reader", [load_annotations, load_sequence])
+    def test_directory_without_manifest_rejected(self, tmp_path, reader):
+        message = f"{tmp_path}: no manifest.json"
+        with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+            reader(tmp_path)
 
     def test_feature_count_mismatch_rejected(self, tmp_path):
         sample = synth_generate(SynthConfig(), 23)

@@ -8,6 +8,7 @@ from-scratch combination of exhaustive matching and ``np.corrcoef``.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestPearson:
     def test_constant_vector_raises(self):
         with pytest.raises(ConstantVectorError):
             pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+
+    @pytest.mark.parametrize("x, y", [
+        pytest.param([1.0], [2.0], id="one-entry"),
+        pytest.param([1.0, 2.0], [1.0, 2.0, 3.0], id="lengths-differ"),
+        pytest.param([[1.0, 2.0]], [[2.0, 1.0]], id="matrices"),
+    ])
+    def test_malformed_vectors_rejected(self, x, y):
+        message = (f"need two equal-length vectors of >= 2 entries, "
+                   f"got {np.shape(x)}, {np.shape(y)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pearson(x, y)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_corrcoef_oracle(self, seed):

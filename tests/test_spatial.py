@@ -193,6 +193,11 @@ class TestParamsInit:
         b = spatial_params_init(8, 2)
         assert not np.array_equal(a.kq_proj.weight.data, b.kq_proj.weight.data)
 
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_non_positive_channels_rejected(self, channels):
+        with pytest.raises(ValueError, match=f"^channels must be positive, got {channels}$"):
+            spatial_params_init(channels, 0)
+
     def test_extents_and_bounds(self):
         params = spatial_params_init(256, 0)
         for proj in (params.kq_proj, params.v_proj):

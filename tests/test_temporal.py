@@ -15,6 +15,8 @@ from vsorank.temporal import (
     TemporalParams,
     _resize_grid,
     downsample_mask,
+    frame_scores,
+    object_means,
     rank_assign,
     sequence_scores,
     temporal_mix,
@@ -236,6 +238,23 @@ class TestTemporalMix:
             mixed_perm = temporal_mix(permuted_values, temporal).data
             np.testing.assert_allclose(mixed_perm, mixed[perm], atol=1e-12)
 
+    def test_malformed_blocks_rejected(self):
+        rng = np.random.default_rng(11)
+        _, values, _, temporal, _ = random_setup(rng, (2, 1), 2, 2, 2)
+        for blocks in ([], [values[0], Tensor(rng.standard_normal((1, 3, 2, 2)))],
+                       [values[0].reshape(2, 2, 4)]):
+            message = (f"values must be (N, C, H, W) blocks of one (C, H, W), got "
+                       f"{[block.shape for block in blocks]}")
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                temporal_mix(blocks, temporal)
+
+    def test_projection_of_another_width_rejected(self):
+        rng = np.random.default_rng(12)
+        _, values, _, _, _ = random_setup(rng, (2, 1), 2, 2, 2)
+        message = "k_proj: shapes (3, 3), (3,) do not map 2 to 2 features"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            temporal_mix(values, temporal_params_init(3, 0))
+
 
 class TestScoring:
     def test_sequence_length_contract(self):
@@ -288,6 +307,26 @@ class TestScoring:
             sequence_scores([relations[0], empty], [values[0], empty],
                             [on_grid(masks, relations)[0], np.zeros((0, 2, 2))], temporal, scoring)
 
+    def test_scoring_projection_of_another_grid_rejected(self):
+        rng = np.random.default_rng(13)
+        relations, values, masks, _, _ = random_setup(rng, (2, 2), 2, 2, 2)
+        scoring = random_setup(rng, (1,), 2, 3, 3)[4]  # mask_embed maps 9 features
+        message = "mask_embed: shapes (2, 9), (2,) do not map 4 to 2 features"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            sequence_scores(relations, values, on_grid(masks, relations), None, scoring)
+
+    def test_one_context_per_frame_required(self):
+        rng = np.random.default_rng(14)
+        relations, values, masks, _, scoring = random_setup(rng, (2, 2), 2, 2, 2)
+        grid = on_grid(masks, relations)
+        for frames, contexts in ((relations, object_means(values[:1])),
+                                 ([], object_means(values)),
+                                 (relations, Tensor(np.zeros((2, 2, 4))))):
+            message = (f"need one (C, H, W) context per frame, got contexts of shape "
+                       f"{contexts.shape} for {len(frames)} frames")
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                frame_scores(frames, contexts, grid, scoring)
+
     @pytest.mark.parametrize("temporal_on", [True, False])
     def test_malformed_frames_rejected(self, temporal_on):
         rng = np.random.default_rng(9)
@@ -337,6 +376,13 @@ class TestRankAssign:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             rank_assign([0.5, np.nan])
+
+    @pytest.mark.parametrize("scores, shape", [([], (0,)), ([[0.5, 0.1]], (1, 2)), (0.5, ())],
+                             ids=["empty", "matrix", "scalar"])
+    def test_rejects_what_is_not_a_non_empty_vector(self, scores, shape):
+        message = f"scores must be a non-empty vector, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rank_assign(scores)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_always_a_permutation(self, seed):

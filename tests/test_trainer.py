@@ -17,14 +17,13 @@ from vsorank.dataset import (
     RankAnnotation,
     SequenceSample,
     SynthConfig,
+    read_tensor_file,
     synth_generate,
-    write_tensor_file,
 )
 from vsorank.losses import RankPairs, RankTarget, rank_loss
 from vsorank.model import (
     VARIANTS,
     init_model_params,
-    load_model_params,
     model_forward,
     model_scores,
     named_params,
@@ -151,6 +150,15 @@ class TestOptimizer:
         _, report_a = train(config, train_set, eval_set)
         _, report_b = train(config, train_set, eval_set)
         assert report_a.loss_curve == report_b.loss_curve
+
+    def test_empty_sets_rejected(self):
+        data = build_dataset(NOISE_FREE, 1, seed=0)
+        config = ModelConfig(iterations=1)
+        for train_set, eval_set in (([], data), (data, [])):
+            with pytest.raises(ValueError, match="^train_set and eval_set must be non-empty$"):
+                train(config, train_set, eval_set)
+        with pytest.raises(ValueError, match="^eval_set must be non-empty$"):
+            evaluate(init_model_params(config.C, config.H, config.W, seed=0), config, [])
 
     def test_plain_sgd_runs(self):
         train_set = build_dataset(NOISE_FREE, 4, seed=0)
@@ -509,6 +517,7 @@ class TestTrainingRun:
                      id="iterations"),
         pytest.param({"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001",
                      id="weight_decay"),
+        pytest.param({"seed": -1}, "seed must be non-negative, got -1", id="seed"),
     ])
     def test_out_of_range_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -522,48 +531,21 @@ class TestTrainingRun:
 
 
 class TestModelParamsIo:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_saved_files_hold_every_tensor_and_the_config(self, tmp_path):
         params = init_model_params(8, 7, 7, seed=9)
         for _, tensor in named_params(params):
             tensor.data += np.random.default_rng(0).standard_normal(tensor.shape)
-        config = ModelConfig(C=8)
-        save_model_params(tmp_path / "params", params, config)
-        restored = load_model_params(tmp_path / "params")
-        for (name_a, a), (name_b, b) in zip(named_params(params), named_params(restored)):
-            assert name_a == name_b
-            assert np.array_equal(a.data, b.data)
-
-    def test_missing_tensor_names_directory_and_tensor(self, tmp_path):
         path = tmp_path / "params"
-        save_model_params(path, init_model_params(8, 7, 7, seed=9), ModelConfig(C=8))
-        manifest = json.loads((path / "params.json").read_text(encoding="utf-8"))
-        dropped = manifest["params"].pop()
-        (path / "params.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
-            load_model_params(path)
-        assert dropped in str(info.value)
-
-    @pytest.mark.parametrize("content", [
-        pytest.param("[]", id="a-list"),
-        pytest.param('{"names": []}', id="no-params-key"),
-        pytest.param('{"params": "spatial.kq_proj.weight"}', id="params-not-a-list"),
-        pytest.param('{"params": [3]}', id="name-not-a-string"),
-        pytest.param("{not json", id="invalid-json"),
-    ])
-    def test_malformed_manifest_names_params_json(self, tmp_path, content):
-        path = tmp_path / "params"
-        save_model_params(path, init_model_params(8, 7, 7, seed=9), ModelConfig(C=8))
-        (path / "params.json").write_text(content, encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(str(path / "params.json"))):
-            load_model_params(path)
-
-    def test_wrong_tensor_shape_names_directory_and_tensor(self, tmp_path):
-        path = tmp_path / "params"
-        save_model_params(path, init_model_params(8, 7, 7, seed=9), ModelConfig(C=8))
-        write_tensor_file(path / "scoring.score_head.weight.bin", np.zeros((2, 3)))
-        with pytest.raises(ValueError, match=re.escape(str(path))) as info:
-            load_model_params(path)
-        assert "scoring.score_head.weight" in str(info.value)
+        save_model_params(path, params, ModelConfig(variant="spatial", C=8))
+        names = [name for name, _ in named_params(params)]
+        assert sorted(entry.name for entry in path.iterdir()) == sorted(
+            [f"{name}.bin" for name in names] + ["params.json"])
+        manifest = {"params": names, "config": {"variant": "spatial", "C": 8, "H": 7, "W": 7}}
+        assert (path / "params.json").read_text(encoding="utf-8") == json.dumps(manifest) + "\n"
+        for name, tensor in named_params(params):
+            saved = read_tensor_file(path / f"{name}.bin")
+            assert saved.shape == tensor.shape
+            assert saved.tobytes() == tensor.data.tobytes()
 
 
 class TestBuildDataset:
