@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import types
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .losses import RankPairs, RankTarget
+from .metrics import FrameMatch
 from .pgm import PgmError, read_pgm16, write_pgm16
 from .temporal import downsample_mask, rank_assign
 
@@ -97,10 +99,14 @@ def _instance_ids(instance_map: np.ndarray) -> set[int]:
 
 @dataclass(frozen=True)
 class RankAnnotation:
-    """Instance-ID map plus an instance-to-rank table (1 = most salient)."""
+    """Instance-ID map plus an instance-to-rank table (1 = most salient).
+
+    The annotation keeps a read-only uint16 copy of the map and a read-only
+    view of a copy of the table, so it stays as it was validated.
+    """
 
     instance_map: np.ndarray  # 2D uint16, 0 = background
-    ranks: dict[int, int]
+    ranks: types.MappingProxyType  # instance id -> rank; given as any mapping
 
     def __post_init__(self):
         arr = np.asarray(self.instance_map)
@@ -111,7 +117,10 @@ class RankAnnotation:
         if arr.dtype.kind not in "biu" and not np.array_equal(np.floor(arr), arr):
             raise AnnotationError("instance ids must be whole numbers")
         map_ids = _instance_ids(arr)
-        object.__setattr__(self, "instance_map", arr.astype(np.uint16))
+        arr = arr.astype(np.uint16)
+        arr.flags.writeable = False
+        object.__setattr__(self, "instance_map", arr)
+        object.__setattr__(self, "ranks", types.MappingProxyType(dict(self.ranks)))
         table_ids = set(self.ranks)
         if map_ids != table_ids:
             raise AnnotationError(
@@ -249,9 +258,31 @@ class FrameSample:
 
 @dataclass(frozen=True)
 class SequenceSample:
+    """The frames of one sequence and their annotations, one to one: each
+    frame holds one feature block and one mask per annotated instance, in
+    ascending instance id order."""
+
     frames: list[FrameSample]
     annotations: list[RankAnnotation]
     seed: int
+
+    def __post_init__(self):
+        if len(self.frames) != len(self.annotations):
+            raise AnnotationError(
+                f"{len(self.frames)} frames for {len(self.annotations)} annotations")
+        for index, (frame, annotation) in enumerate(zip(self.frames, self.annotations)):
+            k = annotation.instance_count
+            if frame.features.shape[:1] != (k,) or frame.masks.shape[:1] != (k,):
+                raise AnnotationError(
+                    f"frame {index}: features of shape {frame.features.shape} and masks "
+                    f"of shape {frame.masks.shape} for {k} instances")
+
+    @cached_property
+    def frame_matches(self) -> list[FrameMatch]:
+        """Each frame's masks matched to its annotation's, for scoring
+        predicted ranks; worked out on first use and kept."""
+        return [FrameMatch(annotation.masks(), frame.masks)
+                for frame, annotation in zip(self.frames, self.annotations)]
 
     @cached_property
     def rank_pairs(self) -> RankPairs:

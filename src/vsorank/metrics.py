@@ -14,6 +14,12 @@ one frame:
   saliency level ``N_gt - rank + 1`` to x and its matched prediction's level
   (or 0 if unmatched) to y; the metric is the Pearson correlation of x and y,
   or undefined (``None``) when y is constant.
+
+Only the ranks of a frame change from one scoring to the next when a model
+is evaluated again on the same masks.  ``FrameMatch`` does the work that
+depends on the masks alone once, the instance matching and each foreground
+pixel's (ground-truth instance, predicted instance) pair, and its ``score``
+gives the same two numbers as ``score_frame``, bit for bit.
 """
 
 import numpy as np
@@ -22,6 +28,7 @@ from .autodiff import ShapeError
 
 __all__ = [
     "ConstantVectorError",
+    "FrameMatch",
     "match_instances",
     "pearson",
     "render_rank_map",
@@ -121,7 +128,8 @@ def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     """Paint normalized rank values (N - r + 1) / N onto a zero background.
 
     Masks are painted from least to most salient, so where objects overlap
-    the more salient one wins.
+    the more salient one wins.  A mask whose rank is not one of 1..N is not
+    painted.
     """
     masks, ranks = _ranked_stack(masks, ranks)
     n = len(ranks)
@@ -150,24 +158,20 @@ def _mean_abs(diff: np.ndarray) -> float:
     return float(diff.mean())
 
 
-def sa_sor(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
-           iou_threshold: float = 0.5) -> float | None:
-    """Segmentation-aware rank correlation; ``None`` when undefined.
-
-    Undefined outcomes (fewer than two ground-truth objects, or a constant
-    matched-level vector) are reported as ``None`` and should be excluded
-    from averages by the caller.
-    """
-    gt_masks, gt_ranks = _ranked_stack(gt_masks, gt_ranks)
-    pred_masks, pred_ranks = _ranked_stack(pred_masks, pred_ranks)
-    n_gt, n_pred = len(gt_ranks), len(pred_ranks)
+def _check_permutation(gt_ranks: np.ndarray) -> None:
+    n_gt = len(gt_ranks)
     if sorted(gt_ranks.tolist()) != list(range(1, n_gt + 1)):
         raise ValueError(f"ground-truth ranks {gt_ranks.tolist()} are not a permutation "
                          f"of 1..{n_gt}")
 
+
+def _sa_sor_of_pairs(gt_ranks: np.ndarray, pred_ranks: np.ndarray,
+                     pairs: list[tuple[int, int]]) -> float | None:
+    """SA-SOR of checked ranks, given the matched ``(gt, pred)`` index pairs."""
+    n_gt, n_pred = len(gt_ranks), len(pred_ranks)
     x = n_gt + 1.0 - gt_ranks
     y = np.zeros(n_gt, dtype=np.float64)
-    for gi, pi in match_instances(gt_masks, pred_masks, iou_threshold):
+    for gi, pi in pairs:
         y[gi] = n_pred - int(pred_ranks[pi]) + 1
 
     if n_gt < 2:
@@ -178,6 +182,29 @@ def sa_sor(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
         return None
 
 
+def sa_sor(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
+           iou_threshold: float = 0.5) -> float | None:
+    """Segmentation-aware rank correlation; ``None`` when undefined.
+
+    Undefined outcomes (fewer than two ground-truth objects, or a constant
+    matched-level vector) are reported as ``None`` and should be excluded
+    from averages by the caller.
+    """
+    gt_masks, gt_ranks = _ranked_stack(gt_masks, gt_ranks)
+    pred_masks, pred_ranks = _ranked_stack(pred_masks, pred_ranks)
+    _check_permutation(gt_ranks)
+    return _sa_sor_of_pairs(gt_ranks, pred_ranks,
+                            match_instances(gt_masks, pred_masks, iou_threshold))
+
+
+def _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks) -> float:
+    """``mae`` of the two rank maps, with the difference taken in the
+    predicted map's buffer: two full-size maps per frame, not three."""
+    diff = render_rank_map(pred_masks, pred_ranks)
+    np.subtract(diff, render_rank_map(gt_masks, gt_ranks), out=diff)
+    return _mean_abs(diff)
+
+
 def score_frame(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
                 iou_threshold: float = 0.5) -> tuple[float | None, float]:
     """SA-SOR and rank-map MAE of one frame's ranked instance masks.
@@ -185,8 +212,70 @@ def score_frame(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ran
     The ground-truth ranks must be a permutation of 1..N.
     """
     correlation = sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold)
-    # ``mae`` of the two rank maps, with the difference taken in the
-    # predicted map's buffer: two full-size maps per frame, not three.
-    diff = render_rank_map(pred_masks, pred_ranks)
-    np.subtract(diff, render_rank_map(gt_masks, gt_ranks), out=diff)
-    return correlation, _mean_abs(diff)
+    return correlation, _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks)
+
+
+def _disjoint(masks: np.ndarray) -> bool:
+    """Whether no pixel is in two masks of the stack."""
+    return np.count_nonzero(masks.any(axis=0)) == np.count_nonzero(masks)
+
+
+def _levels(ranks: np.ndarray) -> np.ndarray:
+    """0 for the background, then each instance's painted value: the
+    ``render_rank_map`` value of its rank, or 0 where it paints nothing."""
+    n = len(ranks)
+    return np.array([0.0] + [(n - r + 1) / n if r in range(1, n + 1) else 0.0
+                             for r in ranks.tolist()])
+
+
+class FrameMatch:
+    """The part of scoring one frame that depends on its masks alone.
+
+    It keeps the ``match_instances`` pairs and, when neither stack overlaps
+    itself, each foreground pixel's flat index and the code
+    ``gt * (K_pred + 1) + pred`` of the instances covering it (each index
+    plus one, 0 for none), in the smallest unsigned types that hold them.
+    A pixel's MAE term then depends only on its code.  A stack whose masks
+    overlap paints its rank map instead, so the two stacks are kept.
+    """
+
+    def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray,
+                 iou_threshold: float = 0.5):
+        gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
+        self.pairs = match_instances(gt_masks, pred_masks, iou_threshold)
+        self.gt_count, self.pred_count = len(gt_masks), len(pred_masks)
+        self.shape = gt_masks.shape[1:]
+        if not (_disjoint(gt_masks) and _disjoint(pred_masks)):
+            self.masks = gt_masks, pred_masks
+            return
+        self.masks = None
+        # Disjoint masks: a weighted sum of each stack gives every pixel the
+        # weight of the one mask covering it, or 0.
+        width = self.pred_count + 1
+        dtype = np.min_scalar_type((self.gt_count + 1) * width - 1)
+        codes = np.einsum("k,khw->hw", np.arange(width, (self.gt_count + 1) * width, width,
+                                                 dtype=dtype), gt_masks.view(np.uint8))
+        codes += np.einsum("k,khw->hw", np.arange(1, width, dtype=dtype),
+                           pred_masks.view(np.uint8))
+        codes = codes.reshape(-1)
+        pixels = np.flatnonzero(codes != 0)
+        self.pixels = pixels.astype(np.min_scalar_type(codes.size - 1))
+        self.codes = codes[pixels]
+
+    def score(self, gt_ranks, pred_ranks) -> tuple[float | None, float]:
+        """``score_frame`` of the kept masks with these ranks: SA-SOR and MAE."""
+        gt_ranks, pred_ranks = np.asarray(gt_ranks), np.asarray(pred_ranks)
+        for count, ranks in ((self.gt_count, gt_ranks), (self.pred_count, pred_ranks)):
+            if ranks.shape != (count,):
+                raise ShapeError(f"{count} masks for {ranks.size} ranks")
+        _check_permutation(gt_ranks)
+        correlation = _sa_sor_of_pairs(gt_ranks, pred_ranks, self.pairs)
+        if self.masks is not None:
+            gt_masks, pred_masks = self.masks
+            return correlation, _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks)
+        # |P - G| of one pixel, for each code: the values that abs(P - G) of
+        # the painted maps holds, summed by the same mean in the same order.
+        table = np.abs(_levels(pred_ranks) - _levels(gt_ranks)[:, None])
+        diff = np.zeros(self.shape, dtype=np.float64)
+        diff.reshape(-1)[self.pixels] = np.take(table, self.codes)
+        return correlation, float(diff.mean())

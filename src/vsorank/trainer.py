@@ -18,7 +18,6 @@ import numpy as np
 
 from .dataset import SequenceSample, SynthConfig, synth_generate
 from .losses import DEFAULT_MARGIN, rank_loss
-from .metrics import score_frame
 from .model import VARIANTS, ModelParams, init_model_params, model_forward, model_scores, named_params
 
 __all__ = [
@@ -188,7 +187,8 @@ def evaluate(params: ModelParams, config: ModelConfig,
     """Run the configured pipeline and average the metrics over all frames.
 
     Frames where the rank correlation is undefined are excluded from its mean
-    and counted separately.
+    and counted separately.  Each frame is scored on its sample's
+    ``frame_matches``, so only the ranks are scored anew on every call.
     """
     if not eval_set:
         raise ValueError("eval_set must be non-empty")
@@ -197,9 +197,8 @@ def evaluate(params: ModelParams, config: ModelConfig,
     undefined = 0
     for sample in eval_set:
         ranked = model_forward(sample.frames, params, config.variant)
-        for frame, annotation, ranks in zip(sample.frames, sample.annotations, ranked):
-            correlation, error = score_frame(annotation.masks(), annotation.ranks_in_id_order(),
-                                             frame.masks, ranks)
+        for match, annotation, ranks in zip(sample.frame_matches, sample.annotations, ranked):
+            correlation, error = match.score(annotation.ranks_in_id_order(), ranks)
             if correlation is None:
                 undefined += 1
             else:

@@ -8,7 +8,9 @@ import pytest
 
 from vsorank.dataset import (
     AnnotationError,
+    FrameSample,
     RankAnnotation,
+    SequenceSample,
     SynthConfig,
     compute_stats,
     compute_video_stats,
@@ -131,6 +133,28 @@ class TestRankAnnotation:
         loaded = load_annotation(tmp_path / "f.pgm", tmp_path / "f.json")
         assert np.array_equal(loaded.instance_map, annotation.instance_map)
         assert loaded.ranks == annotation.ranks
+
+    def test_validated_annotation_cannot_be_edited(self, tmp_path):
+        instance_map = np.array([[0, 1], [0, 2]], dtype=np.uint16)
+        ranks = {1: 2, 2: 1}
+        annotation = RankAnnotation(instance_map=instance_map, ranks=ranks)
+        with pytest.raises(ValueError, match="read-only"):
+            annotation.instance_map[0, 0] = 2
+        with pytest.raises(TypeError):
+            annotation.ranks[1] = 99
+        # The caller's map and table are not the annotation's.
+        instance_map[0, 0] = 3
+        ranks[1] = 99
+        assert annotation.instance_map.tolist() == [[0, 1], [0, 2]]
+        assert annotation.ranks == {1: 2, 2: 1} and {1: 2, 2: 1} == annotation.ranks
+        assert annotation.ranks_in_id_order() == [2, 1]
+
+        save_annotation(annotation, tmp_path / "f.pgm", tmp_path / "f.json")
+        assert (tmp_path / "f.json").read_text(encoding="utf-8") == '{"ranks": {"1": 2, "2": 1}}\n'
+        loaded = load_annotation(tmp_path / "f.pgm", tmp_path / "f.json")
+        assert loaded.instance_map.tolist() == [[0, 1], [0, 2]]
+        assert loaded.ranks == {1: 2, 2: 1}
+        assert not loaded.instance_map.flags.writeable
 
     def test_malformed_json_rejected(self, tmp_path):
         save_annotation(simple_annotation(), tmp_path / "f.pgm", tmp_path / "f.json")
@@ -353,6 +377,28 @@ class TestSynthGenerate:
             SynthConfig(K_range=(8, 8), frame_resolution=(128, 128))
         with pytest.raises(ValueError, match="cannot separate 9 saliency levels"):
             SynthConfig(K_range=(2, 9), frame_resolution=(128, 128))
+
+
+class TestSequenceSample:
+    """A sample's frames and annotations correspond one to one."""
+
+    def test_unequal_frame_and_annotation_counts_rejected(self):
+        sample = synth_generate(SynthConfig(), 0)
+        with pytest.raises(AnnotationError, match="^3 frames for 2 annotations$"):
+            SequenceSample(frames=sample.frames, annotations=sample.annotations[:2], seed=0)
+        with pytest.raises(AnnotationError, match="^2 frames for 3 annotations$"):
+            SequenceSample(frames=sample.frames[:2], annotations=sample.annotations, seed=0)
+
+    @pytest.mark.parametrize("kept", [(2, 3), (3, 2), (2, 2)])
+    def test_frame_of_another_object_count_rejected(self, kept):
+        sample = synth_generate(SynthConfig(), 0)
+        frame = sample.frames[1]
+        frames = list(sample.frames)
+        frames[1] = FrameSample(features=frame.features[:kept[0]], masks=frame.masks[:kept[1]])
+        message = (f"frame 1: features of shape ({kept[0]}, 16, 7, 7) and masks of shape "
+                   f"({kept[1]}, 64, 64) for 3 instances")
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+            SequenceSample(frames=frames, annotations=sample.annotations, seed=0)
 
 
 class TestTensorFiles:

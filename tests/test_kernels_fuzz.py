@@ -4,11 +4,13 @@ Each kernel on the ``vsorank eval`` path has a faster form than the obvious
 one: the id set of an instance map comes from one sort, ``masks()`` compares
 in the map's own dtype, IoU counts pixels on packed 64-bit words, the
 rank-map painter writes with ``np.copyto``, and ``score_frame`` takes the MAE
-difference in one of the two rank maps.  The mask resize that every scored
-frame runs in training and inference gathers its corner samples with one
-``np.take`` and converts only them.  Every test here keeps the plain form as an oracle and asks for
-the same result, bit for bit, on maps whose pixel counts are not a multiple
-of 8 or 64.
+difference in one of the two rank maps.  ``FrameMatch`` prepares a frame's
+masks once and then scores ranks without painting, by a table lookup per
+foreground pixel, and must give ``score_frame``'s numbers.  The mask resize
+that every scored frame runs in training and inference gathers its corner
+samples with one ``np.take`` and converts only them.  Every test here keeps
+the plain form as an oracle and asks for the same result, bit for bit, on
+maps whose pixel counts are not a multiple of 8 or 64.
 """
 
 import atexit
@@ -23,9 +25,12 @@ from hypothesis.extra import numpy as hnp
 
 from test_temporal import resize_converting_first
 
-from vsorank.dataset import AnnotationError, RankAnnotation
-from vsorank.metrics import mae, match_instances, render_rank_map, score_frame
+from vsorank.autodiff import ShapeError
+from vsorank.dataset import AnnotationError, RankAnnotation, SynthConfig
+from vsorank.metrics import FrameMatch, mae, match_instances, render_rank_map, score_frame
+from vsorank.model import init_model_params
 from vsorank.temporal import downsample_mask
+from vsorank.trainer import ModelConfig, build_dataset, evaluate
 
 # Hypothesis caches constants read from the source while collecting tests,
 # even with no example database; keep that cache out of the working tree.
@@ -96,6 +101,26 @@ def mask_stacks(draw, shape, min_count=0):
     masks = draw(hnp.arrays(np.bool_, (count, *shape)))
     for k in range(count):
         masks[k].flat[draw(st.integers(0, masks[k].size - 1))] = True
+    return masks
+
+
+@st.composite
+def disjoint_stacks(draw, shape):
+    """(K, H, W) bool masks with no pixel in two masks, K in 0..8 (at most
+    H*W), each with a pixel."""
+    count = draw(st.integers(0, min(8, shape[0] * shape[1])))
+    labels = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, count)))
+    own = draw(st.permutations(range(labels.size)))[:count]
+    labels.flat[own] = np.arange(1, count + 1)
+    return labels == np.arange(1, count + 1)[:, None, None]
+
+
+@st.composite
+def overlapping_stacks(draw, shape):
+    """(K, H, W) bool masks, K in 2..8, the first two sharing a pixel."""
+    masks = draw(mask_stacks(shape, min_count=2))
+    shared = draw(st.integers(0, masks[0].size - 1))
+    masks[0].flat[shared] = masks[1].flat[shared] = True
     return masks
 
 
@@ -194,6 +219,76 @@ def test_score_frame_mae_matches_painted_maps(data):
     _, error = score_frame(gt, gt_ranks, pred, pred_ranks)
     painted = oracle_render(pred, pred_ranks), oracle_render(gt, gt_ranks)
     assert error == float(np.abs(painted[0] - painted[1]).mean()) == mae(*painted)
+
+
+# -- FrameMatch --------------------------------------------------------------------
+
+
+def result_bits(result):
+    """A (SA-SOR, MAE) pair with its floats as bytes, so ``==`` is bit for bit."""
+    return tuple(None if v is None else np.float64(v).tobytes() for v in result)
+
+
+def assert_scores_as_score_frame(data, gt, pred):
+    gt_ranks = np.array(data.draw(st.permutations(range(1, len(gt) + 1))), dtype=np.int64)
+    match = FrameMatch(gt, pred)
+    # Two rankings of the same masks: the prepared match is not used up.
+    for _ in range(2):
+        # Predicted ranks may repeat and fall outside 1..K, where nothing is painted.
+        pred_ranks = np.array(data.draw(st.lists(st.integers(0, len(pred) + 1),
+                                                 min_size=len(pred), max_size=len(pred))),
+                              dtype=np.int64)
+        expected = score_frame(gt, gt_ranks, pred, pred_ranks)
+        assert result_bits(match.score(gt_ranks, pred_ranks)) == result_bits(expected)
+    return match
+
+
+@FUZZ
+@given(st.data())
+def test_frame_match_scores_disjoint_stacks_as_score_frame(data):
+    shape = data.draw(SHAPES)
+    gt = data.draw(disjoint_stacks(shape))
+    pred = data.draw(disjoint_stacks(shape) | st.just(gt))
+    match = assert_scores_as_score_frame(data, gt, pred)
+    assert match.masks is None  # the per-pixel code route
+
+
+@FUZZ
+@given(st.data())
+def test_frame_match_scores_overlapping_stacks_as_score_frame(data):
+    shape = data.draw(SHAPES)
+    overlapping = overlapping_stacks(shape)
+    either = disjoint_stacks(shape) | mask_stacks(shape)
+    gt, pred = data.draw(st.sampled_from([(overlapping, either), (either, overlapping)]))
+    match = assert_scores_as_score_frame(data, data.draw(gt), data.draw(pred))
+    assert match.masks is not None  # the painting route
+
+
+def test_frame_match_rejects_ranks_of_another_count():
+    masks = np.eye(3, dtype=bool)[:, None, :]
+    match = FrameMatch(masks, masks[:2])
+    with pytest.raises(ShapeError, match="^2 masks for 3 ranks$"):
+        match.score([1, 2, 3], [1, 2, 3])
+    with pytest.raises(ShapeError, match="^3 masks for 2 ranks$"):
+        match.score([1, 2], [1, 2])
+    with pytest.raises(ValueError, match="not a permutation"):
+        match.score([1, 1, 2], [1, 2])
+
+
+def crowded_eval_set():
+    return build_dataset(SynthConfig(K_range=(2, 7), frame_resolution=(56, 44)), 6, seed=31)
+
+
+def test_evaluate_is_the_same_on_every_call_and_on_equal_samples():
+    config = ModelConfig(variant="full")
+    params = init_model_params(config.C, config.H, config.W, seed=3)
+    head = params.scoring.score_head.weight
+    head.data[...] = np.random.default_rng(4).standard_normal(head.shape)
+    eval_set = crowded_eval_set()
+    first = evaluate(params, config, eval_set)
+    assert first.sa_sor is not None and first.mae > 0.0 and first.frame_count == 18
+    assert evaluate(params, config, eval_set) == first
+    assert evaluate(params, config, crowded_eval_set()) == first
 
 
 # -- downsample_mask ----------------------------------------------------------------
