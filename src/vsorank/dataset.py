@@ -260,13 +260,19 @@ class FrameSample:
 class SequenceSample:
     """The frames of one sequence and their annotations, one to one: each
     frame holds one feature block and one mask per annotated instance, in
-    ascending instance id order."""
+    ascending instance id order.
 
-    frames: list[FrameSample]
-    annotations: list[RankAnnotation]
+    The sample keeps both as tuples, so ``rank_pairs`` and ``frame_matches``,
+    worked out on first use and kept, cannot go stale.
+    """
+
+    frames: tuple[FrameSample, ...]  # given as any sequence
+    annotations: tuple[RankAnnotation, ...]
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "annotations", tuple(self.annotations))
         if len(self.frames) != len(self.annotations):
             raise AnnotationError(
                 f"{len(self.frames)} frames for {len(self.annotations)} annotations")
@@ -278,11 +284,11 @@ class SequenceSample:
                     f"of shape {frame.masks.shape} for {k} instances")
 
     @cached_property
-    def frame_matches(self) -> list[FrameMatch]:
+    def frame_matches(self) -> tuple[FrameMatch, ...]:
         """Each frame's masks matched to its annotation's, for scoring
         predicted ranks; worked out on first use and kept."""
-        return [FrameMatch(annotation.masks(), frame.masks)
-                for frame, annotation in zip(self.frames, self.annotations)]
+        return tuple(FrameMatch(annotation.masks(), frame.masks)
+                     for frame, annotation in zip(self.frames, self.annotations))
 
     @cached_property
     def rank_pairs(self) -> RankPairs:
@@ -531,11 +537,6 @@ def load_sequence(path) -> SequenceSample:
     frames = []
     for idx, annotation in zip(manifest["frames"], annotations):
         features = read_tensor_file(os.path.join(path, "features", f"{idx}.bin"))
-        if features.shape[0] != annotation.instance_count:
-            raise AnnotationError(
-                f"frame {idx}: {features.shape[0]} feature blocks for "
-                f"{annotation.instance_count} instances"
-            )
         frames.append(FrameSample(features=features, masks=annotation.masks()))
     return SequenceSample(frames=frames, annotations=annotations,
                           seed=int(manifest.get("seed", 0)))

@@ -124,6 +124,14 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum() / np.sqrt(squared))
 
 
+def _levels(ranks: np.ndarray) -> np.ndarray:
+    """0 for the background, then each instance's rank-map value
+    (N - r + 1) / N, or 0 for a rank outside 1..N, which is not painted."""
+    n = len(ranks)
+    return np.array([0.0] + [(n - r + 1) / n if r in range(1, n + 1) else 0.0
+                             for r in ranks.tolist()])
+
+
 def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     """Paint normalized rank values (N - r + 1) / N onto a zero background.
 
@@ -132,12 +140,12 @@ def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     painted.
     """
     masks, ranks = _ranked_stack(masks, ranks)
-    n = len(ranks)
+    levels = _levels(ranks)
     rank_map = np.zeros(masks.shape[1:], dtype=np.float64)
-    for r in range(n, 0, -1):
+    for r in range(len(ranks), 0, -1):
         (idx,) = np.nonzero(ranks == r)
         for i in idx:
-            np.copyto(rank_map, (n - r + 1) / n, where=masks[i])
+            np.copyto(rank_map, levels[i + 1], where=masks[i])
     return rank_map
 
 
@@ -220,29 +228,21 @@ def _disjoint(masks: np.ndarray) -> bool:
     return np.count_nonzero(masks.any(axis=0)) == np.count_nonzero(masks)
 
 
-def _levels(ranks: np.ndarray) -> np.ndarray:
-    """0 for the background, then each instance's painted value: the
-    ``render_rank_map`` value of its rank, or 0 where it paints nothing."""
-    n = len(ranks)
-    return np.array([0.0] + [(n - r + 1) / n if r in range(1, n + 1) else 0.0
-                             for r in ranks.tolist()])
-
-
 class FrameMatch:
     """The part of scoring one frame that depends on its masks alone.
 
-    It keeps the ``match_instances`` pairs and, when neither stack overlaps
-    itself, each foreground pixel's flat index and the code
-    ``gt * (K_pred + 1) + pred`` of the instances covering it (each index
-    plus one, 0 for none), in the smallest unsigned types that hold them.
+    It keeps the ``match_instances`` pairs, at the default IoU threshold,
+    and, when neither stack overlaps itself, each foreground pixel's flat
+    index and the code ``gt * (K_pred + 1) + pred`` of the instances
+    covering it (each index plus one, 0 for none), in the smallest unsigned
+    types that hold them.
     A pixel's MAE term then depends only on its code.  A stack whose masks
     overlap paints its rank map instead, so the two stacks are kept.
     """
 
-    def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray,
-                 iou_threshold: float = 0.5):
+    def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray):
         gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
-        self.pairs = match_instances(gt_masks, pred_masks, iou_threshold)
+        self.pairs = match_instances(gt_masks, pred_masks)
         self.gt_count, self.pred_count = len(gt_masks), len(pred_masks)
         self.shape = gt_masks.shape[1:]
         if not (_disjoint(gt_masks) and _disjoint(pred_masks)):

@@ -400,6 +400,21 @@ class TestSequenceSample:
         with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
             SequenceSample(frames=frames, annotations=sample.annotations, seed=0)
 
+    def test_checked_sample_cannot_be_edited(self):
+        generated = synth_generate(SynthConfig(), 0)
+        frames, annotations = list(generated.frames), list(generated.annotations)
+        sample = SequenceSample(frames=frames, annotations=annotations, seed=0)
+        matches = sample.frame_matches
+        with pytest.raises(TypeError):
+            sample.annotations[0] = annotations[1]
+        with pytest.raises(TypeError):
+            sample.frames[0] = frames[1]
+        frames.pop()
+        annotations[0] = annotations[1]
+        assert sample.frames == tuple(generated.frames)
+        assert sample.annotations == tuple(generated.annotations)
+        assert sample.frame_matches is matches
+
 
 class TestTensorFiles:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -467,5 +482,7 @@ class TestSequenceIo:
             tmp_path / "seq" / "features" / "0.bin",
             sample.frames[0].features[:1],
         )
-        with pytest.raises(AnnotationError, match="feature blocks"):
+        message = ("frame 0: features of shape (1, 16, 7, 7) and masks of shape "
+                   "(3, 64, 64) for 3 instances")
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
             load_sequence(tmp_path / "seq")
