@@ -26,10 +26,10 @@ from .dataset import (
     synth_generate,
 )
 from .gradcheck import run_suite
-from .metrics import render_rank_map, score_frame
+from .metrics import FrameMatch, render_rank_map
 from .model import VARIANTS, save_model_params
 from .pgm import write_pgm16
-from .trainer import ModelConfig, build_dataset, train
+from .trainer import ModelConfig, build_dataset, summarize, train
 
 __all__ = ["main"]
 
@@ -128,9 +128,8 @@ def _synth_config(settings: dict) -> SynthConfig:
 
 
 def _eval_frame(name, idx, gt_ann, pred_ann, iou_threshold):
-    correlation, error = score_frame(gt_ann.masks(), gt_ann.ranks_in_id_order(),
-                                     pred_ann.masks(), pred_ann.ranks_in_id_order(),
-                                     iou_threshold)
+    match = FrameMatch(gt_ann.masks(), pred_ann.masks(), iou_threshold)
+    correlation, error = match.score(gt_ann.ranks_in_id_order(), pred_ann.ranks_in_id_order())
     return {
         "sequence": name,
         "frame": idx,
@@ -178,12 +177,12 @@ def cmd_eval(args) -> int:
                 rank_map = render_rank_map(ann.masks(), ann.ranks_in_id_order())
                 write_pgm16(path, np.round(rank_map * 65535).astype(np.uint16))
 
-    defined = [f["sa_sor"] for f in frames if f["sa_sor"] is not None]
+    result = summarize((f["sa_sor"], f["mae"]) for f in frames)
     aggregate = {
-        "sa_sor": float(np.mean(defined)) if defined else None,
-        "sa_sor_undefined_count": sum(1 for f in frames if f["sa_sor"] is None),
-        "mae": float(np.mean([f["mae"] for f in frames])) if frames else None,
-        "frame_count": len(frames),
+        "sa_sor": result.sa_sor,
+        "sa_sor_undefined_count": result.undefined_count,
+        "mae": result.mae,
+        "frame_count": result.frame_count,
     }
     _emit({"frames": frames, "aggregate": aggregate})
     return 0

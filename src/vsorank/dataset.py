@@ -260,7 +260,7 @@ class FrameSample:
 class SequenceSample:
     """The frames of one sequence and their annotations, one to one: each
     frame holds one feature block and one mask per annotated instance, in
-    ascending instance id order.
+    ascending instance id order, each mask the size of the instance map.
 
     The sample keeps both as tuples, so ``rank_pairs`` and ``frame_matches``,
     worked out on first use and kept, cannot go stale.
@@ -282,6 +282,10 @@ class SequenceSample:
                 raise AnnotationError(
                     f"frame {index}: features of shape {frame.features.shape} and masks "
                     f"of shape {frame.masks.shape} for {k} instances")
+            if frame.masks.shape[1:] != annotation.instance_map.shape:
+                raise AnnotationError(
+                    f"frame {index}: masks of shape {frame.masks.shape} for an instance "
+                    f"map of shape {annotation.instance_map.shape}")
 
     @cached_property
     def frame_matches(self) -> tuple[FrameMatch, ...]:

@@ -2,8 +2,7 @@
 
 A frame's ranked instances are an ``(N, H, W)`` bool mask stack plus N ranks,
 the i-th rank belonging to the i-th mask; every function here takes them in
-that form.  Two metrics are provided, and ``score_frame`` computes both for
-one frame:
+that form.  Two metrics are provided:
 
 * ``mae`` -- mean absolute pixel error between two normalized rank maps,
   ``(1 / (W * H)) * sum |P(i, j) - G(i, j)|``, as painted by
@@ -15,11 +14,11 @@ one frame:
   (or 0 if unmatched) to y; the metric is the Pearson correlation of x and y,
   or undefined (``None``) when y is constant.
 
-Only the ranks of a frame change from one scoring to the next when a model
-is evaluated again on the same masks.  ``FrameMatch`` does the work that
-depends on the masks alone once, the instance matching and each foreground
-pixel's (ground-truth instance, predicted instance) pair, and its ``score``
-gives the same two numbers as ``score_frame``, bit for bit.
+``FrameMatch`` scores one frame on both.  It does the work that depends on
+the masks alone once, the instance matching and each foreground pixel's
+(ground-truth instance, predicted instance) pair, so a model evaluated again
+on the same masks scores only its new ranks.  Its ``score`` gives ``sa_sor``
+and the ``mae`` of the two painted rank maps, bit for bit.
 """
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "render_rank_map",
     "mae",
     "sa_sor",
-    "score_frame",
 ]
 
 
@@ -135,17 +133,15 @@ def _levels(ranks: np.ndarray) -> np.ndarray:
 def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     """Paint normalized rank values (N - r + 1) / N onto a zero background.
 
-    Masks are painted from least to most salient, so where objects overlap
-    the more salient one wins.  A mask whose rank is not one of 1..N is not
-    painted.
+    Masks are painted in ascending level, ties in index order, so where
+    objects overlap the most salient one wins.  A mask whose rank is not one
+    of 1..N has level 0 and is painted first, onto zeros: it changes nothing.
     """
     masks, ranks = _ranked_stack(masks, ranks)
     levels = _levels(ranks)
     rank_map = np.zeros(masks.shape[1:], dtype=np.float64)
-    for r in range(len(ranks), 0, -1):
-        (idx,) = np.nonzero(ranks == r)
-        for i in idx:
-            np.copyto(rank_map, levels[i + 1], where=masks[i])
+    for i in np.argsort(levels[1:], kind="stable"):
+        np.copyto(rank_map, levels[i + 1], where=masks[i])
     return rank_map
 
 
@@ -213,16 +209,6 @@ def _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks) -> float:
     return _mean_abs(diff)
 
 
-def score_frame(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
-                iou_threshold: float = 0.5) -> tuple[float | None, float]:
-    """SA-SOR and rank-map MAE of one frame's ranked instance masks.
-
-    The ground-truth ranks must be a permutation of 1..N.
-    """
-    correlation = sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold)
-    return correlation, _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks)
-
-
 def _disjoint(masks: np.ndarray) -> bool:
     """Whether no pixel is in two masks of the stack."""
     return np.count_nonzero(masks.any(axis=0)) == np.count_nonzero(masks)
@@ -231,18 +217,19 @@ def _disjoint(masks: np.ndarray) -> bool:
 class FrameMatch:
     """The part of scoring one frame that depends on its masks alone.
 
-    It keeps the ``match_instances`` pairs, at the default IoU threshold,
-    and, when neither stack overlaps itself, each foreground pixel's flat
-    index and the code ``gt * (K_pred + 1) + pred`` of the instances
-    covering it (each index plus one, 0 for none), in the smallest unsigned
-    types that hold them.
+    It keeps the ``match_instances`` pairs at ``iou_threshold`` and, when
+    neither stack overlaps itself, each foreground pixel's flat index and
+    the code ``gt * (K_pred + 1) + pred`` of the instances covering it (each
+    index plus one, 0 for none), in the smallest unsigned types that hold
+    them.
     A pixel's MAE term then depends only on its code.  A stack whose masks
     overlap paints its rank map instead, so the two stacks are kept.
     """
 
-    def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray):
+    def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray,
+                 iou_threshold: float = 0.5):
         gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
-        self.pairs = match_instances(gt_masks, pred_masks)
+        self.pairs = match_instances(gt_masks, pred_masks, iou_threshold)
         self.gt_count, self.pred_count = len(gt_masks), len(pred_masks)
         self.shape = gt_masks.shape[1:]
         if not (_disjoint(gt_masks) and _disjoint(pred_masks)):
@@ -263,7 +250,8 @@ class FrameMatch:
         self.codes = codes[pixels]
 
     def score(self, gt_ranks, pred_ranks) -> tuple[float | None, float]:
-        """``score_frame`` of the kept masks with these ranks: SA-SOR and MAE."""
+        """SA-SOR and MAE of the kept masks with these ranks: ``sa_sor`` and
+        the ``mae`` of the two ``render_rank_map`` maps."""
         gt_ranks, pred_ranks = np.asarray(gt_ranks), np.asarray(pred_ranks)
         for count, ranks in ((self.gt_count, gt_ranks), (self.pred_count, pred_ranks)):
             if ranks.shape != (count,):

@@ -28,6 +28,7 @@ __all__ = [
     "build_dataset",
     "train",
     "evaluate",
+    "summarize",
 ]
 
 
@@ -78,7 +79,7 @@ class ModelConfig:
 @dataclass(frozen=True)
 class EvalResult:
     sa_sor: float | None  # mean over frames where the metric is defined
-    mae: float
+    mae: float | None  # None only when no frame was scored
     undefined_count: int
     frame_count: int
 
@@ -182,31 +183,35 @@ def train(config: ModelConfig, train_set: list[SequenceSample],
     return params, report
 
 
+def summarize(scores) -> EvalResult:
+    """Average per-frame ``(sa_sor, mae)`` pairs over the frames.
+
+    Frames where the rank correlation is undefined (``None``) are excluded
+    from its mean and counted separately; with no frames both means are
+    ``None``.
+    """
+    scores = list(scores)
+    correlations = [correlation for correlation, _ in scores if correlation is not None]
+    return EvalResult(
+        sa_sor=float(np.mean(correlations)) if correlations else None,
+        mae=float(np.mean([error for _, error in scores])) if scores else None,
+        undefined_count=len(scores) - len(correlations),
+        frame_count=len(scores),
+    )
+
+
 def evaluate(params: ModelParams, config: ModelConfig,
              eval_set: list[SequenceSample]) -> EvalResult:
-    """Run the configured pipeline and average the metrics over all frames.
+    """Run the configured pipeline and ``summarize`` the metrics of all frames.
 
-    Frames where the rank correlation is undefined are excluded from its mean
-    and counted separately.  Each frame is scored on its sample's
+    Each frame is scored by ``FrameMatch.score`` on its sample's
     ``frame_matches``, so only the ranks are scored anew on every call.
     """
     if not eval_set:
         raise ValueError("eval_set must be non-empty")
-    correlations: list[float] = []
-    errors: list[float] = []
-    undefined = 0
+    scores = []
     for sample in eval_set:
         ranked = model_forward(sample.frames, params, config.variant)
         for match, annotation, ranks in zip(sample.frame_matches, sample.annotations, ranked):
-            correlation, error = match.score(annotation.ranks_in_id_order(), ranks)
-            if correlation is None:
-                undefined += 1
-            else:
-                correlations.append(correlation)
-            errors.append(error)
-    return EvalResult(
-        sa_sor=float(np.mean(correlations)) if correlations else None,
-        mae=float(np.mean(errors)),
-        undefined_count=undefined,
-        frame_count=len(errors),
-    )
+            scores.append(match.score(annotation.ranks_in_id_order(), ranks))
+    return summarize(scores)

@@ -18,6 +18,7 @@ from vsorank.dataset import (
     save_annotations,
     synth_generate,
 )
+from vsorank.metrics import sa_sor
 from vsorank.model import init_model_params, model_forward
 from vsorank.pgm import read_pgm16, write_pgm16
 from vsorank.trainer import ModelConfig, TrainingDiverged, TrainReport, build_dataset, evaluate
@@ -186,6 +187,26 @@ class TestEval:
         assert by_frame[1]["mae"] == pytest.approx(expected_mae, abs=1e-12)
         assert payload["aggregate"]["sa_sor"] == 0.0
         assert payload["aggregate"]["mae"] == pytest.approx(expected_mae / 2, abs=1e-12)
+
+    def test_iou_threshold_reaches_the_matching(self, tmp_path, capsys):
+        # Three stripes; the prediction swaps the two upper ranks and covers
+        # a third of the lowest stripe (IoU 1/3), so it matches there only
+        # at threshold 0.3.
+        gt_map = np.repeat(np.arange(1, 4, dtype=np.uint16), 12).reshape(6, 6)
+        pred_map = gt_map.copy()
+        pred_map[4:6, 2:] = 0
+        gt = RankAnnotation(instance_map=gt_map, ranks={1: 1, 2: 2, 3: 3})
+        pred = RankAnnotation(instance_map=pred_map, ranks={1: 2, 2: 1, 3: 3})
+        save_annotations(tmp_path / "gt" / "seq_0000", [gt])
+        save_annotations(tmp_path / "pred" / "seq_0000", [pred])
+        got = {}
+        for iou in (0.3, 0.5):
+            payload = run_json(capsys, "eval", "--gt", str(tmp_path / "gt"),
+                               "--pred", str(tmp_path / "pred"), "--iou", str(iou))
+            got[iou] = payload["frames"][0]["sa_sor"]
+            assert got[iou] == sa_sor(gt.masks(), gt.ranks_in_id_order(),
+                                      pred.masks(), pred.ranks_in_id_order(), iou)
+        assert got[0.3] != got[0.5]
 
     def test_missing_frames_listed(self, tmp_path, dataset_dir, capsys):
         pred = tmp_path / "pred"

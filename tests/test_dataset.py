@@ -400,6 +400,15 @@ class TestSequenceSample:
         with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
             SequenceSample(frames=frames, annotations=sample.annotations, seed=0)
 
+    def test_masks_of_another_size_than_the_map_rejected(self):
+        sample = synth_generate(SynthConfig(), 0)
+        frame = sample.frames[1]
+        frames = list(sample.frames)
+        frames[1] = FrameSample(features=frame.features, masks=frame.masks[:, :32])
+        message = "frame 1: masks of shape (3, 32, 64) for an instance map of shape (64, 64)"
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+            SequenceSample(frames=frames, annotations=sample.annotations, seed=0)
+
     def test_checked_sample_cannot_be_edited(self):
         generated = synth_generate(SynthConfig(), 0)
         frames, annotations = list(generated.frames), list(generated.annotations)

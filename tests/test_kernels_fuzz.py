@@ -3,10 +3,12 @@
 Each kernel on the ``vsorank eval`` path has a faster form than the obvious
 one: the id set of an instance map comes from one sort, ``masks()`` compares
 in the map's own dtype, IoU counts pixels on packed 64-bit words, the
-rank-map painter writes with ``np.copyto``, and ``score_frame`` takes the MAE
-difference in one of the two rank maps.  ``FrameMatch`` prepares a frame's
-masks once and then scores ranks without painting, by a table lookup per
-foreground pixel, and must give ``score_frame``'s numbers.  The mask resize
+rank-map painter writes with ``np.copyto`` in one pass over the levels.
+``FrameMatch`` prepares a frame's masks once and then scores ranks without
+painting, by a table lookup per foreground pixel, or, on stacks that overlap
+themselves, paints and takes the MAE difference in one of the two rank maps;
+either way it must give the painted reference's numbers: ``sa_sor`` and the
+``mae`` of the two ``render_rank_map`` maps.  The mask resize
 that every scored frame runs in training and inference gathers its corner
 samples with one ``np.take`` and converts only them.  Every test here keeps
 the plain form as an oracle and asks for the same result, bit for bit, on
@@ -23,11 +25,12 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra import numpy as hnp
 
+from test_metrics import painted_score
 from test_temporal import resize_converting_first
 
 from vsorank.autodiff import ShapeError
 from vsorank.dataset import AnnotationError, RankAnnotation, SynthConfig
-from vsorank.metrics import FrameMatch, mae, match_instances, render_rank_map, score_frame
+from vsorank.metrics import FrameMatch, mae, match_instances, render_rank_map
 from vsorank.model import init_model_params
 from vsorank.temporal import downsample_mask
 from vsorank.trainer import ModelConfig, build_dataset, evaluate
@@ -209,14 +212,14 @@ def test_render_matches_boolean_index_painter(data):
 
 @FUZZ
 @given(st.data())
-def test_score_frame_mae_matches_painted_maps(data):
+def test_painted_mae_matches_oracle_maps(data):
     shape = data.draw(SHAPES)
     gt = data.draw(mask_stacks(shape, min_count=1))
     pred = data.draw(mask_stacks(shape, min_count=1))
     gt_ranks = np.array(data.draw(st.permutations(range(1, len(gt) + 1))))
     pred_ranks = np.array(data.draw(st.lists(st.integers(1, len(pred)),
                                              min_size=len(pred), max_size=len(pred))))
-    _, error = score_frame(gt, gt_ranks, pred, pred_ranks)
+    _, error = painted_score(gt, gt_ranks, pred, pred_ranks)
     painted = oracle_render(pred, pred_ranks), oracle_render(gt, gt_ranks)
     assert error == float(np.abs(painted[0] - painted[1]).mean()) == mae(*painted)
 
@@ -229,7 +232,7 @@ def result_bits(result):
     return tuple(None if v is None else np.float64(v).tobytes() for v in result)
 
 
-def assert_scores_as_score_frame(data, gt, pred):
+def assert_scores_as_painted(data, gt, pred):
     gt_ranks = np.array(data.draw(st.permutations(range(1, len(gt) + 1))), dtype=np.int64)
     match = FrameMatch(gt, pred)
     # Two rankings of the same masks: the prepared match is not used up.
@@ -238,29 +241,29 @@ def assert_scores_as_score_frame(data, gt, pred):
         pred_ranks = np.array(data.draw(st.lists(st.integers(0, len(pred) + 1),
                                                  min_size=len(pred), max_size=len(pred))),
                               dtype=np.int64)
-        expected = score_frame(gt, gt_ranks, pred, pred_ranks)
+        expected = painted_score(gt, gt_ranks, pred, pred_ranks)
         assert result_bits(match.score(gt_ranks, pred_ranks)) == result_bits(expected)
     return match
 
 
 @FUZZ
 @given(st.data())
-def test_frame_match_scores_disjoint_stacks_as_score_frame(data):
+def test_frame_match_scores_disjoint_stacks_as_painted(data):
     shape = data.draw(SHAPES)
     gt = data.draw(disjoint_stacks(shape))
     pred = data.draw(disjoint_stacks(shape) | st.just(gt))
-    match = assert_scores_as_score_frame(data, gt, pred)
+    match = assert_scores_as_painted(data, gt, pred)
     assert match.masks is None  # the per-pixel code route
 
 
 @FUZZ
 @given(st.data())
-def test_frame_match_scores_overlapping_stacks_as_score_frame(data):
+def test_frame_match_scores_overlapping_stacks_as_painted(data):
     shape = data.draw(SHAPES)
     overlapping = overlapping_stacks(shape)
     either = disjoint_stacks(shape) | mask_stacks(shape)
     gt, pred = data.draw(st.sampled_from([(overlapping, either), (either, overlapping)]))
-    match = assert_scores_as_score_frame(data, data.draw(gt), data.draw(pred))
+    match = assert_scores_as_painted(data, data.draw(gt), data.draw(pred))
     assert match.masks is not None  # the painting route
 
 

@@ -16,11 +16,12 @@ import pytest
 from vsorank.autodiff import ShapeError
 from vsorank.metrics import (
     ConstantVectorError,
+    FrameMatch,
     mae,
     match_instances,
     pearson,
+    render_rank_map,
     sa_sor,
-    score_frame,
 )
 
 
@@ -91,6 +92,13 @@ def sa_sor_oracle(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold=0.5):
     if n_gt < 2 or len(set(y)) == 1:
         return None
     return float(np.corrcoef(x, y)[0, 1])
+
+
+def painted_score(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold=0.5):
+    """The reference of ``FrameMatch.score``: ``sa_sor``, and ``mae`` of the
+    two rank maps as ``render_rank_map`` paints them."""
+    return (sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold),
+            mae(render_rank_map(pred_masks, pred_ranks), render_rank_map(gt_masks, gt_ranks)))
 
 
 def rect_mask(shape, y0, y1, x0, x1):
@@ -384,7 +392,7 @@ class TestSaSor:
         with pytest.raises(error, match=message):
             sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks)
         with pytest.raises(error, match=message):
-            score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks)
+            FrameMatch(gt_masks, pred_masks).score(gt_ranks, pred_ranks)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_independent_oracle_on_random_scenes(self, seed):
@@ -405,7 +413,7 @@ class TestSaSor:
             assert -1.0 <= value <= 1.0
 
 
-class TestScoreFrame:
+class TestFrameMatch:
     def test_equals_sa_sor_and_mae_on_hand_built_masks(self):
         # Three full-width stripes of a 6x6 frame, ranked top to bottom.  The
         # prediction swaps the two upper ranks and covers only a third of the
@@ -423,10 +431,11 @@ class TestScoreFrame:
         assert expected_mae == pytest.approx((12 + 12 + 8) / 3 / 36, abs=1e-12)
 
         for threshold in (0.5, 0.3):
-            got = score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold)
+            got = FrameMatch(gt_masks, pred_masks, threshold).score(gt_ranks, pred_ranks)
             assert got == (sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold),
                            expected_mae)
-        assert score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks)[0] == pytest.approx(
+            assert got == painted_score(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold)
+        assert FrameMatch(gt_masks, pred_masks).score(gt_ranks, pred_ranks)[0] == pytest.approx(
             np.corrcoef([3, 2, 1], [2, 3, 0])[0, 1], abs=1e-12)
-        assert score_frame(gt_masks, gt_ranks, pred_masks, pred_ranks, 0.3)[0] == pytest.approx(
-            np.corrcoef([3, 2, 1], [2, 3, 1])[0, 1], abs=1e-12)
+        assert FrameMatch(gt_masks, pred_masks, 0.3).score(gt_ranks, pred_ranks)[0] == (
+            pytest.approx(np.corrcoef([3, 2, 1], [2, 3, 1])[0, 1], abs=1e-12))
