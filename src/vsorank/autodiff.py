@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Only the operations the ranking pipeline needs are implemented: matrix
-products (plain, batched, and batched-times-shared), 1x1 convolution over
-NCHW blocks, an affine map over the last axis, a scaled softmax, axis means,
-and a few elementwise primitives.  Every matrix product, forward and
-backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.
+Only what a training step runs is implemented: 1x1 convolution over NCHW
+blocks (the value projection), the row softmax kernel that both attention
+stages run in place, ``op`` for the stage ops' hand-derived vjps, and a few
+elementwise and shape methods on ``Tensor``.  Every matrix product, forward
+and backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.
 
 The graph is built define-by-run, and ``op`` builds every node: it records
 the operands, their ``requires_grad`` flags and one vjp.  ``Tensor.backward``
@@ -14,11 +14,10 @@ output is dropped.
 
 Each model stage is a single node with a hand-derived vjp, because a
 graph's cost is mostly the Python work per node.  The spatial relation runs
-once per frame, after ``conv1x1`` (the value projection); the object means or
-the temporal mix, frame scoring and the rank loss run once per sequence,
-over every frame's objects stacked in frame order.  The primitives above
-remain for the value projection, the gradient suite and tests; both
-attention stages use ``scaled_softmax``'s kernel, ``softmax_rows``, in place.
+once per frame, after ``conv1x1``; the object means or the temporal mix,
+frame scoring and the rank loss run once per sequence, over every frame's
+objects stacked in frame order.  The small ops those stages were once
+composed of live on in the test oracle ``tests/composed.py``.
 
 Tensors must be treated as read-only while any tensor derived from them is
 alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and
@@ -33,15 +32,10 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "Tensor",
-    "matmul",
+    "op",
     "conv1x1",
-    "linear",
-    "scaled_softmax",
     "softmax_rows",
     "softmax_rows_vjp",
-    "mean_axis",
-    "relu",
-    "op",
     "grad_check",
 ]
 
@@ -209,30 +203,7 @@ def _reached(out: Tensor) -> list[Tensor]:
     return sorted(reached.values(), key=lambda t: t._nid, reverse=True)
 
 
-# -- linear algebra --------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
-
-    Accepts (M,K)x(K,P), batched (N,M,K)x(N,K,P), and (N,M,K)x(K,P) where the
-    right operand is shared across the batch.
-    """
-    shared_rhs = a.ndim == 3 and b.ndim == 2
-    if (a.ndim == 2 and b.ndim == 2) or shared_rhs:
-        if a.shape[-1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: batch shapes incompatible, {a.shape} x {b.shape}")
-    else:
-        raise ShapeError(f"matmul: unsupported ranks, {a.shape} x {b.shape}")
-
-    def vjp(g, needed):
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return np.matmul(g, np.swapaxes(b.data, -1, -2)), gb.sum(axis=0) if shared_rhs else gb
-
-    return op(np.matmul(a.data, b.data), (a, b), vjp)
+# -- model ops --------------------------------------------------------------
 
 
 def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -265,26 +236,13 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return op(data.reshape(n, o, h, w), (x, weight, bias), vjp)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map over the last axis: ``out[..., :] = weight @ x[..., :] + bias``."""
-    if weight.ndim != 2 or bias.ndim != 1 or weight.shape[0] != bias.shape[0]:
-        raise ShapeError(f"linear: bad parameter shapes {weight.shape}, {bias.shape}")
-    if x.shape[-1] != weight.shape[1]:
-        raise ShapeError(f"linear: feature mismatch, input {x.shape} vs weight {weight.shape}")
-
-    def vjp(g, needed):
-        g2 = g.reshape(-1, weight.shape[0])
-        return g @ weight.data, g2.T @ x.data.reshape(-1, weight.shape[1]), g2.sum(axis=0)
-
-    return op(x.data @ weight.data.T + bias.data, (x, weight, bias), vjp)
-
-
 def softmax_rows(x: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis of ``x / scale``, written to ``out``.
 
-    Stabilized by max subtraction.  With ``out=x`` the logits buffer becomes
-    the attention: the kernel of ``scaled_softmax`` and of both attention
-    stages, which hold one buffer per attention this way.
+    Stabilized by max subtraction, so finite inputs give finite outputs and
+    each last-axis slice sums to one.  With ``out=x`` the logits buffer
+    becomes the attention: both attention stages hold one buffer per
+    attention this way.
     """
     y = np.divide(x, scale, out=out)
     y -= y.max(axis=-1, keepdims=True)
@@ -302,33 +260,6 @@ def softmax_rows_vjp(g: np.ndarray, y: np.ndarray, scale: float,
     dx *= y
     dx /= scale
     return dx
-
-
-def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
-    """Softmax over the last axis of ``x / sqrt(scale_dim)``.
-
-    Stabilized by max subtraction, so finite inputs give finite outputs and
-    each last-axis slice sums to one.
-    """
-    if scale_dim < 1:
-        raise ValueError(f"scaled_softmax: scale_dim must be positive, got {scale_dim}")
-    scale = math.sqrt(scale_dim)
-    y = softmax_rows(x.data, scale)
-    return op(y, (x,), lambda g, needed: (softmax_rows_vjp(g, y, scale),))
-
-
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    """Arithmetic mean along ``axis``; the axis is removed."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
-    axis = axis % x.ndim
-    n = x.shape[axis]
-    return op(x.data.mean(axis=axis), (x,),
-              lambda g, needed: (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape),))
-
-
-def relu(x: Tensor) -> Tensor:
-    return op(np.maximum(x.data, 0.0), (x,), lambda g, needed: ((x.data > 0.0) * g,))
 
 
 # -- gradient verification --------------------------------------------------

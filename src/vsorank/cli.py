@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="where to save trained parameters")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
+    p = sub.add_parser("gradcheck", help="finite-difference checks of a training step's gradients")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help="negative control: skew every checked gradient by 0.1%%, so every check fails")

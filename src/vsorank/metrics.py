@@ -75,6 +75,11 @@ def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
     Only pairs with IoU >= ``iou_threshold`` are considered; exact IoU ties
     resolve by lower ground-truth index, then lower prediction index.
     """
+    return _match(gt_masks, pred_masks, iou_threshold)[0]
+
+
+def _match(gt_masks, pred_masks, iou_threshold: float):
+    """``match_instances``' pairs, then both stacks as ``_packed_rows``."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
@@ -105,7 +110,7 @@ def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
         pairs.append((gi, pi))
         used_gt.add(gi)
         used_pred.add(pi)
-    return pairs
+    return pairs, gt, pred
 
 
 def pearson(x, y) -> float:
@@ -209,9 +214,9 @@ def _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks) -> float:
     return _mean_abs(diff)
 
 
-def _disjoint(masks: np.ndarray) -> bool:
-    """Whether no pixel is in two masks of the stack."""
-    return np.count_nonzero(masks.any(axis=0)) == np.count_nonzero(masks)
+def _disjoint(rows: np.ndarray) -> bool:
+    """Whether no pixel is in two masks of a stack given as ``_packed_rows``."""
+    return np.bitwise_count(np.bitwise_or.reduce(rows)).sum() == np.bitwise_count(rows).sum()
 
 
 class FrameMatch:
@@ -229,10 +234,10 @@ class FrameMatch:
     def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray,
                  iou_threshold: float = 0.5):
         gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
-        self.pairs = match_instances(gt_masks, pred_masks, iou_threshold)
+        self.pairs, gt, pred = _match(gt_masks, pred_masks, iou_threshold)
         self.gt_count, self.pred_count = len(gt_masks), len(pred_masks)
         self.shape = gt_masks.shape[1:]
-        if not (_disjoint(gt_masks) and _disjoint(pred_masks)):
+        if not (_disjoint(gt) and _disjoint(pred)):
             self.masks = gt_masks, pred_masks
             return
         self.masks = None

@@ -3,31 +3,89 @@
 ``vsorank`` runs each stage as one op with a hand-derived vjp
 (``spatial._relation``, ``temporal.object_means``, ``temporal.temporal_mix``,
 ``temporal.frame_scores`` and ``losses.rank_loss``).  This module keeps the
-form those ops replaced, built from matrix products, softmax, means and four
-shape ops that the package no longer needs (``transpose_last2``, ``stack``,
-``take`` and ``concat``), so that the tests can ask both forms for the same
-values and gradients.  The stage functions here return what their fused
-counterparts return, but one frame at a time: ``frame_scores`` and
-``rank_loss`` take one frame, where the package's ops take a sequence, and
-``temporal_mix`` takes the stacked object means, (T, C, H, W), as the
-composed form did.
+form those ops replaced, so that the tests can ask both forms for the same
+values and gradients.  It holds the small ops that the package no longer
+needs: the matrix product ``matmul`` (plain, batched and with a shared right
+operand), the affine map ``linear``, ``scaled_softmax`` (over the package's
+``softmax_rows`` kernel), ``mean_axis`` and ``relu``, and the shape ops
+``transpose_last2``, ``stack``, ``take`` and ``concat``.  The stage
+functions here return what their fused counterparts return, but one frame
+at a time: ``frame_scores`` and ``rank_loss`` take one frame, where the
+package's ops take a sequence, and ``temporal_mix`` takes the stacked object
+means, (T, C, H, W), as the composed form did.
 """
+
+import math
 
 import numpy as np
 
-from vsorank.autodiff import (
-    ShapeError,
-    Tensor,
-    conv1x1,
-    linear,
-    matmul,
-    mean_axis,
-    op,
-    relu,
-    scaled_softmax,
-)
+from vsorank.autodiff import ShapeError, Tensor, conv1x1, op, softmax_rows, softmax_rows_vjp
 from vsorank.spatial import SpatialOutput
 from vsorank.temporal import downsample_mask
+
+# -- ops -----------------------------------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product.
+
+    Accepts (M,K)x(K,P), batched (N,M,K)x(N,K,P), and (N,M,K)x(K,P) where the
+    right operand is shared across the batch.
+    """
+    shared_rhs = a.ndim == 3 and b.ndim == 2
+    if (a.ndim == 2 and b.ndim == 2) or shared_rhs:
+        if a.shape[-1] != b.shape[0]:
+            raise ShapeError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
+    elif a.ndim == 3 and b.ndim == 3:
+        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+            raise ShapeError(f"matmul: batch shapes incompatible, {a.shape} x {b.shape}")
+    else:
+        raise ShapeError(f"matmul: unsupported ranks, {a.shape} x {b.shape}")
+
+    def vjp(g, needed):
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return np.matmul(g, np.swapaxes(b.data, -1, -2)), gb.sum(axis=0) if shared_rhs else gb
+
+    return op(np.matmul(a.data, b.data), (a, b), vjp)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map over the last axis: ``out[..., :] = weight @ x[..., :] + bias``."""
+    if weight.ndim != 2 or bias.ndim != 1 or weight.shape[0] != bias.shape[0]:
+        raise ShapeError(f"linear: bad parameter shapes {weight.shape}, {bias.shape}")
+    if x.shape[-1] != weight.shape[1]:
+        raise ShapeError(f"linear: feature mismatch, input {x.shape} vs weight {weight.shape}")
+
+    def vjp(g, needed):
+        g2 = g.reshape(-1, weight.shape[0])
+        return g @ weight.data, g2.T @ x.data.reshape(-1, weight.shape[1]), g2.sum(axis=0)
+
+    return op(x.data @ weight.data.T + bias.data, (x, weight, bias), vjp)
+
+
+def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
+    """Softmax over the last axis of ``x / sqrt(scale_dim)``, through the
+    package's kernel ``softmax_rows``."""
+    if scale_dim < 1:
+        raise ValueError(f"scaled_softmax: scale_dim must be positive, got {scale_dim}")
+    scale = math.sqrt(scale_dim)
+    y = softmax_rows(x.data, scale)
+    return op(y, (x,), lambda g, needed: (softmax_rows_vjp(g, y, scale),))
+
+
+def mean_axis(x: Tensor, axis: int) -> Tensor:
+    """Arithmetic mean along ``axis``; the axis is removed."""
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
+    axis = axis % x.ndim
+    n = x.shape[axis]
+    return op(x.data.mean(axis=axis), (x,),
+              lambda g, needed: (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape),))
+
+
+def relu(x: Tensor) -> Tensor:
+    return op(np.maximum(x.data, 0.0), (x,), lambda g, needed: ((x.data > 0.0) * g,))
+
 
 # -- shape ops -----------------------------------------------------------------
 

@@ -6,6 +6,7 @@ noise-free task for the headline run and the standard noisy task for the
 ablation ordering.
 """
 
+import math
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from test_metrics import mae_oracle, random_scene, sa_sor_oracle
 from test_spatial import random_params, reference_forward
 from test_temporal import frame_score_list, random_setup, reference_scores
 
-from vsorank.autodiff import Tensor, scaled_softmax
+from vsorank.autodiff import Tensor, softmax_rows
 from vsorank.dataset import (
     RankAnnotation,
     SynthConfig,
@@ -59,11 +60,15 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_attention_invariants():
     rng = np.random.default_rng(0)
-    # Softmax outputs are row-stochastic at both modules' shapes.
+    # The softmax kernel of both modules is row-stochastic at their shapes,
+    # and its in-place form, which both run, gives the same bits.
     for shape, scale in (((3, 49, 49), 16), ((3, 3), 16 * 49), ((2, 5), 4)):
-        out = scaled_softmax(Tensor(rng.standard_normal(shape) * 20.0), scale)
-        assert np.all(out.data >= 0.0)
-        assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
+        logits = rng.standard_normal(shape) * 20.0
+        out = softmax_rows(logits, math.sqrt(scale))
+        assert np.all(out >= 0.0)
+        assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-12
+        assert softmax_rows(logits, math.sqrt(scale), out=logits) is logits
+        assert np.array_equal(logits.view(np.uint64), out.view(np.uint64))
 
     # Object-permutation equivariance of the per-frame stage.
     params = spatial_params_init(4, 3)

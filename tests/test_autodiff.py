@@ -5,18 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from vsorank.autodiff import (
-    ShapeError,
-    Tensor,
-    _reached,
-    conv1x1,
-    grad_check,
-    linear,
-    matmul,
-    mean_axis,
-    relu,
-    scaled_softmax,
-)
+from composed import linear, matmul, mean_axis, relu, scaled_softmax
+from vsorank.autodiff import ShapeError, Tensor, _reached, conv1x1, grad_check
 
 
 def rand_tensor(rng, *shape, requires_grad=True):
@@ -339,6 +329,40 @@ class TestRandomizedGradients:
 
         axis = int(rng.integers(0, 4))
         assert grad_check(lambda t: mean_axis(t, axis).sum(), x4) < 1e-5
+
+        # Every operand of the three matmul forms and of linear, each
+        # against a random cotangent.
+        a3 = rand_tensor(rng, n, m, k)
+        b3 = rand_tensor(rng, n, k, p)
+        lw = rand_tensor(rng, p, k)
+        lb = rand_tensor(rng, p)
+        cases = [
+            (lambda t: matmul(a, t), bb),
+            (lambda t: matmul(t, b3), a3),
+            (lambda t: matmul(a3, t), b3),
+            (lambda t: matmul(t, bb), a3),
+            (lambda t: matmul(a3, t), bb),
+            (lambda t: linear(t, lw, lb), a3),
+            (lambda t: linear(a3, t, lb), lw),
+            (lambda t: linear(a3, lw, t), lb),
+        ]
+        for f, x in cases:
+            uf = Tensor(rng.standard_normal(f(x).shape))
+            assert grad_check(lambda t: (f(t) * uf).sum(), x) < 1e-5
+
+        for axis in range(x4.ndim):
+            ua = Tensor(rng.standard_normal(np.delete(x4.shape, axis)))
+            assert grad_check(lambda t: (mean_axis(t, axis) * ua).sum(), x4) < 1e-5
+
+        x3 = rand_tensor(rng, 2, 3, 4)
+        u3 = Tensor(rng.standard_normal((2, 3, 4)))
+
+        def elementwise(t):
+            y = relu(t * 0.7 + 0.1) - t * t
+            y = (y + y * u3).reshape(4, 6)
+            return (2.0 - y).mean()
+
+        assert grad_check(elementwise, x3) < 1e-5
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_cotangent_jacobian_action(self, seed):

@@ -674,7 +674,7 @@ class TestGradcheck:
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
-        assert len(payload["checks"]) == 11
+        assert len(payload["checks"]) == 4
         assert not any(c["passed"] for c in payload["checks"])
 
 

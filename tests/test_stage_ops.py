@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import composed
+from composed import relu
 from vsorank import spatial
-from vsorank.autodiff import ShapeError, Tensor, _reached, grad_check, relu
+from vsorank.autodiff import ShapeError, Tensor, _reached, grad_check
 from vsorank.dataset import (
     FrameSample,
     RankAnnotation,
