@@ -96,19 +96,17 @@ def _spatial_module(rng):
 
 
 def _temporal_module(rng):
-    """Every operand of ``temporal_mix``, ``object_means`` and ``frame_scores``
-    but ``temporal.q_proj.bias``: the softmax is shift-invariant along each
-    row and that bias shifts whole rows, so its true gradient is 0 and a
-    finite difference of it is pure noise.  The frames hold 2 and 1 objects."""
+    """Every operand of ``temporal_mix``, ``object_means`` and ``frame_scores``.
+    The frames hold 2 and 1 objects."""
     counts, c, h, w = (2, 1), 2, 2, 2
     temporal = TemporalParams(
         k_proj=projection_init(c, c, rng),
-        q_proj=projection_init(c, c, rng),
+        q_proj=projection_init(c, c, rng, bias=False),
         v_proj=projection_init(c, c, rng),
     )
     scoring = ScoringParams(
-        mask_embed=projection_init(c, h * w, rng),
-        score_head=projection_init(1, 2 * c, rng),
+        mask_embed=projection_init(c, h * w, rng, bias=False),
+        score_head=projection_init(1, 2 * c, rng, bias=False),
     )
     relations = [_rand(rng, n, c, h, w) for n in counts]
     values = [_rand(rng, n, c, h, w) for n in counts]
@@ -127,8 +125,7 @@ def _temporal_module(rng):
 
     checked = [*relations, *values, temporal.k_proj.weight, temporal.k_proj.bias,
                temporal.q_proj.weight, temporal.v_proj.weight, temporal.v_proj.bias,
-               scoring.mask_embed.weight, scoring.mask_embed.bias,
-               scoring.score_head.weight, scoring.score_head.bias]
+               scoring.mask_embed.weight, scoring.score_head.weight]
     return ([(mean_score(temporal), x) for x in checked]
             + [(mean_score(None), x) for x in (relations[0], values[1])])
 

@@ -58,13 +58,14 @@ def init_model_params(channels: int, height: int, width: int, seed: int) -> Mode
 
 
 def named_params(params: ModelParams) -> list[tuple[str, Tensor]]:
+    """Every learnable tensor by dotted name; a weight-only projection has no bias."""
     out = []
     for stage_name, stage in (("spatial", params.spatial), ("temporal", params.temporal),
                               ("scoring", params.scoring)):
-        for proj_name in stage.__dataclass_fields__:
-            proj = getattr(stage, proj_name)
+        for proj_name, proj in vars(stage).items():
             out.append((f"{stage_name}.{proj_name}.weight", proj.weight))
-            out.append((f"{stage_name}.{proj_name}.bias", proj.bias))
+            if proj.bias is not None:
+                out.append((f"{stage_name}.{proj_name}.bias", proj.bias))
     return out
 
 
@@ -97,7 +98,8 @@ def model_forward(frames: list[FrameSample], params: ModelParams,
     is built: each intermediate is freed as soon as the pass moves past it.
     """
     detached = ModelParams(*(
-        type(stage)(*(Projection(Tensor(proj.weight.data), Tensor(proj.bias.data))
+        type(stage)(*(Projection(*(None if t is None else Tensor(t.data)
+                                   for t in (proj.weight, proj.bias)))
                       for proj in vars(stage).values()))
         for stage in (params.spatial, params.temporal, params.scoring)))
     scores = model_scores(frames, detached, variant).data

@@ -32,15 +32,16 @@ class EmptyFrameError(ValueError):
 
 @dataclass(frozen=True)
 class Projection:
-    """Weight/bias pair for a 1x1 convolution or a fully connected layer."""
+    """Weight and optional bias of a 1x1 convolution or a fully connected layer."""
 
     weight: Tensor  # (out, in)
-    bias: Tensor  # (out,)
+    bias: Tensor | None  # (out,), or None for a weight-only map
 
 
 def projection_init(out_features: int, in_features: int, rng: np.random.Generator,
-                    zero: bool = False) -> Projection:
-    """Uniform(-1/sqrt(in), 1/sqrt(in)) weights, zero bias; all-zero if asked."""
+                    zero: bool = False, bias: bool = True) -> Projection:
+    """Uniform(-1/sqrt(in), 1/sqrt(in)) weights, all-zero if asked; a zero
+    bias, or none."""
     if zero:
         weight = np.zeros((out_features, in_features))
     else:
@@ -48,7 +49,7 @@ def projection_init(out_features: int, in_features: int, rng: np.random.Generato
         weight = rng.uniform(-bound, bound, size=(out_features, in_features))
     return Projection(
         weight=Tensor(weight, requires_grad=True),
-        bias=Tensor(np.zeros(out_features), requires_grad=True),
+        bias=Tensor(np.zeros(out_features), requires_grad=True) if bias else None,
     )
 
 

@@ -3,10 +3,19 @@
 Per frame, the object-mean of the value features gives one context map.  With
 cross-frame attention, the T stacked maps attend over each other (a T x T
 attention), producing a mixed context map per frame; without it, each frame
-keeps its own.  Fusing each object's relation block with its frame's context
-map, embedding the object's initial mask, and applying a fully connected head
-yields a saliency score per object.  Scores are differentiable; rank
-assignment operates on their detached values.
+keeps its own.  Pooling each object's relation block against its frame's
+context map, embedding the object's initial mask, and applying a fully
+connected head yields a saliency score per object.  Scores are
+differentiable; rank assignment operates on their detached values.
+
+In closed form, with ``s`` a frame's context summed over channels, ``R_n``
+object n's (C, HW) relation block, ``m_n`` its resized mask, ``E`` the mask
+embedding and ``[w_r, w_m]`` the score head,
+``score_n = w_r·(R_n s)/C + w_m·(E m_n)``.  With the spatial stage,
+``R_n s = x_n s + v (A_nᵀ s)`` (``x_n`` the input block, ``v`` the frame's
+mean value map, ``A_n`` the object's attention); without it ``R_n = x_n``.
+The loss compares scores within a frame only, so neither the head nor the
+embedding has a bias: it would shift a whole frame's scores alike.
 """
 
 import math
@@ -35,7 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TemporalParams:
-    """Three C->C projections applied to the stacked per-frame value maps."""
+    """Three C->C projections of the stacked per-frame value maps; the query
+    map has no bias, as it would shift each softmax row by ``k_i·b``."""
 
     k_proj: Projection
     q_proj: Projection
@@ -44,7 +54,7 @@ class TemporalParams:
 
 @dataclass(frozen=True)
 class ScoringParams:
-    """Mask embedding (H*W -> C) and the score head (2C -> 1)."""
+    """Mask embedding (H*W -> C) and the score head (2C -> 1), both weight-only."""
 
     mask_embed: Projection
     score_head: Projection
@@ -54,7 +64,7 @@ def temporal_params_init(channels: int, rng_seed: int) -> TemporalParams:
     rng = np.random.default_rng(rng_seed)
     return TemporalParams(
         k_proj=projection_init(channels, channels, rng),
-        q_proj=projection_init(channels, channels, rng),
+        q_proj=projection_init(channels, channels, rng, bias=False),
         v_proj=projection_init(channels, channels, rng),
     )
 
@@ -64,14 +74,17 @@ def scoring_params_init(channels: int, height: int, width: int, rng_seed: int) -
     # rank preference; it picks up gradient from the first step on.
     rng = np.random.default_rng(rng_seed)
     return ScoringParams(
-        mask_embed=projection_init(channels, height * width, rng),
-        score_head=projection_init(1, 2 * channels, rng, zero=True),
+        mask_embed=projection_init(channels, height * width, rng, bias=False),
+        score_head=projection_init(1, 2 * channels, rng, zero=True, bias=False),
     )
 
 
-def _check_projection(name: str, proj: Projection, out_features: int, in_features: int):
-    if proj.weight.shape != (out_features, in_features) or proj.bias.shape != (out_features,):
-        raise ShapeError(f"{name}: shapes {proj.weight.shape}, {proj.bias.shape} do not map "
+def _check_projection(name: str, proj: Projection, out_features: int, in_features: int,
+                      biased: bool = True):
+    """An (out, in) weight, and an (out,) bias if ``biased``, else none."""
+    shapes = (proj.weight.shape, None if proj.bias is None else proj.bias.shape)
+    if shapes != ((out_features, in_features), (out_features,) if biased else None):
+        raise ShapeError(f"{name}: shapes {shapes[0]}, {shapes[1]} do not map "
                          f"{in_features} to {out_features} features")
 
 
@@ -100,7 +113,8 @@ def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
 
     ``values[t]`` is frame t's (N_t, C, H, W) value block.  One op with a
     closed-form vjp.  Forward, with the means ``m`` as (T, C, HW) and each
-    projection ``P m = W m + b`` flattened to (T, CHW):
+    projection ``P m = W m + b`` flattened to (T, CHW), where the query map
+    has no ``b``:
     ``A = softmax(K Q^T / sqrt(CHW))`` and ``out = A V``.  Backward, from
     ``g`` as (T, CHW): ``dA = g V^T``, ``dV = A^T g``,
     ``dL = softmax_rows_vjp(dA)``, ``dK = dL Q`` and ``dQ = dL^T K``; each
@@ -116,14 +130,15 @@ def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
     hw, chw = h * w, c * h * w
     projections = (params.k_proj, params.q_proj, params.v_proj)
     for name, proj in zip(("k_proj", "q_proj", "v_proj"), projections):
-        _check_projection(name, proj, c, c)
+        _check_projection(name, proj, c, c, biased=proj is not params.q_proj)
     scale = math.sqrt(chw)
 
     m3 = means.reshape(t, c, hw)
 
     def project(proj):
         out = np.matmul(proj.weight.data, m3)
-        out += proj.bias.data[None, :, None]
+        if proj.bias is not None:
+            out += proj.bias.data[None, :, None]
         return out.reshape(t, chw)
 
     keys, queries, mixed_values = map(project, projections)
@@ -143,16 +158,16 @@ def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
         for proj, d_p in zip(projections, d_projected):
             d_p3 = d_p.reshape(t, c, hw)
             d_params.append(np.matmul(d_p3, np.swapaxes(m3, 1, 2)).sum(axis=0))
-            d_params.append(d_p3.sum(axis=(0, 2)))
+            if proj.bias is not None:
+                d_params.append(d_p3.sum(axis=(0, 2)))
             if need_means:
                 d_m3 += np.matmul(proj.weight.data.T, d_p3)
         d_values = (_spread_means(values, d_m3.reshape(t, c, h, w), needed) if need_means
                     else [None] * t)
         return d_values + d_params
 
-    operands = list(values)
-    for proj in projections:
-        operands += [proj.weight, proj.bias]
+    operands = [*values, *(tensor for proj in projections for tensor in (proj.weight, proj.bias)
+                           if tensor is not None)]
     return op(data, operands, vjp)
 
 
@@ -163,74 +178,50 @@ def frame_scores(relations: list[Tensor], contexts: Tensor, mask_inputs: list[np
     ``relations[t]`` is frame t's (N_t, C, H, W) relation block,
     ``contexts`` holds every frame's (C, H, W) context map, (T, C, H, W),
     and ``mask_inputs[t]`` is frame t's (N_t, H, W) masks on the same grid.
-    Each object's (C, HW) relation block is multiplied with its frame's
-    context viewed as (HW, C); the row means of the resulting C x C map,
-    concatenated with the embedded mask, feed the score head.
+    Each object's (C, HW) relation block ``R_n`` is pooled against its
+    frame's context summed over channels, ``s``, as ``R_n s / C``; that,
+    concatenated with the embedded mask, feeds the score head.
 
-    One op with a closed-form vjp.  Every row of the C x C map's gradient is
-    the same, so with ``p`` the pooled means and ``s`` the context summed
-    over channels, ``dR[n, a, :] = dp[n, a] s / C`` and each frame's context
+    One op with a closed-form vjp.  With ``dp`` the gradient of the pooled
+    rows, ``dR[n, a, :] = dp[n, a] s / C``, and each frame's context
     gradient is ``sum_{n,a} dp[n, a] R[n, a, :] / C`` on every channel over
-    that frame's objects.  Each product that sums over objects or pairs a
-    frame's rows with its own context runs on that frame's rows alone, and
-    the parameter gradients add up from the last frame to the first, so
-    every value rounds as it did when each frame was its own op.
+    that frame's objects.  The mask embedding, the score head and their
+    gradients are single products over the stacked (ΣN, ·) rows.
     """
     if not relations or contexts.ndim != 4 or len(relations) != contexts.shape[0]:
         raise ShapeError(f"need one (C, H, W) context per frame, got contexts of shape "
                          f"{contexts.shape} for {len(relations)} frames")
     c, h, w = contexts.shape[1:]
     hw = h * w
-    mask_embed, score_head = scoring.mask_embed, scoring.score_head
-    _check_projection("mask_embed", mask_embed, c, hw)
-    _check_projection("score_head", score_head, 1, 2 * c)
+    embed, head = scoring.mask_embed.weight, scoring.score_head.weight
+    _check_projection("mask_embed", scoring.mask_embed, c, hw, biased=False)
+    _check_projection("score_head", scoring.score_head, 1, 2 * c, biased=False)
 
     ends = list(accumulate(relation.shape[0] for relation in relations))
     rows = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
-    contexts3 = contexts.data.reshape(-1, c, hw)
-    # C order, as BLAS rounds a product by layout.
-    flat_masks = [np.ascontiguousarray(masks.reshape(-1, hw)) for masks in mask_inputs]
+    sums = contexts.data.reshape(-1, c, hw).sum(axis=1)  # (T, HW)
+    masks = np.concatenate(mask_inputs).reshape(-1, hw)
     joint = np.empty((ends[-1], 2 * c))  # pooled relations, then embedded masks
-    for relation, context, masks, frame in zip(relations, contexts3, flat_masks, rows):
-        # The sum half of a mean over the last axis; the division follows.
-        np.add.reduce(np.matmul(relation.data.reshape(-1, c, hw), context.T), axis=2,
-                      out=joint[frame, :c])
-        joint[frame, c:] = masks @ mask_embed.weight.data.T
+    for relation, s, frame in zip(relations, sums, rows):
+        joint[frame, :c] = relation.data.reshape(-1, c, hw) @ s
     joint[:, :c] /= c
-    joint[:, c:] += mask_embed.bias.data
-    data = np.empty((ends[-1], 1))
-    for frame in rows:
-        data[frame] = joint[frame] @ score_head.weight.data.T
-    data += score_head.bias.data
+    joint[:, c:] = masks @ embed.data.T
+    data = joint @ head.data.T
 
     def vjp(g, needed):
         g_col = g.reshape(-1, 1)
-        d_joint = g_col @ score_head.weight.data  # (ΣN, 2C)
-        d_pooled, d_mask_vec = d_joint[:, :c] / c, d_joint[:, c:]
-        d_relations = [(d_pooled[frame, :, None] * context.sum(axis=0)).reshape(relation.shape)
-                       if need else None
-                       for relation, context, frame, need in zip(relations, contexts3, rows,
-                                                                  needed)]
+        d_joint = g_col @ head.data  # (ΣN, 2C)
+        d_pooled = d_joint[:, :c] / c
+        d_relations = [(d_pooled[frame, :, None] * s).reshape(relation.shape) if need else None
+                       for relation, s, frame, need in zip(relations, sums, rows, needed)]
         d_contexts = None
         if needed[len(relations)]:
-            d_contexts = np.zeros(contexts.shape)
-            for t, (relation, frame) in enumerate(zip(relations, rows)):
-                d_contexts[t] = (d_pooled[frame].reshape(1, -1)
-                                 @ relation.data.reshape(-1, hw)).reshape(1, h, w)
-        d_params = None
-        for masks, frame in zip(reversed(flat_masks), reversed(rows)):
-            shares = (d_mask_vec[frame].T @ masks, d_mask_vec[frame].sum(axis=0),
-                      g_col[frame].T @ joint[frame], g_col[frame].sum(axis=0))
-            if d_params is None:
-                d_params = shares
-            else:
-                for total, share in zip(d_params, shares):
-                    total += share
-        return d_relations + [d_contexts, *d_params]
+            d_sums = np.stack([d_pooled[frame].reshape(-1) @ relation.data.reshape(-1, hw)
+                               for relation, frame in zip(relations, rows)])
+            d_contexts = np.broadcast_to(d_sums.reshape(-1, 1, h, w), contexts.shape)
+        return d_relations + [d_contexts, d_joint[:, c:].T @ masks, g_col.T @ joint]
 
-    operands = [*relations, contexts, mask_embed.weight, mask_embed.bias,
-                score_head.weight, score_head.bias]
-    return op(data.reshape(-1), operands, vjp)
+    return op(data.reshape(-1), [*relations, contexts, embed, head], vjp)
 
 
 def sequence_scores(relations: list[Tensor], values: list[Tensor], mask_inputs: list[np.ndarray],

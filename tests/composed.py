@@ -6,13 +6,16 @@
 form those ops replaced, so that the tests can ask both forms for the same
 values and gradients.  It holds the small ops that the package no longer
 needs: the matrix product ``matmul`` (plain, batched and with a shared right
-operand), the affine map ``linear``, ``scaled_softmax`` (over the package's
-``softmax_rows`` kernel), ``mean_axis`` and ``relu``, and the shape ops
-``transpose_last2``, ``stack``, ``take`` and ``concat``.  The stage
-functions here return what their fused counterparts return, but one frame
-at a time: ``frame_scores`` and ``rank_loss`` take one frame, where the
-package's ops take a sequence, and ``temporal_mix`` takes the stacked object
-means, (T, C, H, W), as the composed form did.
+operand), the affine map ``linear`` (a linear map when given no bias),
+``scaled_softmax`` (over the package's ``softmax_rows`` kernel),
+``mean_axis`` and ``relu``, and the shape ops ``transpose_last2``,
+``stack``, ``take`` and ``concat``.  The stage functions here return what
+their fused counterparts return, but one frame at a time: ``frame_scores``
+and ``rank_loss`` take one frame, where the package's ops take a sequence,
+and ``temporal_mix`` takes the stacked object means, (T, C, H, W), as the
+composed form did.  ``frame_scores`` keeps the (N, C, C) product whose row
+means the package's op computes directly as ``R_n s / C``, so the two stay
+independent routes.
 """
 
 import math
@@ -49,18 +52,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return op(np.matmul(a.data, b.data), (a, b), vjp)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map over the last axis: ``out[..., :] = weight @ x[..., :] + bias``."""
-    if weight.ndim != 2 or bias.ndim != 1 or weight.shape[0] != bias.shape[0]:
-        raise ShapeError(f"linear: bad parameter shapes {weight.shape}, {bias.shape}")
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map over the last axis: ``out[..., :] = weight @ x[..., :] + bias``;
+    without a bias, the linear map ``weight @ x[..., :]``."""
+    if weight.ndim != 2 or bias is not None and (bias.ndim != 1
+                                                 or weight.shape[0] != bias.shape[0]):
+        raise ShapeError(f"linear: bad parameter shapes {weight.shape}, "
+                         f"{None if bias is None else bias.shape}")
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: feature mismatch, input {x.shape} vs weight {weight.shape}")
 
     def vjp(g, needed):
         g2 = g.reshape(-1, weight.shape[0])
-        return g @ weight.data, g2.T @ x.data.reshape(-1, weight.shape[1]), g2.sum(axis=0)
+        shares = g @ weight.data, g2.T @ x.data.reshape(-1, weight.shape[1])
+        return shares if bias is None else (*shares, g2.sum(axis=0))
 
-    return op(x.data @ weight.data.T + bias.data, (x, weight, bias), vjp)
+    data = x.data @ weight.data.T
+    if bias is None:
+        return op(data, (x, weight), vjp)
+    return op(data + bias.data, (x, weight, bias), vjp)
 
 
 def scaled_softmax(x: Tensor, scale_dim: int) -> Tensor:
@@ -158,7 +168,9 @@ def temporal_mix(stacked: Tensor, params) -> Tensor:
     chw = c * h * w
 
     keys = conv1x1(stacked, params.k_proj.weight, params.k_proj.bias).reshape(t, chw)
-    queries = conv1x1(stacked, params.q_proj.weight, params.q_proj.bias).reshape(t, chw)
+    # The query map has no bias: over each position's channels, then back.
+    positions = transpose_last2(stacked.reshape(t, c, h * w))  # (T, HW, C)
+    queries = transpose_last2(linear(positions, params.q_proj.weight)).reshape(t, chw)
     mixed_values = conv1x1(stacked, params.v_proj.weight, params.v_proj.bias).reshape(t, chw)
 
     attention = scaled_softmax(matmul(keys, transpose_last2(queries)), chw)  # (T, T)
@@ -175,10 +187,10 @@ def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray, scoring) 
     pooled = mean_axis(fused, 2)  # (N, C)
 
     mask_inputs = downsample_mask(masks, h, w).reshape(n, hw)
-    mask_vec = linear(Tensor(mask_inputs), scoring.mask_embed.weight, scoring.mask_embed.bias)
+    mask_vec = linear(Tensor(mask_inputs), scoring.mask_embed.weight)
 
     joint = concat(pooled, mask_vec)  # (N, 2C)
-    return linear(joint, scoring.score_head.weight, scoring.score_head.bias).reshape(n)
+    return linear(joint, scoring.score_head.weight).reshape(n)
 
 
 def sequence_scores(relations, values, masks, temporal, scoring) -> list[Tensor]:

@@ -153,10 +153,9 @@ def test_criterion_4_module_oracles():
             [v.data for v in values],
             masks,
             temporal.k_proj.weight.data, temporal.k_proj.bias.data,
-            temporal.q_proj.weight.data, temporal.q_proj.bias.data,
+            temporal.q_proj.weight.data,
             temporal.v_proj.weight.data, temporal.v_proj.bias.data,
-            scoring.mask_embed.weight.data, scoring.mask_embed.bias.data,
-            scoring.score_head.weight.data, scoring.score_head.bias.data,
+            scoring.mask_embed.weight.data, scoring.score_head.weight.data,
         )
         for got_t, exp_t in zip(got, expected):
             assert np.abs(got_t - exp_t).max() < 1e-10

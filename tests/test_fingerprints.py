@@ -149,6 +149,16 @@ def test_final_parameters(variant, actual, expected):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_pinned_parameters_are_not_rounding_residue(variant, expected):
+    """Every pinned tensor is exactly zero or has a magnitude far above
+    rounding: a parameter whose true gradient is 0 would pin residue near
+    1e-17, which another BLAS or a one-ulp change moves by 100%."""
+    for name, values in expected["variants"][variant]["params"].items():
+        largest = np.abs(np.array(values)).max()
+        assert largest == 0.0 or largest >= 1e-10, f"{name}: max |value| {largest:.3g}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_eval_result(variant, actual, expected):
     got, want = actual[variant]["eval"], expected["variants"][variant]["eval"]
     assert got["undefined_count"] == want["undefined_count"]

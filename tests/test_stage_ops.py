@@ -58,16 +58,19 @@ def assert_close(got, want, name):
     assert np.abs(got - want).max() <= RTOL * np.abs(want).max(), name
 
 
-def _projection(rng, out_features, in_features):
+def _projection(rng, out_features, in_features, bias=True):
     return Projection(Tensor(rng.standard_normal((out_features, in_features)), requires_grad=True),
-                      Tensor(rng.standard_normal(out_features), requires_grad=True))
+                      Tensor(rng.standard_normal(out_features), requires_grad=True) if bias
+                      else None)
 
 
 def _model_params(rng, c, h, w):
     return ModelParams(
         spatial=SpatialParams(*(_projection(rng, c, c) for _ in range(2))),
-        temporal=TemporalParams(*(_projection(rng, c, c) for _ in range(3))),
-        scoring=ScoringParams(_projection(rng, c, h * w), _projection(rng, 1, 2 * c)),
+        temporal=TemporalParams(_projection(rng, c, c), _projection(rng, c, c, bias=False),
+                                _projection(rng, c, c)),
+        scoring=ScoringParams(_projection(rng, c, h * w, bias=False),
+                              _projection(rng, 1, 2 * c, bias=False)),
     )
 
 
@@ -154,13 +157,10 @@ def test_sequence_scores_match_composed(case, mix):
                (frame_scores[0] * cotangents[0]).sum())
     want = _gradients(loss, leaves)
     assert_close(scores.data, np.concatenate([s.data for s in frame_scores]), "forward")
-    for name, leaf, got, expect in zip(range(len(leaves)), leaves, fused, want):
+    for name, got, expect in zip(range(len(leaves)), fused, want):
         if expect is None:
             # A parameter of the temporal stage when it does not run.
             assert got is None and not mix, name
-        elif leaf is params.temporal.q_proj.bias:
-            # The bias shifts whole softmax rows, so its true gradient is 0.
-            assert np.abs(got).max() < 1e-12 and np.abs(expect).max() < 1e-12
         else:
             assert_close(got, expect, name)
 
@@ -176,7 +176,10 @@ FRAME_RANKS = st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(
 @example(([1], [1]), 2, 0.5)
 def test_rank_loss_matches_composed(frame_ranks, seed, margin):
     """The segmented loss against the composed loss of each frame with pairs,
-    added in frame order; a sequence without pairs is rejected."""
+    added in frame order; a sequence without pairs is rejected.  The loss
+    sees a frame's scores only relative to each other: its gradient sums to
+    0 over every frame, and a constant added to a frame's scores leaves it
+    unchanged, so a score bias would be inert."""
     pairs = RankPairs([RankTarget(tuple(ranks)) for ranks in frame_ranks])
     scores = Tensor(np.random.default_rng(seed).standard_normal(pairs.size), requires_grad=True)
     if not pairs.ends:
@@ -195,6 +198,12 @@ def test_rank_loss_matches_composed(frame_ranks, seed, margin):
     assert fused.shape == want.shape
     assert fused.item() == want.item()
     assert_close(fused_grad, want_grad, "scores")
+    frame_sums = np.add.reduceat(fused_grad, np.concatenate([[0], ends[:-1]]))
+    assert np.abs(frame_sums).max() <= RTOL * np.abs(fused_grad).max()
+    shifts = np.repeat(10 * np.random.default_rng(seed + 1).standard_normal(len(ends)),
+                       [len(ranks) for ranks in frame_ranks])
+    assert abs(rank_loss(Tensor(scores.data + shifts), pairs, margin).item()
+               - fused.item()) <= 1e-12
 
 
 def _sample(counts, c, h, w, seed):
@@ -250,9 +259,9 @@ def test_training_step_gradients_match_composed(variant, case):
     want_loss = sum(terms[1:], terms[0])
     want = _gradients(want_loss, leaves)
     assert abs(loss.item() - want_loss.item()) <= RTOL * abs(want_loss.item())
-    for (name, leaf), got, expect in zip(named_params(params), fused, want):
-        if expect is None or name == "temporal.q_proj.bias":
-            assert got is None or np.abs(got).max() < 1e-12, name
+    for (name, _), got, expect in zip(named_params(params), fused, want):
+        if expect is None:
+            assert got is None, name
         else:
             assert_close(got, expect, name)
 
@@ -286,7 +295,9 @@ def test_step_node_count_per_variant(variant):
 
 def test_unranked_frame_runs_no_attention_backward(monkeypatch):
     """A one-object frame is in no pair, so no gradient reaches its scores:
-    its relation's vjp returns zeros without the (N, HW, HW) backward."""
+    its relation's vjp returns zeros without the (N, HW, HW) backward.  The
+    margin is wide enough that every pair of the ranked frames is active,
+    whatever the scores."""
     calls = []
     inner = spatial.softmax_rows_vjp
 
@@ -297,7 +308,8 @@ def test_unranked_frame_runs_no_attention_backward(monkeypatch):
     monkeypatch.setattr(spatial, "softmax_rows_vjp", counted)
     sample = _sample([1, 3, 1, 2], 2, 2, 2, seed=6)
     params = _model_params(np.random.default_rng(6), 2, 2, 2)
-    loss = _sequence_loss(sample, params, ModelConfig(variant="full", C=2, H=2, W=2))
+    loss = _sequence_loss(sample, params,
+                          ModelConfig(variant="full", C=2, H=2, W=2, margin=1e3))
     assert loss.item() > 0.0
     loss.backward()
     assert sorted(calls) == [2, 3]  # the frames of 3 and 2 objects

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from vsorank.autodiff import ShapeError, Tensor, grad_check
-from vsorank.dataset import FrameSample
+from vsorank.dataset import FrameSample, SynthConfig, synth_generate
 from vsorank.metrics import render_rank_map
-from vsorank.model import VARIANTS, init_model_params, model_forward, model_scores
+from vsorank.model import VARIANTS, init_model_params, model_forward, model_scores, named_params
 from vsorank.spatial import EmptyFrameError, Projection
 from vsorank.temporal import (
     ScoringParams,
@@ -60,7 +60,7 @@ def resize_converting_first(mask, out_h, out_w):
     return top * (1 - fy) + bottom * fy
 
 
-def reference_scores(relations, values, masks, kw, kb, qw, qb, vw, vb, mw, mb, sw, sb):
+def reference_scores(relations, values, masks, kw, kb, qw, vw, vb, mw, sw):
     """Straight-line loop reimplementation of the scoring stage.
 
     ``relations``/``values`` are lists of (N_t, C, H, W) arrays; ``masks`` a
@@ -77,7 +77,7 @@ def reference_scores(relations, values, masks, kw, kb, qw, qb, vw, vb, mw, mb, s
                 for xx in range(w):
                     stacked[t, ch, yy, xx] = values[t][:, ch, yy, xx].mean()
 
-    def conv(weight, bias):
+    def conv(weight, bias=0.0):
         out = np.zeros((t_count, c, h, w))
         for t in range(t_count):
             for yy in range(h):
@@ -86,7 +86,7 @@ def reference_scores(relations, values, masks, kw, kb, qw, qb, vw, vb, mw, mb, s
         return out
 
     keys = conv(kw, kb).reshape(t_count, chw)
-    queries = conv(qw, qb).reshape(t_count, chw)
+    queries = conv(qw).reshape(t_count, chw)
     mixed = conv(vw, vb).reshape(t_count, chw)
 
     logits = np.zeros((t_count, t_count))
@@ -115,9 +115,9 @@ def reference_scores(relations, values, masks, kw, kb, qw, qb, vw, vb, mw, mb, s
                 for b in range(c):
                     fused[a, b] = float(rel[a] @ ctx[:, b])
             pooled = fused.mean(axis=1)
-            mask_vec = mw @ reference_bilinear(masks[t][i], h, w).reshape(hw) + mb
+            mask_vec = mw @ reference_bilinear(masks[t][i], h, w).reshape(hw)
             joint = np.concatenate([pooled, mask_vec])
-            scores[i] = float(sw[0] @ joint) + sb[0]
+            scores[i] = float(sw[0] @ joint)
         all_scores.append(scores)
     return all_scores
 
@@ -127,16 +127,13 @@ def random_setup(rng, counts, c, h, w, mask_hw=(6, 6)):
     temporal = TemporalParams(
         k_proj=Projection(Tensor(rng.standard_normal((c, c)), requires_grad=True),
                           Tensor(rng.standard_normal(c), requires_grad=True)),
-        q_proj=Projection(Tensor(rng.standard_normal((c, c)), requires_grad=True),
-                          Tensor(rng.standard_normal(c), requires_grad=True)),
+        q_proj=Projection(Tensor(rng.standard_normal((c, c)), requires_grad=True), None),
         v_proj=Projection(Tensor(rng.standard_normal((c, c)), requires_grad=True),
                           Tensor(rng.standard_normal(c), requires_grad=True)),
     )
     scoring = ScoringParams(
-        mask_embed=Projection(Tensor(rng.standard_normal((c, h * w)), requires_grad=True),
-                              Tensor(rng.standard_normal(c), requires_grad=True)),
-        score_head=Projection(Tensor(rng.standard_normal((1, 2 * c)), requires_grad=True),
-                              Tensor(rng.standard_normal(1), requires_grad=True)),
+        mask_embed=Projection(Tensor(rng.standard_normal((c, h * w)), requires_grad=True), None),
+        score_head=Projection(Tensor(rng.standard_normal((1, 2 * c)), requires_grad=True), None),
     )
     relations, values, masks = [], [], []
     for n in counts:
@@ -170,10 +167,9 @@ class TestOracle:
             [v.data for v in values],
             masks,
             temporal.k_proj.weight.data, temporal.k_proj.bias.data,
-            temporal.q_proj.weight.data, temporal.q_proj.bias.data,
+            temporal.q_proj.weight.data,
             temporal.v_proj.weight.data, temporal.v_proj.bias.data,
-            scoring.mask_embed.weight.data, scoring.mask_embed.bias.data,
-            scoring.score_head.weight.data, scoring.score_head.bias.data,
+            scoring.mask_embed.weight.data, scoring.score_head.weight.data,
         )
         for got_t, exp_t in zip(got, expected):
             np.testing.assert_allclose(got_t, exp_t, atol=1e-12)
@@ -192,10 +188,9 @@ class TestOracle:
             [v.data for v in values],
             masks,
             temporal.k_proj.weight.data, temporal.k_proj.bias.data,
-            temporal.q_proj.weight.data, temporal.q_proj.bias.data,
+            temporal.q_proj.weight.data,
             temporal.v_proj.weight.data, temporal.v_proj.bias.data,
-            scoring.mask_embed.weight.data, scoring.mask_embed.bias.data,
-            scoring.score_head.weight.data, scoring.score_head.bias.data,
+            scoring.mask_embed.weight.data, scoring.score_head.weight.data,
         )
         for got_t, exp_t in zip(got, expected):
             np.testing.assert_allclose(got_t, exp_t, atol=1e-10)
@@ -311,7 +306,7 @@ class TestScoring:
         rng = np.random.default_rng(13)
         relations, values, masks, _, _ = random_setup(rng, (2, 2), 2, 2, 2)
         scoring = random_setup(rng, (1,), 2, 3, 3)[4]  # mask_embed maps 9 features
-        message = "mask_embed: shapes (2, 9), (2,) do not map 4 to 2 features"
+        message = "mask_embed: shapes (2, 9), None do not map 4 to 2 features"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             sequence_scores(relations, values, on_grid(masks, relations), None, scoring)
 
@@ -361,6 +356,54 @@ class TestScoring:
                                  masks=np.concatenate([masks[1], masks[1][:1]]))
         with pytest.raises(ShapeError, match="one mask per object"):
             model_scores([good, extra_mask], params, variant)
+
+
+def _softmax_rows(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scores_have_the_closed_form(variant):
+    """``score_n = w_r·(R_n s)/C + w_m·(E m_n)``, with ``R_n s = x_n s + v (A_nᵀ s)``
+    when the spatial stage runs and ``R_n = x_n`` otherwise: ``A_n``, ``v``
+    and ``s`` recomputed in numpy from the parameters, within 1e-13 of the
+    largest score."""
+    c, h, w = 4, 3, 3
+    hw = h * w
+    sample = synth_generate(SynthConfig(K_range=(2, 5), T=3, C=c, H=h, W=w), 21)
+    params = init_model_params(c, h, w, seed=21)
+    rng = np.random.default_rng(21)
+    for _, tensor in named_params(params):
+        tensor.data[...] = rng.standard_normal(tensor.shape) / np.sqrt(tensor.shape[-1])
+    [kq_w, kq_b, v_w, v_b, k_w, k_b, q_w, t_w, t_b, embed, head] = (
+        tensor.data for _, tensor in named_params(params))
+    spatial = variant in ("spatial", "full")
+
+    xs = [frame.features.reshape(-1, c, hw) for frame in sample.frames]
+    values = [v_w @ x + v_b[:, None] for x in xs] if spatial else xs
+    means = np.stack([value.mean(axis=0) for value in values])  # (T, C, HW): each frame's v
+    contexts = means
+    if variant in ("temporal", "full"):
+        t = len(xs)
+        keys = (k_w @ means + k_b[:, None]).reshape(t, -1)
+        queries = (q_w @ means).reshape(t, -1)
+        mixed = (t_w @ means + t_b[:, None]).reshape(t, -1)
+        contexts = (_softmax_rows(keys @ queries.T / np.sqrt(c * hw)) @ mixed).reshape(t, c, hw)
+    expected = []
+    for x, v, context, frame in zip(xs, means, contexts, sample.frames):
+        s = context.sum(axis=0)
+        pooled = x @ s  # (N, C)
+        if spatial:
+            kq = kq_w @ x + kq_b[:, None]
+            attention = _softmax_rows(np.swapaxes(kq, 1, 2) @ kq / np.sqrt(c))  # (N, HW, HW)
+            pooled += np.stack([v @ (a.T @ s) for a in attention])
+        embedded = frame.mask_inputs.reshape(-1, hw) @ embed.T  # (N, C)
+        expected.append(pooled / c @ head[0, :c] + embedded @ head[0, c:])
+    expected = np.concatenate(expected)
+
+    got = model_scores(sample.frames, params, variant).data
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestRankAssign:

@@ -468,10 +468,7 @@ class TestTrainingRun:
             temporal=params.temporal,
             scoring=ScoringParams(
                 mask_embed=params.scoring.mask_embed,
-                score_head=Projection(
-                    weight=type(head.weight)(-head.weight.data),
-                    bias=type(head.bias)(-head.bias.data),
-                ),
+                score_head=Projection(weight=type(head.weight)(-head.weight.data), bias=None),
             ),
         )
         result = evaluate(negated, config, eval_set)
