@@ -21,7 +21,7 @@ from .dataset import (
     synth_generate,
 )
 from .losses import RankTarget, rank_loss
-from .metrics import FrameMatch, mae, match_instances, pearson, render_rank_map, sa_sor
+from .metrics import FrameMatch, pearson, render_rank_map
 from .model import ModelParams, init_model_params, model_forward, model_scores
 from .pgm import PgmError, read_pgm16, write_pgm16
 from .spatial import (

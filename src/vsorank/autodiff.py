@@ -2,8 +2,8 @@
 
 Only what a training step runs is implemented: 1x1 convolution over NCHW
 blocks (the value projection), the row softmax kernel that both attention
-stages run in place, ``op`` for the stage ops' hand-derived vjps, and a few
-elementwise and shape methods on ``Tensor``.  Every matrix product, forward
+stages run in place, ``op`` for the stage ops' hand-derived vjps, and
+``Tensor``'s ``+``, ``*`` and ``sum``.  Every matrix product, forward
 and backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.
 
 The graph is built define-by-run, and ``op`` builds every node: it records
@@ -24,7 +24,6 @@ alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and
 its tensors belong to one thread; disjoint graphs may run concurrently.
 """
 
-import math
 from itertools import count
 
 import numpy as np
@@ -120,7 +119,7 @@ class Tensor:
                 else:
                     parent.grad += share
 
-    # -- elementwise and shape ops ----------------------------------------
+    # -- elementwise ops ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Tensor):
@@ -130,15 +129,6 @@ class Tensor:
         return op(self.data + float(other), (self,), lambda g, needed: (g,))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return op(-self.data, (self,), lambda g, needed: (-g,))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -151,18 +141,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def reshape(self, *shape: int):
-        if math.prod(shape) != self.size:
-            raise ShapeError(f"reshape: {self.shape} has {self.size} elements, target {shape}")
-        return op(self.data.reshape(shape), (self,), lambda g, needed: (g.reshape(self.shape),))
-
     def sum(self):
         return op(self.data.sum(), (self,), lambda g, needed: (np.broadcast_to(g, self.shape),))
-
-    def mean(self):
-        n = self.size
-        return op(self.data.mean(), (self,),
-                  lambda g, needed: (np.broadcast_to(g / n, self.shape),))
 
 
 def op(data: np.ndarray, operands, vjp) -> Tensor:

@@ -1,24 +1,22 @@
 """Evaluation metrics for ranked instance predictions.
 
 A frame's ranked instances are an ``(N, H, W)`` bool mask stack plus N ranks,
-the i-th rank belonging to the i-th mask; every function here takes them in
-that form.  Two metrics are provided:
+the i-th rank belonging to the i-th mask.  ``FrameMatch`` scores one frame on
+two metrics:
 
-* ``mae`` -- mean absolute pixel error between two normalized rank maps,
+* SA-SOR -- segmentation-aware rank correlation.  Predicted instances are
+  matched one-to-one to ground-truth instances by IoU.  Each ground-truth
+  object contributes its saliency level ``N_gt - rank + 1`` to x and its
+  matched prediction's level (or 0 if unmatched) to y; the metric is the
+  Pearson correlation of x and y, or undefined (``None``) when y is
+  constant or there are fewer than two ground-truth objects.
+* MAE -- mean absolute pixel error between the two normalized rank maps,
   ``(1 / (W * H)) * sum |P(i, j) - G(i, j)|``, as painted by
   ``render_rank_map``.
-* ``sa_sor`` -- segmentation-aware rank correlation.  Predicted instances are
-  matched one-to-one to ground-truth instances by IoU (greedy, descending,
-  threshold 0.5 by default).  Each ground-truth object contributes its
-  saliency level ``N_gt - rank + 1`` to x and its matched prediction's level
-  (or 0 if unmatched) to y; the metric is the Pearson correlation of x and y,
-  or undefined (``None``) when y is constant.
 
-``FrameMatch`` scores one frame on both.  It does the work that depends on
-the masks alone once, the instance matching and each foreground pixel's
-(ground-truth instance, predicted instance) pair, so a model evaluated again
-on the same masks scores only its new ranks.  Its ``score`` gives ``sa_sor``
-and the ``mae`` of the two painted rank maps, bit for bit.
+It does the work that depends on the masks alone once, the instance matching
+and each foreground pixel's (ground-truth instance, predicted instance) pair,
+so a model evaluated again on the same masks scores only its new ranks.
 """
 
 import numpy as np
@@ -28,11 +26,8 @@ from .autodiff import ShapeError
 __all__ = [
     "ConstantVectorError",
     "FrameMatch",
-    "match_instances",
     "pearson",
     "render_rank_map",
-    "mae",
-    "sa_sor",
 ]
 
 
@@ -47,14 +42,6 @@ def _stack(masks) -> np.ndarray:
     return masks
 
 
-def _ranked_stack(masks, ranks) -> tuple[np.ndarray, np.ndarray]:
-    masks = _stack(masks)
-    ranks = np.asarray(ranks)
-    if ranks.shape != masks.shape[:1]:
-        raise ShapeError(f"{masks.shape[0]} masks for {ranks.size} ranks")
-    return masks, ranks
-
-
 def _packed_rows(masks: np.ndarray, side: str) -> np.ndarray:
     """One row of packed pixel bits per instance, as 64-bit words; every
     instance needs a pixel."""
@@ -66,51 +53,6 @@ def _packed_rows(masks: np.ndarray, side: str) -> np.ndarray:
     if empty.size:
         raise ValueError(f"{side} instance {empty[0]} has no foreground pixels")
     return rows
-
-
-def match_instances(gt_masks: np.ndarray, pred_masks: np.ndarray,
-                    iou_threshold: float = 0.5) -> list[tuple[int, int]]:
-    """Greedy one-to-one ``(gt, pred)`` index pairs in descending IoU order.
-
-    Only pairs with IoU >= ``iou_threshold`` are considered; exact IoU ties
-    resolve by lower ground-truth index, then lower prediction index.
-    """
-    return _match(gt_masks, pred_masks, iou_threshold)[0]
-
-
-def _match(gt_masks, pred_masks, iou_threshold: float):
-    """``match_instances``' pairs, then both stacks as ``_packed_rows``."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
-    if gt_masks.shape[1:] != pred_masks.shape[1:]:
-        raise ValueError(f"mask shapes differ: {gt_masks.shape[1:]} vs {pred_masks.shape[1:]}")
-    gt = _packed_rows(gt_masks, "ground-truth")
-    pred = _packed_rows(pred_masks, "predicted")
-    # Pixel counts are exact int64 popcounts of the packed words (the zero
-    # padding bits count nothing), so each IoU is the float64 quotient of
-    # two exact integers.  One ground-truth row at a time: a (K, K, words)
-    # block would be another full-frame temporary per frame.
-    intersection = np.empty((len(gt), len(pred)), dtype=np.int64)
-    for row, counts in zip(gt, intersection):
-        np.bitwise_count(row & pred).sum(axis=1, dtype=np.int64, out=counts)
-    gt_area = np.bitwise_count(gt).sum(axis=1, dtype=np.int64)
-    pred_area = np.bitwise_count(pred).sum(axis=1, dtype=np.int64)
-    union = gt_area[:, None] + pred_area[None, :] - intersection
-    overlap = intersection / union
-
-    gt_idx, pred_idx = np.nonzero(overlap >= iou_threshold)  # row-major: ties in index order
-    order = np.argsort(-overlap[gt_idx, pred_idx], kind="stable")
-    pairs: list[tuple[int, int]] = []
-    used_gt: set[int] = set()
-    used_pred: set[int] = set()
-    for gi, pi in zip(gt_idx[order].tolist(), pred_idx[order].tolist()):
-        if gi in used_gt or pi in used_pred:
-            continue
-        pairs.append((gi, pi))
-        used_gt.add(gi)
-        used_pred.add(pi)
-    return pairs, gt, pred
 
 
 def pearson(x, y) -> float:
@@ -142,7 +84,9 @@ def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     objects overlap the most salient one wins.  A mask whose rank is not one
     of 1..N has level 0 and is painted first, onto zeros: it changes nothing.
     """
-    masks, ranks = _ranked_stack(masks, ranks)
+    masks, ranks = _stack(masks), np.asarray(ranks)
+    if ranks.shape != masks.shape[:1]:
+        raise ShapeError(f"{masks.shape[0]} masks for {ranks.size} ranks")
     levels = _levels(ranks)
     rank_map = np.zeros(masks.shape[1:], dtype=np.float64)
     for i in np.argsort(levels[1:], kind="stable"):
@@ -150,68 +94,14 @@ def render_rank_map(masks: np.ndarray, ranks) -> np.ndarray:
     return rank_map
 
 
-def mae(predicted: np.ndarray, truth: np.ndarray) -> float:
-    """Mean absolute per-pixel difference of two rank maps."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predicted.shape != truth.shape:
-        raise ValueError(f"rank map shapes differ: {predicted.shape} vs {truth.shape}")
-    # One full-size temporary, not two: each one freed is heap that glibc
-    # may hand back to the OS and fault in again on the next frame.
-    return _mean_abs(predicted - truth)
-
-
-def _mean_abs(diff: np.ndarray) -> float:
-    """Mean of ``|diff|``, taking the absolute value in ``diff``'s buffer."""
-    np.abs(diff, out=diff)
-    return float(diff.mean())
-
-
-def _check_permutation(gt_ranks: np.ndarray) -> None:
-    n_gt = len(gt_ranks)
-    if sorted(gt_ranks.tolist()) != list(range(1, n_gt + 1)):
-        raise ValueError(f"ground-truth ranks {gt_ranks.tolist()} are not a permutation "
-                         f"of 1..{n_gt}")
-
-
-def _sa_sor_of_pairs(gt_ranks: np.ndarray, pred_ranks: np.ndarray,
-                     pairs: list[tuple[int, int]]) -> float | None:
-    """SA-SOR of checked ranks, given the matched ``(gt, pred)`` index pairs."""
-    n_gt, n_pred = len(gt_ranks), len(pred_ranks)
-    x = n_gt + 1.0 - gt_ranks
-    y = np.zeros(n_gt, dtype=np.float64)
-    for gi, pi in pairs:
-        y[gi] = n_pred - int(pred_ranks[pi]) + 1
-
-    if n_gt < 2:
-        return None
-    try:
-        return pearson(x, y)
-    except ConstantVectorError:
-        return None
-
-
-def sa_sor(gt_masks: np.ndarray, gt_ranks, pred_masks: np.ndarray, pred_ranks,
-           iou_threshold: float = 0.5) -> float | None:
-    """Segmentation-aware rank correlation; ``None`` when undefined.
-
-    Undefined outcomes (fewer than two ground-truth objects, or a constant
-    matched-level vector) are reported as ``None`` and should be excluded
-    from averages by the caller.
-    """
-    gt_masks, gt_ranks = _ranked_stack(gt_masks, gt_ranks)
-    pred_masks, pred_ranks = _ranked_stack(pred_masks, pred_ranks)
-    _check_permutation(gt_ranks)
-    return _sa_sor_of_pairs(gt_ranks, pred_ranks,
-                            match_instances(gt_masks, pred_masks, iou_threshold))
-
-
 def _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks) -> float:
-    """``mae`` of the two rank maps, with the difference taken in the
-    predicted map's buffer: two full-size maps per frame, not three."""
+    """MAE of the two rank maps, with the difference and its absolute value
+    taken in the predicted map's buffer: two full-size maps per frame, not
+    three."""
     diff = render_rank_map(pred_masks, pred_ranks)
     np.subtract(diff, render_rank_map(gt_masks, gt_ranks), out=diff)
-    return _mean_abs(diff)
+    np.abs(diff, out=diff)
+    return float(diff.mean())
 
 
 def _disjoint(rows: np.ndarray) -> bool:
@@ -222,19 +112,52 @@ def _disjoint(rows: np.ndarray) -> bool:
 class FrameMatch:
     """The part of scoring one frame that depends on its masks alone.
 
-    It keeps the ``match_instances`` pairs at ``iou_threshold`` and, when
-    neither stack overlaps itself, each foreground pixel's flat index and
-    the code ``gt * (K_pred + 1) + pred`` of the instances covering it (each
-    index plus one, 0 for none), in the smallest unsigned types that hold
-    them.
-    A pixel's MAE term then depends only on its code.  A stack whose masks
-    overlap paints its rank map instead, so the two stacks are kept.
+    ``pairs`` is the greedy one-to-one matching, as ``(gt, pred)`` index
+    pairs in descending IoU order: only pairs with IoU >= ``iou_threshold``
+    are considered, and exact IoU ties resolve by lower ground-truth index,
+    then lower prediction index.  Every instance needs a foreground pixel.
+
+    When neither stack overlaps itself, it also keeps each foreground
+    pixel's flat index and the code ``gt * (K_pred + 1) + pred`` of the
+    instances covering it (each index plus one, 0 for none), in the smallest
+    unsigned types that hold them.  A pixel's MAE term then depends only on
+    its code.  A stack whose masks overlap paints its rank map instead, so
+    the two stacks are kept.
     """
 
     def __init__(self, gt_masks: np.ndarray, pred_masks: np.ndarray,
                  iou_threshold: float = 0.5):
         gt_masks, pred_masks = _stack(gt_masks), _stack(pred_masks)
-        self.pairs, gt, pred = _match(gt_masks, pred_masks, iou_threshold)
+        if not 0.0 < iou_threshold <= 1.0:
+            raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+        if gt_masks.shape[1:] != pred_masks.shape[1:]:
+            raise ValueError(f"mask shapes differ: {gt_masks.shape[1:]} vs {pred_masks.shape[1:]}")
+        gt = _packed_rows(gt_masks, "ground-truth")
+        pred = _packed_rows(pred_masks, "predicted")
+        # Pixel counts are exact int64 popcounts of the packed words (the zero
+        # padding bits count nothing), so each IoU is the float64 quotient of
+        # two exact integers.  One ground-truth row at a time: a (K, K, words)
+        # block would be another full-frame temporary per frame.
+        intersection = np.empty((len(gt), len(pred)), dtype=np.int64)
+        for row, counts in zip(gt, intersection):
+            np.bitwise_count(row & pred).sum(axis=1, dtype=np.int64, out=counts)
+        gt_area = np.bitwise_count(gt).sum(axis=1, dtype=np.int64)
+        pred_area = np.bitwise_count(pred).sum(axis=1, dtype=np.int64)
+        union = gt_area[:, None] + pred_area[None, :] - intersection
+        overlap = intersection / union
+
+        gt_idx, pred_idx = np.nonzero(overlap >= iou_threshold)  # row-major: ties in index order
+        order = np.argsort(-overlap[gt_idx, pred_idx], kind="stable")
+        pairs: list[tuple[int, int]] = []
+        used_gt: set[int] = set()
+        used_pred: set[int] = set()
+        for gi, pi in zip(gt_idx[order].tolist(), pred_idx[order].tolist()):
+            if gi in used_gt or pi in used_pred:
+                continue
+            pairs.append((gi, pi))
+            used_gt.add(gi)
+            used_pred.add(pi)
+        self.pairs = pairs
         self.gt_count, self.pred_count = len(gt_masks), len(pred_masks)
         self.shape = gt_masks.shape[1:]
         if not (_disjoint(gt) and _disjoint(pred)):
@@ -255,14 +178,32 @@ class FrameMatch:
         self.codes = codes[pixels]
 
     def score(self, gt_ranks, pred_ranks) -> tuple[float | None, float]:
-        """SA-SOR and MAE of the kept masks with these ranks: ``sa_sor`` and
-        the ``mae`` of the two ``render_rank_map`` maps."""
+        """SA-SOR and MAE of the kept masks with these ranks.
+
+        The ground-truth ranks must be a permutation of 1..K_gt.  SA-SOR is
+        ``None`` when undefined (fewer than two ground-truth objects, or a
+        constant matched-level vector); averages should leave it out.  MAE
+        is that of the two ``render_rank_map`` maps, bit for bit.
+        """
         gt_ranks, pred_ranks = np.asarray(gt_ranks), np.asarray(pred_ranks)
         for count, ranks in ((self.gt_count, gt_ranks), (self.pred_count, pred_ranks)):
             if ranks.shape != (count,):
                 raise ShapeError(f"{count} masks for {ranks.size} ranks")
-        _check_permutation(gt_ranks)
-        correlation = _sa_sor_of_pairs(gt_ranks, pred_ranks, self.pairs)
+        n_gt = self.gt_count
+        if sorted(gt_ranks.tolist()) != list(range(1, n_gt + 1)):
+            raise ValueError(f"ground-truth ranks {gt_ranks.tolist()} are not a permutation "
+                             f"of 1..{n_gt}")
+        # Saliency levels: each ground-truth object's, and its match's or 0.
+        x = n_gt + 1.0 - gt_ranks
+        y = np.zeros(n_gt, dtype=np.float64)
+        for gi, pi in self.pairs:
+            y[gi] = self.pred_count - int(pred_ranks[pi]) + 1
+        correlation = None
+        if n_gt >= 2:
+            try:
+                correlation = pearson(x, y)
+            except ConstantVectorError:
+                pass
         if self.masks is not None:
             gt_masks, pred_masks = self.masks
             return correlation, _painted_mae(gt_masks, gt_ranks, pred_masks, pred_ranks)

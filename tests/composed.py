@@ -8,12 +8,13 @@ values and gradients.  It holds the small ops that the package no longer
 needs: the matrix product ``matmul`` (plain, batched and with a shared right
 operand), the affine map ``linear`` (a linear map when given no bias),
 ``scaled_softmax`` (over the package's ``softmax_rows`` kernel),
-``mean_axis`` and ``relu``, and the shape ops ``transpose_last2``,
-``stack``, ``take`` and ``concat``.  The stage functions here return what
-their fused counterparts return, but one frame at a time: ``frame_scores``
-and ``rank_loss`` take one frame, where the package's ops take a sequence,
-and ``temporal_mix`` takes the stacked object means, (T, C, H, W), as the
-composed form did.  ``frame_scores`` keeps the (N, C, C) product whose row
+``mean_axis``, ``mean``, ``relu``, ``neg`` and ``sub``, and the shape ops
+``reshape``, ``transpose_last2``, ``stack``, ``take`` and ``concat``
+(``vsorank``'s ``Tensor`` has only ``+``, ``*`` and ``sum``).  The stage
+functions here return what their fused counterparts return, but one frame
+at a time: ``frame_scores`` and ``rank_loss`` take one frame, where the
+package's ops take a sequence, and ``temporal_mix`` takes the stacked object
+means, (T, C, H, W), as the composed form did.  ``frame_scores`` keeps the (N, C, C) product whose row
 means the package's op computes directly as ``R_n s / C``, so the two stay
 independent routes.
 """
@@ -93,11 +94,34 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
               lambda g, needed: (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape),))
 
 
+def mean(x: Tensor) -> Tensor:
+    """Mean of every entry, as a 0-d tensor."""
+    n = x.size
+    return op(x.data.mean(), (x,), lambda g, needed: (np.broadcast_to(g / n, x.shape),))
+
+
 def relu(x: Tensor) -> Tensor:
     return op(np.maximum(x.data, 0.0), (x,), lambda g, needed: ((x.data > 0.0) * g,))
 
 
+def neg(x: Tensor) -> Tensor:
+    return op(-x.data, (x,), lambda g, needed: (-g,))
+
+
+def sub(a, b: Tensor) -> Tensor:
+    """``a - b`` as ``a + neg(b)``, or ``neg(b) + a`` when ``a`` is a float."""
+    if isinstance(a, Tensor):
+        return a + neg(b)
+    return neg(b) + float(a)
+
+
 # -- shape ops -----------------------------------------------------------------
+
+
+def reshape(x: Tensor, *shape: int) -> Tensor:
+    if math.prod(shape) != x.size:
+        raise ShapeError(f"reshape: {x.shape} has {x.size} elements, target {shape}")
+    return op(x.data.reshape(shape), (x,), lambda g, needed: (g.reshape(x.shape),))
 
 
 def transpose_last2(x: Tensor) -> Tensor:
@@ -148,16 +172,16 @@ def spatial_forward(x: Tensor, params) -> SpatialOutput:
     hw = h * w
 
     kq = conv1x1(x, params.kq_proj.weight, params.kq_proj.bias)  # (N, C, H, W)
-    queries = kq.reshape(n, c, hw)  # (N, C, HW)
+    queries = reshape(kq, n, c, hw)  # (N, C, HW)
     keys = transpose_last2(queries)  # (N, HW, C)
     attention = scaled_softmax(matmul(keys, queries), c)  # (N, HW, HW)
 
     value = conv1x1(x, params.v_proj.weight, params.v_proj.bias)  # (N, C, H, W)
     global_value = mean_axis(value, 0)  # (C, H, W)
-    global_value = transpose_last2(global_value.reshape(c, hw))  # (HW, C)
+    global_value = transpose_last2(reshape(global_value, c, hw))  # (HW, C)
 
     aggregated = matmul(attention, global_value)  # (N, HW, C)
-    aggregated = transpose_last2(aggregated).reshape(n, c, h, w)
+    aggregated = reshape(transpose_last2(aggregated), n, c, h, w)
 
     return SpatialOutput(relation=x + aggregated, value=value)
 
@@ -167,14 +191,15 @@ def temporal_mix(stacked: Tensor, params) -> Tensor:
     t, c, h, w = stacked.shape
     chw = c * h * w
 
-    keys = conv1x1(stacked, params.k_proj.weight, params.k_proj.bias).reshape(t, chw)
+    keys = reshape(conv1x1(stacked, params.k_proj.weight, params.k_proj.bias), t, chw)
     # The query map has no bias: over each position's channels, then back.
-    positions = transpose_last2(stacked.reshape(t, c, h * w))  # (T, HW, C)
-    queries = transpose_last2(linear(positions, params.q_proj.weight)).reshape(t, chw)
-    mixed_values = conv1x1(stacked, params.v_proj.weight, params.v_proj.bias).reshape(t, chw)
+    positions = transpose_last2(reshape(stacked, t, c, h * w))  # (T, HW, C)
+    queries = reshape(transpose_last2(linear(positions, params.q_proj.weight)), t, chw)
+    mixed_values = reshape(conv1x1(stacked, params.v_proj.weight, params.v_proj.bias),
+                           t, chw)
 
     attention = scaled_softmax(matmul(keys, transpose_last2(queries)), chw)  # (T, T)
-    return matmul(attention, mixed_values).reshape(t, c, h, w)
+    return reshape(matmul(attention, mixed_values), t, c, h, w)
 
 
 def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray, scoring) -> Tensor:
@@ -182,15 +207,15 @@ def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray, scoring) 
     n, c, h, w = relation.shape
     hw = h * w
 
-    context_flat = transpose_last2(context.reshape(c, hw))  # (HW, C)
-    fused = matmul(relation.reshape(n, c, hw), context_flat)  # (N, C, C)
+    context_flat = transpose_last2(reshape(context, c, hw))  # (HW, C)
+    fused = matmul(reshape(relation, n, c, hw), context_flat)  # (N, C, C)
     pooled = mean_axis(fused, 2)  # (N, C)
 
     mask_inputs = downsample_mask(masks, h, w).reshape(n, hw)
     mask_vec = linear(Tensor(mask_inputs), scoring.mask_embed.weight)
 
     joint = concat(pooled, mask_vec)  # (N, 2C)
-    return linear(joint, scoring.score_head.weight).reshape(n)
+    return reshape(linear(joint, scoring.score_head.weight), n)
 
 
 def sequence_scores(relations, values, masks, temporal, scoring) -> list[Tensor]:
@@ -215,5 +240,5 @@ def rank_loss(scores: Tensor, target, margin: float) -> Tensor:
         selector[row, i] = 1.0
         selector[row, j] = -1.0
 
-    diffs = matmul(Tensor(selector), scores.reshape(n, 1)).reshape(len(pairs))
-    return relu(margin - diffs).mean()
+    diffs = reshape(matmul(Tensor(selector), reshape(scores, n, 1)), len(pairs))
+    return mean(relu(sub(margin, diffs)))

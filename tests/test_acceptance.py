@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from test_metrics import mae_oracle, random_scene, sa_sor_oracle
+from test_metrics import frame_score, mae_oracle, overlapping_scene, random_scene, sa_sor_oracle
 from test_spatial import random_params, reference_forward
 from test_temporal import frame_score_list, random_setup, reference_scores
 
@@ -28,7 +28,7 @@ from vsorank.dataset import (
     synth_generate,
 )
 from vsorank.gradcheck import run_suite
-from vsorank.metrics import mae, sa_sor
+from vsorank.metrics import render_rank_map
 from vsorank.model import init_model_params
 from vsorank.spatial import spatial_forward, spatial_params_init
 from vsorank.temporal import temporal_mix, temporal_params_init
@@ -94,15 +94,17 @@ def test_criterion_2_attention_invariants():
 def test_criterion_3_metric_oracles():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        shape = (int(rng.integers(1, 10)), int(rng.integers(1, 10)))
-        p, g = rng.random(shape), rng.random(shape)
-        assert abs(mae(p, g) - mae_oracle(p, g)) < 1e-12
+        shape = (int(rng.integers(2, 10)), int(rng.integers(2, 10)))
+        gt_masks, gt_ranks, pred_masks, pred_ranks = scene = overlapping_scene(rng, shape)
+        expected = mae_oracle(render_rank_map(pred_masks, pred_ranks),
+                              render_rank_map(gt_masks, gt_ranks))
+        assert abs(frame_score(*scene)[1] - expected) < 1e-12
 
     agreements = 0
     for seed in range(200):
         scene_rng = np.random.default_rng((900, seed))
         scene = random_scene(scene_rng)
-        got = sa_sor(*scene)
+        got = frame_score(*scene)[0]
         expected = sa_sor_oracle(*scene)
         if expected is None:
             assert got is None
@@ -119,10 +121,10 @@ def test_criterion_3_metric_oracles():
         return pixels
 
     masks = np.stack([band(i) for i in range(3)])
-    assert sa_sor(masks, [1, 2, 3], masks.copy(), [3, 2, 1]) == -1.0
+    assert frame_score(masks, [1, 2, 3], masks.copy(), [3, 2, 1])[0] == -1.0
     from vsorank.metrics import pearson
     assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]) == -0.5
-    report(3, f"mae matches double-loop on 100 maps; rank correlation matches "
+    report(3, f"mae matches double-loop on 100 scenes; rank correlation matches "
               f"the exhaustive oracle on {agreements} scenes; hand values exact")
 
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from composed import linear, matmul, mean_axis, relu, scaled_softmax
+from composed import linear, matmul, mean, mean_axis, neg, relu, reshape, scaled_softmax, sub
 from vsorank.autodiff import ShapeError, Tensor, _reached, conv1x1, grad_check
 
 
@@ -203,20 +203,20 @@ class TestStructuralOps:
     def test_reshape_preserves_data(self):
         rng = np.random.default_rng(11)
         x = rand_tensor(rng, 3, 4, requires_grad=False)
-        out = x.reshape(2, 6)
+        out = reshape(x, 2, 6)
         assert np.array_equal(out.data.reshape(-1), x.data.reshape(-1))
 
     def test_reshape_gradient(self):
         rng = np.random.default_rng(12)
         x = rand_tensor(rng, 3, 4)
         u = Tensor(rng.standard_normal((2, 6)))
-        assert grad_check(lambda t: (t.reshape(2, 6) * u).sum(), x) < 1e-6
+        assert grad_check(lambda t: (reshape(t, 2, 6) * u).sum(), x) < 1e-6
 
     def test_elementwise_gradients(self):
         rng = np.random.default_rng(14)
         x = rand_tensor(rng, 5)
         y = Tensor(rng.standard_normal(5))
-        assert grad_check(lambda t: ((t + y) * t - (2.0 - t) * 0.3).sum(), x) < 1e-6
+        assert grad_check(lambda t: sub((t + y) * t, sub(2.0, t) * 0.3).sum(), x) < 1e-6
 
 
 class TestBackwardSemantics:
@@ -258,14 +258,14 @@ GRAPHS = {
     "mean_axis": ([(2, 3, 4)], lambda x: mean_axis(x, 1)),
     "relu": ([(3, 4)], relu),
     "add": ([(3, 4), (3, 4)], lambda a, b: a + b),
-    "sub": ([(3, 4), (3, 4)], lambda a, b: a - b),
-    "neg": ([(3, 4)], lambda x: -x),
+    "sub": ([(3, 4), (3, 4)], sub),
+    "neg": ([(3, 4)], neg),
     "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
-    "reshape": ([(3, 4)], lambda x: x.reshape(2, 6)),
+    "reshape": ([(3, 4)], lambda x: reshape(x, 2, 6)),
     "sum": ([(3, 4)], lambda x: x.sum()),
-    "mean": ([(3, 4)], lambda x: x.mean()),
+    "mean": ([(3, 4)], mean),
     "add_scalar": ([(3, 4)], lambda x: x + 2.0),
-    "rsub_scalar": ([(3, 4)], lambda x: 2.0 - x),
+    "rsub_scalar": ([(3, 4)], lambda x: sub(2.0, x)),
     "mul_scalar": ([(3, 4)], lambda x: x * 3.0),
 }
 
@@ -358,9 +358,9 @@ class TestRandomizedGradients:
         u3 = Tensor(rng.standard_normal((2, 3, 4)))
 
         def elementwise(t):
-            y = relu(t * 0.7 + 0.1) - t * t
-            y = (y + y * u3).reshape(4, 6)
-            return (2.0 - y).mean()
+            y = sub(relu(t * 0.7 + 0.1), t * t)
+            y = reshape(y + y * u3, 4, 6)
+            return mean(sub(2.0, y))
 
         assert grad_check(elementwise, x3) < 1e-5
 
@@ -400,7 +400,7 @@ ERRORS = {
                            "add: shapes (2,) and (3,) differ"),
     "mul-unequal-shapes": (lambda: _zeros(2) * _zeros(3), ShapeError,
                            "mul: shapes (2,) and (3,) differ"),
-    "reshape-element-count": (lambda: _zeros(2, 3).reshape(4), ShapeError,
+    "reshape-element-count": (lambda: reshape(_zeros(2, 3), 4), ShapeError,
                               "reshape: (2, 3) has 6 elements, target (4,)"),
     "matmul-batch-shapes": (lambda: matmul(_zeros(2, 3, 2), _zeros(3, 2, 3)), ShapeError,
                             "batch shapes incompatible"),

@@ -89,9 +89,11 @@ def test_tracer_finds_the_autodiff_layers(tmp_path):
     for layer in ("autodiff.conv1x1", "spatial.spatial_forward", "temporal.temporal_mix",
                   "temporal.frame_scores", "losses.rank_loss"):
         assert calls.get(layer, 0) > 0, layer
-    # Rows for functions the program no longer has; the four autodiff ops
-    # moved to the test oracle.
+    # Rows for functions the program no longer has: the four autodiff ops
+    # moved to the test oracle, and ``FrameMatch`` replaced the three
+    # one-shot metric functions.
     assert sorted(tracer.missing) == ["autodiff.linear", "autodiff.matmul",
                                       "autodiff.mean_axis", "autodiff.scaled_softmax",
                                       "dataset.annotation_to_rank_map", "metrics.iou",
-                                      "temporal.render_rank_map"]
+                                      "metrics.mae", "metrics.match_instances",
+                                      "metrics.sa_sor", "temporal.render_rank_map"]

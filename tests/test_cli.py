@@ -18,7 +18,7 @@ from vsorank.dataset import (
     save_annotations,
     synth_generate,
 )
-from vsorank.metrics import sa_sor
+from vsorank.metrics import FrameMatch
 from vsorank.model import init_model_params, model_forward
 from vsorank.pgm import read_pgm16, write_pgm16
 from vsorank.trainer import ModelConfig, TrainingDiverged, TrainReport, build_dataset, evaluate
@@ -204,8 +204,8 @@ class TestEval:
             payload = run_json(capsys, "eval", "--gt", str(tmp_path / "gt"),
                                "--pred", str(tmp_path / "pred"), "--iou", str(iou))
             got[iou] = payload["frames"][0]["sa_sor"]
-            assert got[iou] == sa_sor(gt.masks(), gt.ranks_in_id_order(),
-                                      pred.masks(), pred.ranks_in_id_order(), iou)
+            match = FrameMatch(gt.masks(), pred.masks(), iou)
+            assert got[iou] == match.score(gt.ranks_in_id_order(), pred.ranks_in_id_order())[0]
         assert got[0.3] != got[0.5]
 
     def test_missing_frames_listed(self, tmp_path, dataset_dir, capsys):

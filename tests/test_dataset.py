@@ -24,7 +24,7 @@ from vsorank.dataset import (
     synth_generate,
     write_tensor_file,
 )
-from vsorank.metrics import mae, render_rank_map
+from vsorank.metrics import FrameMatch, render_rank_map
 from vsorank.pgm import PgmError, read_pgm16, write_pgm16
 
 
@@ -184,7 +184,8 @@ class TestRankMapRendering:
 
     def test_consistency_under_mae(self):
         annotation = simple_annotation()
-        assert mae(annotation_rank_map(annotation), annotation_rank_map(annotation)) == 0.0
+        masks, ranks = annotation.masks(), annotation.ranks_in_id_order()
+        assert FrameMatch(masks, masks).score(ranks, ranks)[1] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_values_in_unit_interval_and_distinct(self, seed):

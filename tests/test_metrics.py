@@ -1,10 +1,12 @@
 """Metric correctness against independent oracles.
 
-Oracles here deliberately take different routes from the library code:
-``mae`` is checked against a per-pixel double loop, ``pearson`` against
-``np.corrcoef``, greedy IoU matching against a greedy loop over per-pair
-IoUs and against exhaustive optimal assignment, and ``sa_sor`` against a
-from-scratch combination of exhaustive matching and ``np.corrcoef``.
+Oracles here deliberately take different routes from the library code.
+``FrameMatch`` scores a frame, and each of its results has its own oracle:
+its ``pairs`` are checked against a greedy loop over per-pair IoUs and
+against exhaustive optimal assignment, its SA-SOR against a from-scratch
+combination of oracle matching and ``np.corrcoef``, and its MAE against a
+per-pixel double loop over the painted rank maps.  ``pearson`` is checked
+against ``np.corrcoef``.
 """
 
 import itertools
@@ -14,15 +16,7 @@ import numpy as np
 import pytest
 
 from vsorank.autodiff import ShapeError
-from vsorank.metrics import (
-    ConstantVectorError,
-    FrameMatch,
-    mae,
-    match_instances,
-    pearson,
-    render_rank_map,
-    sa_sor,
-)
+from vsorank.metrics import ConstantVectorError, FrameMatch, pearson, render_rank_map
 
 
 # -- oracles -------------------------------------------------------------------
@@ -80,10 +74,12 @@ def exhaustive_match_oracle(gt, pred, threshold):
     return sorted(best_pairs)
 
 
-def sa_sor_oracle(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold=0.5):
-    """Exhaustive matching plus np.corrcoef, fully independent of the library."""
+def sa_sor_oracle(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold=0.5,
+                  match=exhaustive_match_oracle):
+    """Oracle matching (exhaustive by default) plus np.corrcoef, fully
+    independent of the library."""
     n_gt, n_pred = len(gt_ranks), len(pred_ranks)
-    pairs = dict(exhaustive_match_oracle(gt_masks, pred_masks, threshold))
+    pairs = dict(match(gt_masks, pred_masks, threshold))
     x = [n_gt - rank + 1 for rank in gt_ranks]
     y = [
         (n_pred - pred_ranks[pairs[gi]] + 1) if gi in pairs else 0
@@ -94,11 +90,25 @@ def sa_sor_oracle(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold=0.5):
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def painted_score(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold=0.5):
-    """The reference of ``FrameMatch.score``: ``sa_sor``, and ``mae`` of the
+def frame_score(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold=0.5):
+    """``FrameMatch.score`` of a scene, ``(gt_masks, gt_ranks, pred_masks,
+    pred_ranks)``: its SA-SOR and MAE."""
+    return FrameMatch(gt_masks, pred_masks, iou_threshold).score(gt_ranks, pred_ranks)
+
+
+def assert_matches_oracles(got, gt_masks, gt_ranks, pred_masks, pred_ranks,
+                           iou_threshold=0.5, match=exhaustive_match_oracle):
+    """A ``FrameMatch.score`` result against the scene's oracles: SA-SOR within
+    1e-12 of ``sa_sor_oracle`` with ``match``, and MAE bit for bit that of the
     two rank maps as ``render_rank_map`` paints them."""
-    return (sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold),
-            mae(render_rank_map(pred_masks, pred_ranks), render_rank_map(gt_masks, gt_ranks)))
+    correlation, error = got
+    expected = sa_sor_oracle(gt_masks, gt_ranks, pred_masks, pred_ranks, iou_threshold, match)
+    if expected is None:
+        assert correlation is None
+    else:
+        assert correlation == pytest.approx(expected, abs=1e-12)
+    painted = np.abs(render_rank_map(pred_masks, pred_ranks) - render_rank_map(gt_masks, gt_ranks))
+    assert np.float64(error).tobytes() == painted.mean().tobytes()
 
 
 def rect_mask(shape, y0, y1, x0, x1):
@@ -174,38 +184,44 @@ def match_scenes(lane_seeds):
                for make in (random_scene, overlapping_scene) for seed in range(25)])
 
 
-# -- mae -------------------------------------------------------------------------
+# -- MAE -------------------------------------------------------------------------
 
 
 class TestMae:
+    """``FrameMatch``'s MAE: the mean |P - G| of the two painted rank maps."""
+
     def test_identical_maps(self):
         rng = np.random.default_rng(0)
-        p = rng.random((5, 7))
-        assert mae(p, p) == 0.0
+        for gt_masks, gt_ranks, _, _ in (random_scene(rng), overlapping_scene(rng, (5, 7))):
+            assert frame_score(gt_masks, gt_ranks, gt_masks.copy(), gt_ranks)[1] == 0.0
 
     def test_opposite_constants(self):
-        assert mae(np.ones((3, 3)), np.zeros((3, 3))) == 1.0
+        full = np.ones((1, 3, 3), dtype=bool)
+        # A predicted rank outside 1..N paints nothing.
+        assert frame_score(full, [1], full.copy(), [0])[1] == 1.0
 
     def test_hand_value(self):
-        p = np.array([[0.5, 0.0], [0.0, 0.0]])
-        assert mae(p, np.zeros((2, 2))) == 0.125
+        # G = [[0.5, 0], [0, 1]] and P = [[0, 0], [0, 1]]: |P - G| sums to 0.5.
+        corner, diagonal = rect_mask((2, 2), 0, 1, 0, 1), rect_mask((2, 2), 1, 2, 1, 2)
+        assert frame_score(np.stack([corner, diagonal]), [2, 1], diagonal[None], [1])[1] == 0.125
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_double_loop_oracle(self, seed):
         rng = np.random.default_rng((500, seed))
-        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        p, g = rng.random(shape), rng.random(shape)
-        assert mae(p, g) == pytest.approx(mae_oracle(p, g), abs=1e-12)
+        shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+        gt_masks, gt_ranks, pred_masks, pred_ranks = overlapping_scene(rng, shape)
+        expected = mae_oracle(render_rank_map(pred_masks, pred_ranks),
+                              render_rank_map(gt_masks, gt_ranks))
+        got = frame_score(gt_masks, gt_ranks, pred_masks, pred_ranks)[1]
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(1)
-        p, g = rng.random((6, 6)), rng.random((6, 6))
-        assert mae(p, g) == mae(g, p)
-        assert 0.0 <= mae(p, g) <= 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            mae(np.zeros((2, 2)), np.zeros((3, 2)))
+        for gt_masks, gt_ranks, pred_masks, pred_ranks in (random_scene(rng),
+                                                           overlapping_scene(rng, (6, 6))):
+            error = frame_score(gt_masks, gt_ranks, pred_masks, pred_ranks)[1]
+            assert error == frame_score(pred_masks, pred_ranks, gt_masks, gt_ranks)[1]
+            assert 0.0 <= error <= 1.0
 
 
 # -- pearson ----------------------------------------------------------------------
@@ -262,60 +278,62 @@ def three_squares(shape=(12, 12)):
 
 
 class TestMatchInstances:
+    """``FrameMatch(...).pairs``: greedy one-to-one matching by IoU."""
+
     def test_identical_single_masks(self):
         m = rect_mask((8, 8), 1, 4, 1, 4)[None]
-        assert match_instances(m, m.copy(), 0.5) == [(0, 0)]
+        assert FrameMatch(m, m.copy(), 0.5).pairs == [(0, 0)]
 
     def test_disjoint_masks(self):
         a = rect_mask((8, 8), 0, 3, 0, 3)[None]
         b = rect_mask((8, 8), 5, 8, 5, 8)[None]
-        assert match_instances(a, b, 0.5) == []
+        assert FrameMatch(a, b, 0.5).pairs == []
 
     def test_empty_lists_allowed(self):
         empty = np.zeros((0, 8, 8), dtype=bool)
-        assert match_instances(empty, empty, 0.5) == []
-        assert match_instances(empty, rect_mask((8, 8), 0, 3, 0, 3)[None], 0.5) == []
+        assert FrameMatch(empty, empty, 0.5).pairs == []
+        assert FrameMatch(empty, rect_mask((8, 8), 0, 3, 0, 3)[None], 0.5).pairs == []
 
     def test_threshold_validation(self):
         empty = np.zeros((0, 8, 8), dtype=bool)
         with pytest.raises(ValueError, match="iou_threshold"):
-            match_instances(empty, empty, 0.0)
+            FrameMatch(empty, empty, 0.0)
         with pytest.raises(ValueError, match="iou_threshold"):
-            match_instances(empty, empty, 1.5)
+            FrameMatch(empty, empty, 1.5)
 
     def test_exact_ties_go_to_lower_gt_then_lower_pred(self):
         # The middle 4x4 block overlaps each side block by 8 of 24 pixels, so
         # both candidate pairs have IoU exactly 1/3.
         shape = (4, 8)
         left, middle, right = (rect_mask(shape, 0, 4, x, x + 4) for x in (0, 2, 4))
-        assert match_instances(np.stack([left, right]), middle[None], 0.3) == [(0, 0)]
-        assert match_instances(np.stack([right, left]), middle[None], 0.3) == [(0, 0)]
-        assert match_instances(middle[None], np.stack([left, right]), 0.3) == [(0, 0)]
-        assert match_instances(middle[None], np.stack([right, left]), 0.3) == [(0, 0)]
+        assert FrameMatch(np.stack([left, right]), middle[None], 0.3).pairs == [(0, 0)]
+        assert FrameMatch(np.stack([right, left]), middle[None], 0.3).pairs == [(0, 0)]
+        assert FrameMatch(middle[None], np.stack([left, right]), 0.3).pairs == [(0, 0)]
+        assert FrameMatch(middle[None], np.stack([right, left]), 0.3).pairs == [(0, 0)]
         # Four identical masks: every pair ties at IoU 1.
         same = np.stack([middle, middle])
-        assert match_instances(same, same.copy(), 0.5) == [(0, 0), (1, 1)]
+        assert FrameMatch(same, same.copy(), 0.5).pairs == [(0, 0), (1, 1)]
 
     def test_pairs_in_descending_iou_order(self):
         masks = three_squares()
         pred = masks.copy()
         pred[0, 0, :3] = False  # IoU 6/9 with the first square
         pred[2, 8, 8] = False   # IoU 8/9 with the third square
-        assert match_instances(masks, pred, 0.5) == [(1, 1), (2, 2), (0, 0)]
+        assert FrameMatch(masks, pred, 0.5).pairs == [(1, 1), (2, 2), (0, 0)]
 
     @pytest.mark.parametrize("make_scene, shape, seed", match_scenes(50))
     def test_equals_greedy_reference_at_any_threshold(self, make_scene, shape, seed):
         rng = np.random.default_rng((521, seed))
         gt_masks, _, pred_masks, _ = make_scene(rng, shape)
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-            assert match_instances(gt_masks, pred_masks, threshold) == greedy_match_oracle(
+            assert FrameMatch(gt_masks, pred_masks, threshold).pairs == greedy_match_oracle(
                 gt_masks, pred_masks, threshold)
 
     @pytest.mark.parametrize("make_scene, shape, seed", match_scenes(200))
     def test_one_to_one_threshold_and_oracle_agreement(self, make_scene, shape, seed):
         rng = np.random.default_rng((520, seed))
         gt_masks, _, pred_masks, _ = make_scene(rng, shape)
-        pairs = match_instances(gt_masks, pred_masks, 0.5)
+        pairs = FrameMatch(gt_masks, pred_masks, 0.5).pairs
 
         gs = [g for g, _ in pairs]
         ps = [p for _, p in pairs]
@@ -328,9 +346,9 @@ class TestMatchInstances:
             # The library's IoU == the oracle's: the pair passes a threshold
             # of exactly ``value`` and fails at the next float above it.
             one_gt, one_pred = gt_masks[gi:gi + 1], pred_masks[pi:pi + 1]
-            assert match_instances(one_gt, one_pred, value) == [(0, 0)]
+            assert FrameMatch(one_gt, one_pred, value).pairs == [(0, 0)]
             if value < 1.0:
-                assert match_instances(one_gt, one_pred, np.nextafter(value, 2.0)) == []
+                assert FrameMatch(one_gt, one_pred, np.nextafter(value, 2.0)).pairs == []
 
         assert pairs == greedy_match_oracle(gt_masks, pred_masks, 0.5)
         oracle_pairs = exhaustive_match_oracle(gt_masks, pred_masks, 0.5)
@@ -343,14 +361,16 @@ class TestMatchInstances:
 
 
 class TestSaSor:
+    """``FrameMatch``'s SA-SOR, the first half of its ``score``."""
+
     def test_perfect_prediction_is_exactly_one(self):
         rng = np.random.default_rng(2)
         gt_masks, gt_ranks, _, _ = random_scene(rng)
-        assert sa_sor(gt_masks, gt_ranks, gt_masks.copy(), gt_ranks) == 1.0
+        assert frame_score(gt_masks, gt_ranks, gt_masks.copy(), gt_ranks)[0] == 1.0
 
     def test_reversed_ranks_is_exactly_minus_one(self):
         masks = three_squares()
-        assert sa_sor(masks, [1, 2, 3], masks.copy(), [3, 2, 1]) == -1.0
+        assert frame_score(masks, [1, 2, 3], masks.copy(), [3, 2, 1])[0] == -1.0
 
     def test_unmatched_least_salient_hand_value(self):
         # x = (3, 2, 1), y = (3, 2, 0): the least-salient ground-truth object
@@ -361,16 +381,17 @@ class TestSaSor:
         pred = masks.copy()
         pred[2] = rect_mask(shape, 8, 11, 0, 3)
         expected = np.corrcoef([3, 2, 1], [3, 2, 0])[0, 1]
-        assert sa_sor(masks, [1, 2, 3], pred, [1, 2, 3]) == pytest.approx(expected, abs=1e-12)
+        got = frame_score(masks, [1, 2, 3], pred, [1, 2, 3])[0]
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_undefined_when_nothing_matches(self):
         masks = three_squares()
-        assert sa_sor(masks[:2], [1, 2], masks[2:], [1]) is None
+        assert frame_score(masks[:2], [1, 2], masks[2:], [1])[0] is None
 
     def test_invalid_gt_ranks_rejected(self):
         masks = three_squares()[:2]
         with pytest.raises(ValueError, match="permutation"):
-            sa_sor(masks, [1, 3], masks, [1, 3])
+            frame_score(masks, [1, 3], masks, [1, 3])
 
     @pytest.mark.parametrize("gt_masks, gt_ranks, pred_masks, pred_ranks, error, message", [
         pytest.param(rect_mask((6, 6), 0, 2, 0, 2), [1], rect_mask((6, 6), 0, 2, 0, 2)[None], [1],
@@ -390,15 +411,13 @@ class TestSaSor:
     def test_malformed_stacks_rejected(self, gt_masks, gt_ranks, pred_masks, pred_ranks,
                                        error, message):
         with pytest.raises(error, match=message):
-            sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks)
-        with pytest.raises(error, match=message):
             FrameMatch(gt_masks, pred_masks).score(gt_ranks, pred_ranks)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_independent_oracle_on_random_scenes(self, seed):
         rng = np.random.default_rng((530, seed))
         scene = random_scene(rng)
-        got = sa_sor(*scene)
+        got = frame_score(*scene)[0]
         expected = sa_sor_oracle(*scene)
         if expected is None:
             assert got is None
@@ -408,13 +427,13 @@ class TestSaSor:
     @pytest.mark.parametrize("seed", range(30))
     def test_defined_values_in_unit_range(self, seed):
         rng = np.random.default_rng((531, seed))
-        value = sa_sor(*random_scene(rng))
+        value = frame_score(*random_scene(rng))[0]
         if value is not None:
             assert -1.0 <= value <= 1.0
 
 
 class TestFrameMatch:
-    def test_equals_sa_sor_and_mae_on_hand_built_masks(self):
+    def test_equals_oracles_on_hand_built_masks(self):
         # Three full-width stripes of a 6x6 frame, ranked top to bottom.  The
         # prediction swaps the two upper ranks and covers only a third of the
         # lowest stripe (IoU 1/3), so it matches there only at threshold 0.3.
@@ -427,14 +446,14 @@ class TestFrameMatch:
         gt_map = np.repeat([1.0, 2 / 3, third], 12).reshape(shape)
         pred_map = np.repeat([2 / 3, 1.0, 0.0], 12).reshape(shape)
         pred_map[4:6, 0:2] = third
-        expected_mae = mae(pred_map, gt_map)
+        expected_mae = float(np.abs(pred_map - gt_map).mean())
         assert expected_mae == pytest.approx((12 + 12 + 8) / 3 / 36, abs=1e-12)
+        assert expected_mae == pytest.approx(mae_oracle(pred_map, gt_map), abs=1e-12)
 
         for threshold in (0.5, 0.3):
             got = FrameMatch(gt_masks, pred_masks, threshold).score(gt_ranks, pred_ranks)
-            assert got == (sa_sor(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold),
-                           expected_mae)
-            assert got == painted_score(gt_masks, gt_ranks, pred_masks, pred_ranks, threshold)
+            assert got[1] == expected_mae
+            assert_matches_oracles(got, gt_masks, gt_ranks, pred_masks, pred_ranks, threshold)
         assert FrameMatch(gt_masks, pred_masks).score(gt_ranks, pred_ranks)[0] == pytest.approx(
             np.corrcoef([3, 2, 1], [2, 3, 0])[0, 1], abs=1e-12)
         assert FrameMatch(gt_masks, pred_masks, 0.3).score(gt_ranks, pred_ranks)[0] == (

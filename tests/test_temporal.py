@@ -237,7 +237,7 @@ class TestTemporalMix:
         rng = np.random.default_rng(11)
         _, values, _, temporal, _ = random_setup(rng, (2, 1), 2, 2, 2)
         for blocks in ([], [values[0], Tensor(rng.standard_normal((1, 3, 2, 2)))],
-                       [values[0].reshape(2, 2, 4)]):
+                       [Tensor(values[0].data.reshape(2, 2, 4))]):
             message = (f"values must be (N, C, H, W) blocks of one (C, H, W), got "
                        f"{[block.shape for block in blocks]}")
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
@@ -334,8 +334,8 @@ class TestScoring:
             sequence_scores(relations, [values[0], Tensor(values[1].data[:1])], grid,
                             temporal, scoring)
         with pytest.raises(ShapeError, match="must be equal"):
-            sequence_scores([relations[0], relations[1].reshape(2, 2, 4)], values, grid,
-                            temporal, scoring)
+            sequence_scores([relations[0], Tensor(relations[1].data.reshape(2, 2, 4))], values,
+                            grid, temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
             sequence_scores(relations, values, [grid[0], grid[1][:1]], temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
@@ -404,6 +404,29 @@ def test_scores_have_the_closed_form(variant):
 
     got = model_scores(sample.frames, params, variant).data
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_object_order_permutes_model_scores(variant):
+    """Permuting the objects of every frame, features and masks together,
+    permutes the variant's scores, within 1e-12 of the largest score.  The
+    score head is random: at init it is zero, every score ties and the ranks
+    fall back to index order."""
+    params = init_model_params(16, 7, 7, seed=0)
+    head = params.scoring.score_head.weight
+    head.data[...] = np.random.default_rng(0).standard_normal(head.shape)
+    rng = np.random.default_rng(1)
+    for seed in range(20):
+        frames = synth_generate(SynthConfig(K_range=(3, 6)), seed).frames
+        perms = [rng.permutation(len(frame.features)) for frame in frames]
+        permuted = [FrameSample(features=frame.features[perm], masks=frame.masks[perm])
+                    for frame, perm in zip(frames, perms)]
+        base = model_scores(frames, params, variant).data
+        ends = np.cumsum([len(perm) for perm in perms])
+        expected = np.concatenate([base[end - len(perm):end][perm]
+                                   for end, perm in zip(ends, perms)])
+        got = model_scores(permuted, params, variant).data
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(base).max(), seed
 
 
 class TestRankAssign:
