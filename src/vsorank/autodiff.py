@@ -13,11 +13,11 @@ result, so a graph holds no reference cycle and is freed as soon as its
 output is dropped.
 
 Each model stage is a single node with a hand-derived vjp, because a
-graph's cost is mostly the Python work per node.  The spatial relation runs
-once per frame, after ``conv1x1``; the object means or the temporal mix,
-frame scoring and the rank loss run once per sequence, over every frame's
-objects stacked in frame order.  The small ops those stages were once
-composed of live on in the test oracle ``tests/composed.py``.
+graph's cost is mostly the Python work per node.  One ``conv1x1`` per
+sequence makes one value map per frame from the object means; the spatial
+relation runs once per frame; the temporal mix, frame scoring and the rank
+loss run once per sequence, over every frame's objects in frame order.  The
+small ops those stages were composed of live on in ``tests/composed.py``.
 
 Tensors must be treated as read-only while any tensor derived from them is
 alive; only ``grad`` buffers are rewritten (by ``backward``).  A graph and

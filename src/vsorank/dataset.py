@@ -273,6 +273,8 @@ class SequenceSample:
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
         object.__setattr__(self, "annotations", tuple(self.annotations))
+        if not self.frames:
+            raise AnnotationError("the sequence has no frames")
         if len(self.frames) != len(self.annotations):
             raise AnnotationError(
                 f"{len(self.frames)} frames for {len(self.annotations)} annotations")
@@ -537,6 +539,8 @@ def load_sequence(path) -> SequenceSample:
     object order.
     """
     manifest = _read_manifest(path)
+    if not manifest["frames"]:
+        raise AnnotationError(f"{os.path.join(path, 'manifest.json')}: the sequence lists no frames")
     annotations = [a for _, a in load_annotations(path)]
     frames = []
     for idx, annotation in zip(manifest["frames"], annotations):

@@ -1,6 +1,7 @@
 """Finite-difference verification of every node a training step records:
-the value projection (``conv1x1``), the spatial stage, the temporal stage
-with the scoring head, and the rank loss.
+``conv1x1``, the spatial stage (the object means, the one value map per
+frame that ``conv1x1`` projects from them, and each frame's relation), the
+temporal stage with the scoring head, and the rank loss.
 
 Each check runs over several random seeds at small shapes and records the
 worst relative error between analytic and central-difference gradients.
@@ -72,32 +73,27 @@ def _each_operand(op, *shapes):
 
 
 def _spatial_module(rng):
-    n, c, h, w = 2, 3, 2, 2
-    params = SpatialParams(
-        kq_proj=projection_init(c, c, rng),
-        v_proj=projection_init(c, c, rng),
-    )
-    x = _rand(rng, n, c, h, w)
-
-    def relation_sum(_):
-        return spatial_forward(x, params).relation.sum()
+    """Every block and projection of ``spatial_forward`` on two frames of 2
+    and 1 objects, through both outputs: each relation and the value maps,
+    under random output weights."""
+    counts, c, h, w = (2, 1), 3, 2, 2
+    params = SpatialParams(kq_proj=projection_init(c, c, rng), v_proj=projection_init(c, c, rng))
+    blocks = [_rand(rng, n, c, h, w) for n in counts]
+    weights = [Tensor(rng.standard_normal(x.shape)) for x in blocks]
+    value_weights = Tensor(rng.standard_normal((len(counts), c, h, w)))
 
     def output_sum(_):
-        out = spatial_forward(x, params)
-        return (out.relation + out.value).sum()
+        out = spatial_forward(blocks, params)
+        return sum(((relation * u).sum() for relation, u in zip(out.relations, weights)),
+                   (out.values * value_weights).sum())
 
-    return [
-        (relation_sum, x),
-        (relation_sum, params.kq_proj.weight),
-        (relation_sum, params.kq_proj.bias),
-        (output_sum, params.v_proj.weight),
-        (output_sum, params.v_proj.bias),
-    ]
+    return [(output_sum, x) for x in (*blocks, params.kq_proj.weight, params.kq_proj.bias,
+                                      params.v_proj.weight, params.v_proj.bias)]
 
 
 def _temporal_module(rng):
-    """Every operand of ``temporal_mix``, ``object_means`` and ``frame_scores``.
-    The frames hold 2 and 1 objects."""
+    """Every operand of ``temporal_mix`` and ``frame_scores``: the frames
+    hold 2 and 1 objects, and their value maps are one (T, C, H, W) operand."""
     counts, c, h, w = (2, 1), 2, 2, 2
     temporal = TemporalParams(
         k_proj=projection_init(c, c, rng),
@@ -109,7 +105,7 @@ def _temporal_module(rng):
         score_head=projection_init(1, 2 * c, rng, bias=False),
     )
     relations = [_rand(rng, n, c, h, w) for n in counts]
-    values = [_rand(rng, n, c, h, w) for n in counts]
+    values = _rand(rng, len(counts), c, h, w)
     mask_inputs = []
     for n in counts:
         masks = rng.random((n, 6, 6)) > 0.4
@@ -123,11 +119,11 @@ def _temporal_module(rng):
 
         return f
 
-    checked = [*relations, *values, temporal.k_proj.weight, temporal.k_proj.bias,
+    checked = [*relations, values, temporal.k_proj.weight, temporal.k_proj.bias,
                temporal.q_proj.weight, temporal.v_proj.weight, temporal.v_proj.bias,
                scoring.mask_embed.weight, scoring.score_head.weight]
     return ([(mean_score(temporal), x) for x in checked]
-            + [(mean_score(None), x) for x in (relations[0], values[1])])
+            + [(mean_score(None), x) for x in (relations[0], values)])
 
 
 def _rank_loss(rng):

@@ -2,8 +2,8 @@
 
 Four configurations mirror the ablation grid:
 
-* ``basic``    -- raw features serve as both relation and value inputs; each
-                  frame is scored against its own object-mean value map.
+* ``basic``    -- raw features are the relation blocks, and each frame is
+                  scored against its object-mean features as its value map.
 * ``spatial``  -- the per-frame relation attention is enabled; still no
                   cross-frame mixing.
 * ``temporal`` -- raw features feed the cross-frame attention directly.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .dataset import FrameSample, write_tensor_file
-from .spatial import Projection, SpatialParams, spatial_forward, spatial_params_init
+from .spatial import Projection, SpatialParams, object_means, spatial_forward, spatial_params_init
 from .temporal import (
     ScoringParams,
     TemporalParams,
@@ -74,16 +74,12 @@ def model_scores(frames: list[FrameSample], params: ModelParams, variant: str) -
     stacked in frame order, (ΣN,)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    relations, values = [], []
-    for frame in frames:
-        features = Tensor(frame.features)
-        if variant in ("spatial", "full"):
-            attended = spatial_forward(features, params.spatial)
-            relations.append(attended.relation)
-            values.append(attended.value)
-        else:
-            relations.append(features)
-            values.append(features)
+    features = [Tensor(frame.features) for frame in frames]
+    if variant in ("spatial", "full"):
+        attended = spatial_forward(features, params.spatial)
+        relations, values = attended.relations, attended.values
+    else:
+        relations, values = features, object_means(features)
     temporal = params.temporal if variant in ("temporal", "full") else None
     return sequence_scores(relations, values, [frame.mask_inputs for frame in frames],
                            temporal, params.scoring)

@@ -1,19 +1,21 @@
 """Cross-frame attention and the object scoring / ranking heads.
 
-Per frame, the object-mean of the value features gives one context map.  With
-cross-frame attention, the T stacked maps attend over each other (a T x T
-attention), producing a mixed context map per frame; without it, each frame
-keeps its own.  Pooling each object's relation block against its frame's
-context map, embedding the object's initial mask, and applying a fully
-connected head yields a saliency score per object.  Scores are
-differentiable; rank assignment operates on their detached values.
+Each frame has one value map, and the T maps come as one (T, C, H, W)
+tensor.  With cross-frame attention, they attend over each other (a T x T
+attention), producing a mixed context map per frame; without it, each
+frame's value map is its context.  Pooling each object's relation block
+against its frame's context map, embedding the object's initial mask, and
+applying a fully connected head yields a saliency score per object.  Scores
+are differentiable; rank assignment operates on their detached values.
 
 In closed form, with ``s`` a frame's context summed over channels, ``R_n``
 object n's (C, HW) relation block, ``m_n`` its resized mask, ``E`` the mask
 embedding and ``[w_r, w_m]`` the score head,
 ``score_n = w_r·(R_n s)/C + w_m·(E m_n)``.  With the spatial stage,
 ``R_n s = x_n s + v (A_nᵀ s)`` (``x_n`` the input block, ``v`` the frame's
-mean value map, ``A_n`` the object's attention); without it ``R_n = x_n``.
+value map, ``A_n`` the object's attention); without it ``R_n = x_n``.  A
+frame's value map is the object mean of its input blocks, put through the
+spatial stage's value projection when that stage runs.
 The loss compares scores within a frame only, so neither the head nor the
 embedding has a bias: it would shift a whole frame's scores alike.
 """
@@ -33,7 +35,6 @@ __all__ = [
     "ScoringParams",
     "temporal_params_init",
     "scoring_params_init",
-    "object_means",
     "temporal_mix",
     "frame_scores",
     "sequence_scores",
@@ -88,52 +89,29 @@ def _check_projection(name: str, proj: Projection, out_features: int, in_feature
                          f"{in_features} to {out_features} features")
 
 
-def _object_means(values: list[Tensor]) -> np.ndarray:
-    """Each frame's object-mean value map, stacked to (T, C, H, W)."""
-    return np.stack([np.add.reduce(value.data, axis=0) / value.shape[0] for value in values])
+def temporal_mix(values: Tensor, params: TemporalParams) -> Tensor:
+    """T x T attention over the frames' value maps; returns mixed maps (T, C, H, W).
 
-
-def _spread_means(values: list[Tensor], d_means: np.ndarray, needed) -> list:
-    """The gradients of the frames' value blocks, given that of their means."""
-    return [np.broadcast_to(d_means[t][None] / value.shape[0], value.shape) if need else None
-            for t, (value, need) in enumerate(zip(values, needed))]
-
-
-def object_means(values: list[Tensor]) -> Tensor:
-    """Each frame's object-mean value map, stacked to (T, C, H, W), as one op.
-
-    The frame contexts when no cross-frame attention runs.
-    """
-    return op(_object_means(values), values,
-              lambda g, needed: _spread_means(values, g, needed))
-
-
-def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
-    """T x T attention over the frames' object-mean maps; returns mixed maps (T, C, H, W).
-
-    ``values[t]`` is frame t's (N_t, C, H, W) value block.  One op with a
-    closed-form vjp.  Forward, with the means ``m`` as (T, C, HW) and each
-    projection ``P m = W m + b`` flattened to (T, CHW), where the query map
-    has no ``b``:
+    ``values`` holds each frame's (C, H, W) value map, (T, C, H, W).  One op
+    with a closed-form vjp.  Forward, with the maps ``m`` as (T, C, HW) and
+    each projection ``P m = W m + b`` flattened to (T, CHW), where the query
+    map has no ``b``:
     ``A = softmax(K Q^T / sqrt(CHW))`` and ``out = A V``.  Backward, from
     ``g`` as (T, CHW): ``dA = g V^T``, ``dV = A^T g``,
     ``dL = softmax_rows_vjp(dA)``, ``dK = dL Q`` and ``dQ = dL^T K``; each
     projection gives ``dW = sum_t dP m^T``, ``db = sum dP`` and its share
-    ``W^T dP`` of ``dm``, which spreads evenly over each frame's objects.
+    ``W^T dP`` of ``dm``.
     """
-    if not values or any(value.ndim != 4 or value.shape[1:] != values[0].shape[1:]
-                         for value in values):
-        raise ShapeError(f"values must be (N, C, H, W) blocks of one (C, H, W), got "
-                         f"{[value.shape for value in values]}")
-    means = _object_means(values)
-    t, c, h, w = means.shape
+    if values.ndim != 4 or values.shape[0] == 0:
+        raise ShapeError(f"value maps must be (T, C, H, W) with T >= 1, got {values.shape}")
+    t, c, h, w = values.shape
     hw, chw = h * w, c * h * w
     projections = (params.k_proj, params.q_proj, params.v_proj)
     for name, proj in zip(("k_proj", "q_proj", "v_proj"), projections):
         _check_projection(name, proj, c, c, biased=proj is not params.q_proj)
     scale = math.sqrt(chw)
 
-    m3 = means.reshape(t, c, hw)
+    m3 = values.data.reshape(t, c, hw)
 
     def project(proj):
         out = np.matmul(proj.weight.data, m3)
@@ -152,22 +130,19 @@ def temporal_mix(values: list[Tensor], params: TemporalParams) -> Tensor:
         d_logits = softmax_rows_vjp(d_attention, attention, scale, out=d_attention)
         d_projected = (np.matmul(d_logits, queries), np.matmul(d_logits.T, keys),
                        np.matmul(attention.T, g2))
-        need_means = any(needed[:t])
-        d_m3 = np.zeros((t, c, hw)) if need_means else None
+        d_m3 = np.zeros((t, c, hw)) if needed[0] else None
         d_params = []
         for proj, d_p in zip(projections, d_projected):
             d_p3 = d_p.reshape(t, c, hw)
             d_params.append(np.matmul(d_p3, np.swapaxes(m3, 1, 2)).sum(axis=0))
             if proj.bias is not None:
                 d_params.append(d_p3.sum(axis=(0, 2)))
-            if need_means:
+            if d_m3 is not None:
                 d_m3 += np.matmul(proj.weight.data.T, d_p3)
-        d_values = (_spread_means(values, d_m3.reshape(t, c, h, w), needed) if need_means
-                    else [None] * t)
-        return d_values + d_params
+        return [None if d_m3 is None else d_m3.reshape(values.shape), *d_params]
 
-    operands = [*values, *(tensor for proj in projections for tensor in (proj.weight, proj.bias)
-                           if tensor is not None)]
+    operands = [values, *(tensor for proj in projections for tensor in (proj.weight, proj.bias)
+                          if tensor is not None)]
     return op(data, operands, vjp)
 
 
@@ -224,37 +199,37 @@ def frame_scores(relations: list[Tensor], contexts: Tensor, mask_inputs: list[np
     return op(data.reshape(-1), [*relations, contexts, embed, head], vjp)
 
 
-def sequence_scores(relations: list[Tensor], values: list[Tensor], mask_inputs: list[np.ndarray],
+def sequence_scores(relations: list[Tensor], values: Tensor, mask_inputs: list[np.ndarray],
                     temporal: TemporalParams | None, scoring: ScoringParams) -> Tensor:
     """Differentiable scores of a whole sequence's objects, stacked in frame order, (ΣN,).
 
-    Frame t has (N_t, C, H, W) ``relations[t]`` and ``values[t]`` and its
-    masks resized to the (H, W) grid in ``mask_inputs[t]``, (N_t, H, W)
-    (see ``FrameSample.mask_inputs``).  Each frame's context is the
-    object-mean of its values, mixed across frames by ``temporal`` unless
-    that is None.
+    Frame t has its (N_t, C, H, W) ``relations[t]``, its (C, H, W) value
+    map ``values[t]`` and its masks resized to the (H, W) grid in
+    ``mask_inputs[t]``, (N_t, H, W) (see ``FrameSample.mask_inputs``).
+    Each frame's context is its value map, mixed across frames by
+    ``temporal`` unless that is None.
     """
     if not relations:
         raise ValueError("need at least one frame")
-    block = relations[0].shape[1:]
-    for t, (relation, value, frame_masks) in enumerate(zip(relations, values, mask_inputs,
-                                                            strict=True)):
-        if relation.ndim != 4 or relation.shape != value.shape:
-            raise ShapeError(f"frame {t}: relation {relation.shape} and value {value.shape} "
-                             f"must be equal (N, C, H, W)")
+    if values.ndim != 4 or values.shape[0] != len(relations):
+        raise ShapeError(f"need one (C, H, W) value map per frame, got value maps of shape "
+                         f"{values.shape} for {len(relations)} frames")
+    block = values.shape[1:]
+    for t, (relation, frame_masks) in enumerate(zip(relations, mask_inputs, strict=True)):
+        if relation.ndim != 4 or relation.shape[1:] != block:
+            raise ShapeError(f"frame {t}: relation {relation.shape} is not (N, C, H, W) "
+                             f"over the value maps' block shape {block}")
         if relation.shape[0] == 0:
             raise EmptyFrameError(f"frame {t} has zero objects")
         mask_shape = np.shape(frame_masks)
         if len(mask_shape) != 3 or mask_shape[0] != relation.shape[0]:
             raise ShapeError(f"frame {t}: need one mask per object, got masks of shape "
                              f"{mask_shape} for {relation.shape[0]} objects")
-        if relation.shape[1:] != block:
-            raise ShapeError(f"frame {t} block shape {relation.shape[1:]} differs from {block}")
         if mask_shape[1:] != block[1:]:
             raise ShapeError(f"frame {t}: masks of shape {mask_shape} are not on the "
                              f"{block[1:]} feature grid")
 
-    contexts = object_means(values) if temporal is None else temporal_mix(values, temporal)
+    contexts = values if temporal is None else temporal_mix(values, temporal)
     return frame_scores(relations, contexts, mask_inputs, scoring)
 
 

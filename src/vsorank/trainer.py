@@ -153,24 +153,26 @@ def train(config: ModelConfig, train_set: list[SequenceSample],
     picker = np.random.default_rng(config.seed)
 
     curve: list[float] = []
-    for iteration in range(config.iterations):
-        sample = train_set[int(picker.integers(len(train_set)))]
-        loss = _sequence_loss(sample, params, config)
-        if loss is None:
-            continue
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(
-                f"non-finite loss {value} at iteration {iteration} "
-                f"(variant={config.variant}, lr={config.learning_rate})"
-            )
-        # A sum of hinge means is 0.0 only when no pair is active, and then
-        # every gradient is zero: the step applies momentum and decay alone.
-        with_gradients = value > 0.0
-        if with_gradients:
-            loss.backward()
-        optimizer.step(with_gradients)
-        curve.append(value)
+    # Overflow on the way to a non-finite loss is reported as TrainingDiverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(config.iterations):
+            sample = train_set[int(picker.integers(len(train_set)))]
+            loss = _sequence_loss(sample, params, config)
+            if loss is None:
+                continue
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingDiverged(
+                    f"non-finite loss {value} at iteration {iteration} "
+                    f"(variant={config.variant}, lr={config.learning_rate})"
+                )
+            # A sum of hinge means is 0.0 only when no pair is active, and then
+            # every gradient is zero: the step applies momentum and decay alone.
+            with_gradients = value > 0.0
+            if with_gradients:
+                loss.backward()
+            optimizer.step(with_gradients)
+            curve.append(value)
 
     result = evaluate(params, config, eval_set)
     report = TrainReport(

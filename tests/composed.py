@@ -1,7 +1,7 @@
 """The model stages as compositions of small autodiff ops: a test oracle.
 
 ``vsorank`` runs each stage as one op with a hand-derived vjp
-(``spatial._relation``, ``temporal.object_means``, ``temporal.temporal_mix``,
+(``spatial.object_means``, ``spatial._relation``, ``temporal.temporal_mix``,
 ``temporal.frame_scores`` and ``losses.rank_loss``).  This module keeps the
 form those ops replaced, so that the tests can ask both forms for the same
 values and gradients.  It holds the small ops that the package no longer
@@ -12,11 +12,15 @@ operand), the affine map ``linear`` (a linear map when given no bias),
 ``reshape``, ``transpose_last2``, ``stack``, ``take`` and ``concat``
 (``vsorank``'s ``Tensor`` has only ``+``, ``*`` and ``sum``).  The stage
 functions here return what their fused counterparts return, but one frame
-at a time: ``frame_scores`` and ``rank_loss`` take one frame, where the
-package's ops take a sequence, and ``temporal_mix`` takes the stacked object
-means, (T, C, H, W), as the composed form did.  ``frame_scores`` keeps the (N, C, C) product whose row
-means the package's op computes directly as ``R_n s / C``, so the two stay
-independent routes.
+at a time: ``spatial_forward``, ``frame_scores`` and ``rank_loss`` take one
+frame, where the package's ops take a sequence.  The package projects each
+frame's object-mean features once, as one value map per frame;
+``spatial_forward`` here projects every object and takes the mean of the
+projections (``mean_axis``), so the two stay independent routes.  Both
+forms' ``sequence_scores`` and ``temporal_mix`` take the value maps stacked
+to (T, C, H, W).  ``frame_scores`` keeps the (N, C, C) product whose row
+means the package's op computes directly as ``R_n s / C``, for the same
+reason.
 """
 
 import math
@@ -24,7 +28,6 @@ import math
 import numpy as np
 
 from vsorank.autodiff import ShapeError, Tensor, conv1x1, op, softmax_rows, softmax_rows_vjp
-from vsorank.spatial import SpatialOutput
 from vsorank.temporal import downsample_mask
 
 # -- ops -----------------------------------------------------------------------
@@ -167,7 +170,9 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 # -- stages --------------------------------------------------------------------
 
 
-def spatial_forward(x: Tensor, params) -> SpatialOutput:
+def spatial_forward(x: Tensor, params) -> tuple[Tensor, Tensor]:
+    """One frame's relation, (N, C, H, W), and its value map, (C, H, W): the
+    object mean of every object's value projection."""
     n, c, h, w = x.shape
     hw = h * w
 
@@ -177,13 +182,13 @@ def spatial_forward(x: Tensor, params) -> SpatialOutput:
     attention = scaled_softmax(matmul(keys, queries), c)  # (N, HW, HW)
 
     value = conv1x1(x, params.v_proj.weight, params.v_proj.bias)  # (N, C, H, W)
-    global_value = mean_axis(value, 0)  # (C, H, W)
-    global_value = transpose_last2(reshape(global_value, c, hw))  # (HW, C)
+    value_map = mean_axis(value, 0)  # (C, H, W)
+    global_value = transpose_last2(reshape(value_map, c, hw))  # (HW, C)
 
     aggregated = matmul(attention, global_value)  # (N, HW, C)
     aggregated = reshape(transpose_last2(aggregated), n, c, h, w)
 
-    return SpatialOutput(relation=x + aggregated, value=value)
+    return x + aggregated, value_map
 
 
 def temporal_mix(stacked: Tensor, params) -> Tensor:
@@ -218,13 +223,12 @@ def frame_scores(relation: Tensor, context: Tensor, masks: np.ndarray, scoring) 
     return reshape(linear(joint, scoring.score_head.weight), n)
 
 
-def sequence_scores(relations, values, masks, temporal, scoring) -> list[Tensor]:
-    contexts = [mean_axis(value, 0) for value in values]
-    if temporal is not None:
-        mixed = temporal_mix(stack(contexts), temporal)
-        contexts = [take(mixed, t) for t in range(len(contexts))]
-    return [frame_scores(relation, context, frame_masks, scoring)
-            for relation, context, frame_masks in zip(relations, contexts, masks)]
+def sequence_scores(relations, values: Tensor, masks, temporal, scoring) -> list[Tensor]:
+    """Each frame's scores against its row of the (T, C, H, W) value maps,
+    mixed across frames by ``temporal`` unless that is None."""
+    contexts = values if temporal is None else temporal_mix(values, temporal)
+    return [frame_scores(relation, take(contexts, t), frame_masks, scoring)
+            for t, (relation, frame_masks) in enumerate(zip(relations, masks))]
 
 
 def rank_loss(scores: Tensor, target, margin: float) -> Tensor:

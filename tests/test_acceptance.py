@@ -73,17 +73,17 @@ def test_criterion_2_attention_invariants():
     # Object-permutation equivariance of the per-frame stage.
     params = spatial_params_init(4, 3)
     x = rng.standard_normal((3, 4, 2, 2))
-    base = spatial_forward(Tensor(x), params)
+    base = spatial_forward([Tensor(x)], params)
     for _ in range(5):
         perm = rng.permutation(3)
-        permuted = spatial_forward(Tensor(x[perm]), params)
-        assert np.abs(permuted.relation.data - base.relation.data[perm]).max() < 1e-12
-        assert np.abs(permuted.value.data - base.value.data[perm]).max() < 1e-12
+        permuted = spatial_forward([Tensor(x[perm])], params)
+        assert np.abs(permuted.relations[0].data - base.relations[0].data[perm]).max() < 1e-12
+        assert np.abs(permuted.values.data - base.values.data).max() < 1e-12
 
     # Single-frame temporal case is an exact identity mix.
     values = Tensor(rng.standard_normal((1, 3, 2, 2)))
     temporal = temporal_params_init(3, 1)
-    mixed = temporal_mix([values], temporal)
+    mixed = temporal_mix(values, temporal)
     w, b = temporal.v_proj.weight.data, temporal.v_proj.bias.data
     expected = np.matmul(w, values.data.reshape(1, 3, 4)) + b[None, :, None]
     assert np.array_equal(mixed.data, expected.reshape(values.shape))
@@ -135,13 +135,13 @@ def test_criterion_4_module_oracles():
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         x = rng.standard_normal((n, c, h, w))
         params = random_params(rng, c)
-        out = spatial_forward(Tensor(x), params)
+        out = spatial_forward([Tensor(x)], params)
         expected_relation, expected_value = reference_forward(
             x, params.kq_proj.weight.data, params.kq_proj.bias.data,
             params.v_proj.weight.data, params.v_proj.bias.data,
         )
-        assert np.abs(out.relation.data - expected_relation).max() < 1e-10
-        assert np.abs(out.value.data - expected_value).max() < 1e-10
+        assert np.abs(out.relations[0].data - expected_relation).max() < 1e-10
+        assert np.abs(out.values.data[0] - expected_value).max() < 1e-10
 
     for seed in range(50):
         rng = np.random.default_rng((920, seed))

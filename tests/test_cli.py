@@ -444,6 +444,14 @@ class TestTrain:
         assert code == 2 and out == ""
         assert err == "unexpected error: TrainingDiverged: non-finite loss nan at iteration 3\n"
 
+    def test_diverging_run_prints_one_line(self, capsys):
+        """numpy's overflow on the way to a non-finite loss prints nothing."""
+        code, out, err = run_cli(capsys, "train", "--learning-rate", "50",
+                                 "--train-sequences", "4", "--eval-sequences", "1")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"unexpected error: TrainingDiverged: non-finite loss \S+ at "
+                            r"iteration \d+ \(variant=full, lr=50\.0\)\n", err), err
+
 
 # A run small enough to finish fast wherever a bad setting is not caught.
 _SMALL_RUN = "iterations=5\ntrain_sequences=3\neval_sequences=2"

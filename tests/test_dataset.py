@@ -485,6 +485,14 @@ class TestSequenceIo:
         with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
             reader(tmp_path)
 
+    def test_sequence_without_frames_rejected(self, tmp_path):
+        with pytest.raises(AnnotationError, match="^the sequence has no frames$"):
+            SequenceSample((), (), 0)
+        save_annotations(tmp_path / "seq", [], seed=4)
+        message = f"{tmp_path / 'seq' / 'manifest.json'}: the sequence lists no frames"
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+            load_sequence(tmp_path / "seq")
+
     def test_feature_count_mismatch_rejected(self, tmp_path):
         sample = synth_generate(SynthConfig(), 23)
         save_sequence(tmp_path / "seq", sample)

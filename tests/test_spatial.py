@@ -1,5 +1,7 @@
 """Per-frame relation attention: oracle match, invariants, initialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,19 @@ from vsorank.autodiff import ShapeError, Tensor, grad_check
 from vsorank.spatial import (
     EmptyFrameError,
     SpatialParams,
+    object_means,
     spatial_forward,
     spatial_params_init,
 )
 
 
 def reference_forward(x, kq_w, kq_b, v_w, v_b):
-    """Straight-line per-element reimplementation of the attention stage.
+    """Straight-line per-element reimplementation of the attention stage on
+    one frame's (N, C, H, W) block.
 
-    Written independently of the module: explicit loops, no shared helpers.
-    Returns (relation, value) arrays.
+    Written independently of the module: explicit loops, no shared helpers,
+    and the value projection applied to every object before the mean.
+    Returns the relation, (N, C, H, W), and the frame's value map, (C, H, W).
     """
     n, c, h, w = x.shape
     hw = h * w
@@ -65,7 +70,7 @@ def reference_forward(x, kq_w, kq_b, v_w, v_b):
                 for q in range(hw):
                     s += attention[p, q] * global_value[q, ch]
                 relation[i, ch, p // w, p % w] += s
-    return relation, value
+    return relation, global_value.T.reshape(c, h, w)
 
 
 def random_params(rng, c):
@@ -81,43 +86,44 @@ def random_params(rng, c):
     )
 
 
+def assert_matches_reference(blocks, params, atol):
+    """``spatial_forward`` on a sequence of frame blocks against
+    ``reference_forward`` on each frame alone."""
+    out = spatial_forward([Tensor(x) for x in blocks], params)
+    assert len(out.relations) == len(blocks)
+    assert out.values.shape == (len(blocks), *blocks[0].shape[1:])
+    for x, relation, value in zip(blocks, out.relations, out.values.data):
+        expected_relation, expected_value = reference_forward(
+            x, params.kq_proj.weight.data, params.kq_proj.bias.data,
+            params.v_proj.weight.data, params.v_proj.bias.data,
+        )
+        np.testing.assert_allclose(relation.data, expected_relation, atol=atol)
+        np.testing.assert_allclose(value, expected_value, atol=atol)
+
+
 class TestOracle:
     def test_hand_sized_case_matches_reference(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 2, 1, 1))
-        params = random_params(rng, 2)
-        out = spatial_forward(Tensor(x), params)
-        expected_relation, expected_value = reference_forward(
-            x, params.kq_proj.weight.data, params.kq_proj.bias.data,
-            params.v_proj.weight.data, params.v_proj.bias.data,
-        )
-        np.testing.assert_allclose(out.relation.data, expected_relation, atol=1e-12)
-        np.testing.assert_allclose(out.value.data, expected_value, atol=1e-12)
+        assert_matches_reference([x], random_params(rng, 2), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_tiny_instances_match_reference(self, seed):
         rng = np.random.default_rng((100, seed))
-        n = int(rng.integers(1, 4))
+        counts = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
         c = int(rng.integers(1, 5))
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        x = rng.standard_normal((n, c, h, w))
-        params = random_params(rng, c)
-        out = spatial_forward(Tensor(x), params)
-        expected_relation, expected_value = reference_forward(
-            x, params.kq_proj.weight.data, params.kq_proj.bias.data,
-            params.v_proj.weight.data, params.v_proj.bias.data,
-        )
-        np.testing.assert_allclose(out.relation.data, expected_relation, atol=1e-10)
-        np.testing.assert_allclose(out.value.data, expected_value, atol=1e-10)
+        blocks = [rng.standard_normal((n, c, h, w)) for n in counts]
+        assert_matches_reference(blocks, random_params(rng, c), atol=1e-10)
 
 
 class TestContracts:
     def test_default_scale_shapes(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((3, 256, 7, 7)))
-        out = spatial_forward(x, spatial_params_init(256, 0))
-        assert out.relation.shape == (3, 256, 7, 7)
-        assert out.value.shape == (3, 256, 7, 7)
+        blocks = [Tensor(rng.standard_normal((n, 256, 7, 7))) for n in (3, 5)]
+        out = spatial_forward(blocks, spatial_params_init(256, 0))
+        assert [relation.shape for relation in out.relations] == [(3, 256, 7, 7), (5, 256, 7, 7)]
+        assert out.values.shape == (2, 256, 7, 7)
 
     def test_zero_value_projection_gives_identity_relation(self):
         rng = np.random.default_rng(2)
@@ -129,23 +135,55 @@ class TestContracts:
                 weight=Tensor(np.zeros((4, 4))), bias=Tensor(np.zeros(4))
             ),
         )
-        out = spatial_forward(Tensor(x), zeroed)
-        assert np.array_equal(out.relation.data, x)
+        out = spatial_forward([Tensor(x)], zeroed)
+        assert np.array_equal(out.relations[0].data, x)
 
     def test_empty_frame_rejected(self):
-        x = Tensor(np.zeros((0, 4, 2, 2)))
-        with pytest.raises(EmptyFrameError):
-            spatial_forward(x, spatial_params_init(4, 0))
+        blocks = [Tensor(np.ones((2, 4, 2, 2))), Tensor(np.zeros((0, 4, 2, 2)))]
+        with pytest.raises(EmptyFrameError, match="^frame 1 has zero objects$"):
+            spatial_forward(blocks, spatial_params_init(4, 0))
 
     def test_channel_mismatch_rejected(self):
         x = Tensor(np.zeros((2, 3, 2, 2)))
         with pytest.raises(ShapeError, match="channel"):
-            spatial_forward(x, spatial_params_init(4, 0))
+            spatial_forward([x], spatial_params_init(4, 0))
 
     def test_non_4d_features_rejected(self):
         x = Tensor(np.zeros((2, 4, 4)))
         with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
-            spatial_forward(x, spatial_params_init(4, 0))
+            spatial_forward([x], spatial_params_init(4, 0))
+
+
+class TestObjectMeans:
+    def test_means_of_each_frame(self):
+        rng = np.random.default_rng(6)
+        blocks = [rng.standard_normal((n, 2, 3, 1)) for n in (3, 1, 2)]
+        means = object_means([Tensor(x) for x in blocks])
+        for got, x in zip(means.data, blocks):
+            np.testing.assert_allclose(got, sum(x) / len(x), atol=1e-15)
+
+    def test_features_record_no_node(self):
+        means = object_means([Tensor(np.ones((2, 1, 1, 1)))])
+        assert not means.requires_grad and means._node is None
+
+    @pytest.mark.parametrize("frame", [0, 1])
+    def test_gradient_spreads_over_each_frames_objects(self, frame):
+        rng = np.random.default_rng((7, frame))
+        blocks = [Tensor(rng.standard_normal((n, 2, 2, 2))) for n in (2, 3)]
+        weights = Tensor(rng.standard_normal((2, 2, 2, 2)))
+
+        def f(t):
+            return (object_means(blocks) * weights).sum()
+
+        assert grad_check(f, blocks[frame]) < 1e-8
+
+    def test_malformed_blocks_rejected(self):
+        for blocks in ([], [Tensor(np.ones((2, 2, 2, 2))), Tensor(np.ones((1, 3, 2, 2)))],
+                       [Tensor(np.ones((2, 2, 4)))]):
+            message = (f"need one (N, C, H, W) block per frame, all of one (C, H, W), "
+                       f"got {[block.shape for block in blocks]}")
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                object_means(blocks)
 
 
 class TestInvariants:
@@ -153,22 +191,23 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4, 2, 2))
         params = spatial_params_init(4, 9)
-        out = spatial_forward(Tensor(x), params)
+        out = spatial_forward([Tensor(x)], params)
         perm = rng.permutation(3)
-        out_perm = spatial_forward(Tensor(x[perm]), params)
-        np.testing.assert_allclose(out_perm.relation.data, out.relation.data[perm], atol=1e-12)
-        np.testing.assert_allclose(out_perm.value.data, out.value.data[perm], atol=1e-12)
+        out_perm = spatial_forward([Tensor(x[perm])], params)
+        np.testing.assert_allclose(out_perm.relations[0].data, out.relations[0].data[perm],
+                                   atol=1e-12)
+        np.testing.assert_allclose(out_perm.values.data, out.values.data, atol=1e-12)
 
     def test_single_object_global_map_is_own_value(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, 2, 2))
         params = spatial_params_init(3, 5)
-        out = spatial_forward(Tensor(x), params)
+        out = spatial_forward([Tensor(x)], params)
         # With one object the frame-global map is that object's value map, so
         # the stage reduces to plain per-object spatial self-attention.
         w, b = params.v_proj.weight.data, params.v_proj.bias.data
         own_value = np.einsum("oc,chw->ohw", w, x[0]) + b[:, None, None]
-        np.testing.assert_allclose(out.value.data[0], own_value, atol=1e-12)
+        np.testing.assert_allclose(out.values.data[0], own_value, atol=1e-12)
 
     def test_end_to_end_gradient(self):
         rng = np.random.default_rng(5)
@@ -176,7 +215,7 @@ class TestInvariants:
         x = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
 
         def f(t):
-            return spatial_forward(t, params).relation.sum()
+            return spatial_forward([t], params).relations[0].sum()
 
         assert grad_check(f, x) < 1e-5
 

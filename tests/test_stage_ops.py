@@ -94,19 +94,20 @@ VARYING_COUNTS = {"counts": [1, 4, 2], "c": 2, "h": 3, "w": 1, "seed": 2}
 
 
 def _sequence(case):
-    """Per-frame (N_t, C, H, W) relation and value tensors that need a
-    gradient, masks, model parameters and a cotangent per frame."""
+    """Per-frame (N_t, C, H, W) relation tensors and their (T, C, H, W) value
+    maps, all needing a gradient, masks, model parameters and a cotangent
+    per frame."""
     rng = np.random.default_rng(case["seed"])
     c, h, w = case["c"], case["h"], case["w"]
     params = _model_params(rng, c, h, w)
-    relations, values, masks, cotangents = [], [], [], []
+    relations, masks, cotangents = [], [], []
     for n in case["counts"]:
         relations.append(Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True))
-        values.append(Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True))
         frame_masks = rng.random((n, 5, 4)) > 0.5
         frame_masks[:, 0, 0] = True
         masks.append(frame_masks)
         cotangents.append(Tensor(rng.standard_normal(n)))
+    values = Tensor(rng.standard_normal((len(relations), c, h, w)), requires_grad=True)
     return params, relations, values, masks, cotangents
 
 
@@ -115,22 +116,28 @@ def _sequence(case):
 @example(ONE_FRAME_ONE_OBJECT)
 @example(VARYING_COUNTS)
 def test_spatial_forward_matches_composed(case):
-    params, relations, _, _, _ = _sequence(case)
+    """Every frame's relation and value map, and the gradients of every block
+    and spatial parameter, against the composed form run frame by frame."""
+    params, blocks, _, _, _ = _sequence(case)
     rng = np.random.default_rng(case["seed"] + 1)
-    for x in relations:
-        u = Tensor(rng.standard_normal(x.shape))
-        v = Tensor(rng.standard_normal(x.shape))
-        leaves = [x, *(t for _, t in named_params(params)[:4])]
-        results = []
-        for stage in (spatial_forward, composed.spatial_forward):
-            out = stage(x, params.spatial)
-            loss = (out.relation * u + out.value * v).sum()
-            results.append(((out.relation.data, out.value.data), _gradients(loss, leaves)))
-        (fused_out, fused), (want_out, want) = results
-        for got_array, want_array in zip(fused_out, want_out):
-            assert_close(got_array, want_array, "forward")
-        for name, got, expect in zip(range(len(leaves)), fused, want):
-            assert_close(got, expect, name)
+    weights = [Tensor(rng.standard_normal(x.shape)) for x in blocks]
+    value_weights = Tensor(rng.standard_normal((len(blocks), *blocks[0].shape[1:])))
+    leaves = [*blocks, *(t for _, t in named_params(params)[:4])]
+
+    def weighted(relations, values):
+        return sum(((r * u).sum() for r, u in zip(relations, weights)),
+                   (values * value_weights).sum())
+
+    out = spatial_forward(blocks, params.spatial)
+    fused = _gradients(weighted(out.relations, out.values), leaves)
+    frames = [composed.spatial_forward(x, params.spatial) for x in blocks]
+    maps = composed.stack([value_map for _, value_map in frames])
+    want = _gradients(weighted([relation for relation, _ in frames], maps), leaves)
+    for got, relation_map in zip(out.relations, frames):
+        assert_close(got.data, relation_map[0].data, "relation")
+    assert_close(out.values.data, maps.data, "value maps")
+    for name, got, expect in zip(range(len(leaves)), fused, want):
+        assert_close(got, expect, name)
 
 
 def _on_grid(masks, relations):
@@ -147,7 +154,7 @@ def test_sequence_scores_match_composed(case, mix):
     """The stacked scores against the composed form's per-frame scores."""
     params, relations, values, masks, cotangents = _sequence(case)
     temporal = params.temporal if mix else None
-    leaves = [*relations, *values, *(t for _, t in named_params(params)[4:])]
+    leaves = [*relations, values, *(t for _, t in named_params(params)[4:])]
     scores = sequence_scores(relations, values, _on_grid(masks, relations), temporal,
                              params.scoring)
     cotangent = Tensor(np.concatenate([u.data for u in cotangents]))
@@ -247,12 +254,12 @@ def test_training_step_gradients_match_composed(variant, case):
 
     features = [Tensor(frame.features) for frame in sample.frames]
     if variant in ("spatial", "full"):
-        outputs = [composed.spatial_forward(x, params.spatial) for x in features]
-        relations, values = [o.relation for o in outputs], [o.value for o in outputs]
+        relations, maps = zip(*(composed.spatial_forward(x, params.spatial) for x in features))
     else:
-        relations, values = features, features
+        relations, maps = features, [composed.mean_axis(x, 0) for x in features]
     temporal = params.temporal if variant in ("temporal", "full") else None
-    scores = composed.sequence_scores(relations, values, [frame.masks for frame in sample.frames],
+    scores = composed.sequence_scores(relations, composed.stack(list(maps)),
+                                      [frame.masks for frame in sample.frames],
                                       temporal, params.scoring)
     terms = [composed.rank_loss(s, RankTarget(tuple(a.ranks_in_id_order())), config.margin)
              for s, a in zip(scores, sample.annotations) if a.instance_count > 1]
@@ -271,14 +278,15 @@ def _nodes(loss):
 
 
 def test_sequence_loss_uses_the_stage_ops():
-    """A ``full`` step records one node per stage: the value projection and
-    the relation per frame, then the mix, the scores and the loss."""
+    """A ``full`` step records one node per stage: the value projection of
+    the object means, which need no gradient, the relation per frame, then
+    the mix, the scores and the loss."""
     sample = synth_generate(SynthConfig(), 0)
     config = ModelConfig(variant="full")
     params = init_model_params(config.C, config.H, config.W, config.seed)
     loss = _sequence_loss(sample, params, config)
     assert len(sample.frames) == 3
-    assert _nodes(loss) == 2 * 3 + 3 == 9
+    assert _nodes(loss) == 3 + 4 == 7
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -287,10 +295,12 @@ def test_step_node_count_per_variant(variant):
     config = ModelConfig(variant=variant, C=2, H=2, W=2)
     params = init_model_params(config.C, config.H, config.W, config.seed)
     loss = _sequence_loss(sample, params, config)
-    # The value projection and relation per frame; the context op, unless
-    # it reads only the input features (``basic``); the scores; the loss.
-    spatial_nodes = 2 * len(sample.frames) if variant in ("spatial", "full") else 0
-    assert _nodes(loss) == spatial_nodes + (variant != "basic") + 2
+    # The value projection and a relation per frame; the mix; the scores;
+    # the loss.  The object means of the input features record no node.
+    spatial_nodes = len(sample.frames) + 1 if variant in ("spatial", "full") else 0
+    mix_nodes = variant in ("temporal", "full")
+    assert _nodes(loss) == spatial_nodes + mix_nodes + 2
+    assert _nodes(loss) == {"basic": 2, "temporal": 3, "spatial": 4 + 3, "full": 4 + 4}[variant]
 
 
 def test_unranked_frame_runs_no_attention_backward(monkeypatch):

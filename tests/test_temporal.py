@@ -9,14 +9,13 @@ from vsorank.autodiff import ShapeError, Tensor, grad_check
 from vsorank.dataset import FrameSample, SynthConfig, synth_generate
 from vsorank.metrics import render_rank_map
 from vsorank.model import VARIANTS, init_model_params, model_forward, model_scores, named_params
-from vsorank.spatial import EmptyFrameError, Projection
+from vsorank.spatial import EmptyFrameError, Projection, object_means
 from vsorank.temporal import (
     ScoringParams,
     TemporalParams,
     _resize_grid,
     downsample_mask,
     frame_scores,
-    object_means,
     rank_assign,
     sequence_scores,
     temporal_mix,
@@ -123,7 +122,7 @@ def reference_scores(relations, values, masks, kw, kb, qw, vw, vb, mw, sw):
 
 
 def random_setup(rng, counts, c, h, w, mask_hw=(6, 6)):
-    """Per-frame relation and value tensors, masks, and both parameter sets."""
+    """Per-frame relation and value blocks, masks, and both parameter sets."""
     temporal = TemporalParams(
         k_proj=Projection(Tensor(rng.standard_normal((c, c)), requires_grad=True),
                           Tensor(rng.standard_normal(c), requires_grad=True)),
@@ -152,8 +151,10 @@ def on_grid(masks, relations):
 
 
 def frame_score_list(relations, values, masks, temporal, scoring):
-    """``sequence_scores`` on masks at frame resolution, one array per frame."""
-    scores = sequence_scores(relations, values, on_grid(masks, relations), temporal, scoring)
+    """``sequence_scores`` on the object means of the value blocks and on masks
+    at frame resolution, one array per frame."""
+    scores = sequence_scores(relations, object_means(values), on_grid(masks, relations),
+                             temporal, scoring)
     return np.split(scores.data, np.cumsum([len(r.data) for r in relations])[:-1])
 
 
@@ -201,9 +202,9 @@ class TestTemporalMix:
         rng = np.random.default_rng(1)
         values = Tensor(rng.standard_normal((1, 3, 2, 2)))
         params = temporal_params_init(3, 0)
-        mixed = temporal_mix([values], params)
+        mixed = temporal_mix(values, params)
         # A 1x1 softmax is exactly [[1]], so mixing passes the projected
-        # value map (the mean of one object is that object) through unchanged.
+        # value map through unchanged.
         w, b = params.v_proj.weight.data, params.v_proj.bias.data
         expected = np.matmul(w, values.data.reshape(1, 3, 4)) + b[None, :, None]
         assert np.array_equal(mixed.data, expected.reshape(values.shape))
@@ -218,7 +219,7 @@ class TestTemporalMix:
             q_proj=temporal_params_init(2, 4).q_proj,
             v_proj=Projection(Tensor(np.zeros((2, 2))), Tensor(np.array([2.0, -1.0]))),
         )
-        mixed = temporal_mix(values, params)
+        mixed = temporal_mix(object_means(values), params)
         expected = np.broadcast_to(
             np.array([2.0, -1.0])[None, :, None, None], (3, 2, 2, 2)
         )
@@ -227,28 +228,27 @@ class TestTemporalMix:
     def test_frame_permutation_covariance(self):
         rng = np.random.default_rng(3)
         _, values, _, temporal, _ = random_setup(rng, (2, 3, 1), 2, 2, 2)
-        mixed = temporal_mix(values, temporal).data
+        maps = object_means(values)
+        mixed = temporal_mix(maps, temporal).data
         for perm in ([1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]):
-            permuted_values = [values[i] for i in perm]
-            mixed_perm = temporal_mix(permuted_values, temporal).data
+            mixed_perm = temporal_mix(Tensor(maps.data[perm]), temporal).data
             np.testing.assert_allclose(mixed_perm, mixed[perm], atol=1e-12)
 
-    def test_malformed_blocks_rejected(self):
+    def test_malformed_maps_rejected(self):
         rng = np.random.default_rng(11)
         _, values, _, temporal, _ = random_setup(rng, (2, 1), 2, 2, 2)
-        for blocks in ([], [values[0], Tensor(rng.standard_normal((1, 3, 2, 2)))],
-                       [Tensor(values[0].data.reshape(2, 2, 4))]):
-            message = (f"values must be (N, C, H, W) blocks of one (C, H, W), got "
-                       f"{[block.shape for block in blocks]}")
+        for maps in (Tensor(np.zeros((0, 2, 2, 2))), Tensor(values[0].data.reshape(2, 2, 4)),
+                     Tensor(np.zeros((2, 2, 2, 2, 1)))):
+            message = f"value maps must be (T, C, H, W) with T >= 1, got {maps.shape}"
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-                temporal_mix(blocks, temporal)
+                temporal_mix(maps, temporal)
 
     def test_projection_of_another_width_rejected(self):
         rng = np.random.default_rng(12)
         _, values, _, _, _ = random_setup(rng, (2, 1), 2, 2, 2)
         message = "k_proj: shapes (3, 3), (3,) do not map 2 to 2 features"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            temporal_mix(values, temporal_params_init(3, 0))
+            temporal_mix(object_means(values), temporal_params_init(3, 0))
 
 
 class TestScoring:
@@ -280,7 +280,8 @@ class TestScoring:
         grid = on_grid(masks, relations)
 
         def f(t):
-            scores = sequence_scores(relations, [t, values[1]], grid, temporal, scoring)
+            scores = sequence_scores(relations, object_means([t, values[1]]), grid, temporal,
+                                     scoring)
             return scores.sum() * (1.0 / scores.size)
 
         assert grad_check(f, target) < 1e-5
@@ -289,9 +290,8 @@ class TestScoring:
         rng = np.random.default_rng(7)
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
         odd_relation = Tensor(rng.standard_normal((2, 3, 2, 2)))
-        odd_value = Tensor(rng.standard_normal((2, 3, 2, 2)))
-        with pytest.raises(ShapeError, match="block shape"):
-            sequence_scores([relations[0], odd_relation], [values[0], odd_value],
+        with pytest.raises(ShapeError, match="frame 1: .* block shape"):
+            sequence_scores([relations[0], odd_relation], object_means(values),
                             on_grid(masks, relations), temporal, scoring)
 
     def test_empty_frame_rejected(self):
@@ -299,7 +299,7 @@ class TestScoring:
         relations, values, masks, temporal, scoring = random_setup(rng, (2,), 2, 2, 2)
         empty = Tensor(np.zeros((0, 2, 2, 2)))
         with pytest.raises(EmptyFrameError, match="frame 1"):
-            sequence_scores([relations[0], empty], [values[0], empty],
+            sequence_scores([relations[0], empty], Tensor(np.zeros((2, 2, 2, 2))),
                             [on_grid(masks, relations)[0], np.zeros((0, 2, 2))], temporal, scoring)
 
     def test_scoring_projection_of_another_grid_rejected(self):
@@ -308,7 +308,8 @@ class TestScoring:
         scoring = random_setup(rng, (1,), 2, 3, 3)[4]  # mask_embed maps 9 features
         message = "mask_embed: shapes (2, 9), None do not map 4 to 2 features"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            sequence_scores(relations, values, on_grid(masks, relations), None, scoring)
+            sequence_scores(relations, object_means(values), on_grid(masks, relations), None,
+                            scoring)
 
     def test_one_context_per_frame_required(self):
         rng = np.random.default_rng(14)
@@ -328,20 +329,23 @@ class TestScoring:
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
         temporal = temporal if temporal_on else None
         grid = on_grid(masks, relations)
+        maps = object_means(values)
         with pytest.raises(ValueError, match="at least one frame"):
-            sequence_scores([], [], [], temporal, scoring)
-        with pytest.raises(ShapeError, match="must be equal"):
-            sequence_scores(relations, [values[0], Tensor(values[1].data[:1])], grid,
-                            temporal, scoring)
-        with pytest.raises(ShapeError, match="must be equal"):
-            sequence_scores([relations[0], Tensor(relations[1].data.reshape(2, 2, 4))], values,
+            sequence_scores([], maps, [], temporal, scoring)
+        for odd_maps in (object_means(values[:1]), Tensor(maps.data[0])):
+            message = (f"need one (C, H, W) value map per frame, got value maps of shape "
+                       f"{odd_maps.shape} for 2 frames")
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                sequence_scores(relations, odd_maps, grid, temporal, scoring)
+        with pytest.raises(ShapeError, match=re.escape("relation (2, 2, 4) is not (N, C, H, W)")):
+            sequence_scores([relations[0], Tensor(relations[1].data.reshape(2, 2, 4))], maps,
                             grid, temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, values, [grid[0], grid[1][:1]], temporal, scoring)
+            sequence_scores(relations, maps, [grid[0], grid[1][:1]], temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, values, [grid[0], grid[1][0]], temporal, scoring)
+            sequence_scores(relations, maps, [grid[0], grid[1][0]], temporal, scoring)
         with pytest.raises(ShapeError, match=re.escape("are not on the (2, 2) feature grid")):
-            sequence_scores(relations, values, [grid[0], masks[1]], temporal, scoring)
+            sequence_scores(relations, maps, [grid[0], masks[1]], temporal, scoring)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_variant_checks_its_frames(self, variant):

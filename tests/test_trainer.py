@@ -5,7 +5,6 @@ import json
 import re
 import sys
 import tracemalloc
-import warnings
 from itertools import count
 
 import numpy as np
@@ -171,10 +170,8 @@ class TestOptimizer:
         train_set = build_dataset(SynthConfig(noise_level=0.5), 10, seed=0)
         eval_set = build_dataset(SynthConfig(noise_level=0.5), 2, seed=1)
         config = ModelConfig(variant="full", iterations=300, learning_rate=50.0, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(TrainingDiverged, match="iteration"):
-                train(config, train_set, eval_set)
+        with pytest.raises(TrainingDiverged, match="iteration"):
+            train(config, train_set, eval_set)
 
 
 def _oracle_train(config, train_set, sequence_loss=_sequence_loss):
@@ -398,9 +395,13 @@ class TestInferenceBuildsNoGraph:
         evaluate(params, config, [sample])
         model_forward(sample.frames, params, variant)
         frames = len(sample.frames)
-        # Per pass: conv1x1 and the relation per frame when the variant has
-        # spatial attention, one context op, and one op scoring every frame.
-        per_pass = (2 * frames if variant in ("spatial", "full") else 0) + 2
+        # Per pass: the object means; conv1x1 and a relation per frame when
+        # the variant has spatial attention; the mix when it has cross-frame
+        # attention; and one op scoring every frame.
+        per_pass = ((frames + 1 if variant in ("spatial", "full") else 0)
+                    + (variant in ("temporal", "full")) + 2)
+        assert per_pass == {"basic": 2, "temporal": 3, "spatial": frames + 3,
+                            "full": frames + 4}[variant]
         assert len(results) == 2 * per_pass
         assert not any(out.requires_grad or out._node is not None for out in results)
 
