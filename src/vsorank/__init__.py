@@ -24,12 +24,7 @@ from .losses import RankTarget, rank_loss
 from .metrics import FrameMatch, pearson, render_rank_map
 from .model import ModelParams, init_model_params, model_forward, model_scores
 from .pgm import PgmError, read_pgm16, write_pgm16
-from .spatial import (
-    EmptyFrameError,
-    SpatialParams,
-    spatial_forward,
-    spatial_params_init,
-)
+from .spatial import EmptyFrameError, SpatialParams, spatial_params_init
 from .temporal import ScoringParams, TemporalParams, rank_assign
 from .trainer import EvalResult, ModelConfig, TrainReport, build_dataset, evaluate, train
 

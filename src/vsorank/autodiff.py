@@ -14,9 +14,10 @@ output is dropped.
 
 Each model stage is a single node with a hand-derived vjp, because a
 graph's cost is mostly the Python work per node.  One ``conv1x1`` per
-sequence makes one value map per frame from the object means; the spatial
-relation runs once per frame; the temporal mix, frame scoring and the rank
-loss run once per sequence, over every frame's objects in frame order.  The
+sequence makes one value map per frame from the object means; the temporal
+mix, frame scoring (with the spatial relation attention inside) and the
+rank loss run once per sequence, over every frame's objects in frame order,
+so a step records at most four nodes whatever the number of frames.  The
 small ops those stages were composed of live on in ``tests/composed.py``.
 
 Tensors must be treated as read-only while any tensor derived from them is

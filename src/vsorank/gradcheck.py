@@ -1,7 +1,8 @@
 """Finite-difference verification of every node a training step records:
-``conv1x1``, the spatial stage (the object means, the one value map per
-frame that ``conv1x1`` projects from them, and each frame's relation), the
-temporal stage with the scoring head, and the rank loss.
+``conv1x1``, the spatial stage (the value maps that ``conv1x1`` projects
+from the object means, read by ``frame_scores`` with the relation
+attention), the temporal stage with ``frame_scores`` without it, and the
+rank loss.
 
 Each check runs over several random seeds at small shapes and records the
 worst relative error between analytic and central-difference gradients.
@@ -14,8 +15,14 @@ import numpy as np
 
 from .autodiff import Tensor, conv1x1, grad_check
 from .losses import RankPairs, RankTarget, rank_loss
-from .spatial import SpatialParams, projection_init, spatial_forward
-from .temporal import ScoringParams, TemporalParams, downsample_mask, sequence_scores
+from .spatial import object_means, projection_init
+from .temporal import (
+    ScoringParams,
+    TemporalParams,
+    downsample_mask,
+    frame_scores,
+    sequence_scores,
+)
 
 __all__ = ["CheckResult", "run_suite", "DEFAULT_TOLERANCE"]
 
@@ -72,58 +79,67 @@ def _each_operand(op, *shapes):
     return make_case
 
 
-def _spatial_module(rng):
-    """Every block and projection of ``spatial_forward`` on two frames of 2
-    and 1 objects, through both outputs: each relation and the value maps,
-    under random output weights."""
-    counts, c, h, w = (2, 1), 3, 2, 2
-    params = SpatialParams(kq_proj=projection_init(c, c, rng), v_proj=projection_init(c, c, rng))
-    blocks = [_rand(rng, n, c, h, w) for n in counts]
-    weights = [Tensor(rng.standard_normal(x.shape)) for x in blocks]
-    value_weights = Tensor(rng.standard_normal((len(counts), c, h, w)))
-
-    def output_sum(_):
-        out = spatial_forward(blocks, params)
-        return sum(((relation * u).sum() for relation, u in zip(out.relations, weights)),
-                   (out.values * value_weights).sum())
-
-    return [(output_sum, x) for x in (*blocks, params.kq_proj.weight, params.kq_proj.bias,
-                                      params.v_proj.weight, params.v_proj.bias)]
-
-
-def _temporal_module(rng):
-    """Every operand of ``temporal_mix`` and ``frame_scores``: the frames
-    hold 2 and 1 objects, and their value maps are one (T, C, H, W) operand."""
-    counts, c, h, w = (2, 1), 2, 2, 2
-    temporal = TemporalParams(
-        k_proj=projection_init(c, c, rng),
-        q_proj=projection_init(c, c, rng, bias=False),
-        v_proj=projection_init(c, c, rng),
-    )
-    scoring = ScoringParams(
-        mask_embed=projection_init(c, h * w, rng, bias=False),
-        score_head=projection_init(1, 2 * c, rng, bias=False),
-    )
-    relations = [_rand(rng, n, c, h, w) for n in counts]
-    values = _rand(rng, len(counts), c, h, w)
-    mask_inputs = []
-    for n in counts:
+def _frames(rng, c, h, w):
+    """Two frames of 2 and 1 objects: their blocks, their masks on the
+    (h, w) grid and random scoring parameters."""
+    scoring = ScoringParams(projection_init(c, h * w, rng, bias=False),
+                            projection_init(1, 2 * c, rng, bias=False))
+    blocks, mask_inputs = [], []
+    for n in (2, 1):
+        blocks.append(_rand(rng, n, c, h, w))
         masks = rng.random((n, 6, 6)) > 0.4
         masks[:, 2, 2] = True  # keep every instance non-empty
         mask_inputs.append(downsample_mask(masks, h, w))
+    return blocks, mask_inputs, scoring
+
+
+def _spatial_module(rng):
+    """Every operand of the value projection of the object means and of
+    ``frame_scores`` with the relation attention, under random score
+    weights: each block, both spatial projections, the mask embedding and
+    the score head through the projected value maps, then the value maps
+    and the contexts as operands of their own."""
+    c, h, w = 3, 2, 2
+    kq_proj, v_proj = projection_init(c, c, rng), projection_init(c, c, rng)
+    blocks, mask_inputs, scoring = _frames(rng, c, h, w)
+    values, contexts = (_rand(rng, len(blocks), c, h, w) for _ in range(2))
+    weights = Tensor(rng.standard_normal(sum(len(x.data) for x in blocks)))
+
+    def weighted(maps, frame_contexts):
+        scores = frame_scores(blocks, maps, frame_contexts, mask_inputs, kq_proj, scoring)
+        return (scores * weights).sum()
+
+    def projected(_):
+        maps = conv1x1(object_means(blocks), v_proj.weight, v_proj.bias)
+        return weighted(maps, maps)
+
+    checked = [*blocks, v_proj.weight, v_proj.bias, kq_proj.weight, kq_proj.bias,
+               scoring.mask_embed.weight, scoring.score_head.weight]
+    return ([(projected, x) for x in checked]
+            + [(lambda _: weighted(values, contexts), x) for x in (values, contexts)])
+
+
+def _temporal_module(rng):
+    """Every operand of ``temporal_mix`` and ``frame_scores`` without the
+    relation attention; the value maps are one (T, C, H, W) operand."""
+    c, h, w = 2, 2, 2
+    temporal = TemporalParams(*(projection_init(c, c, rng, bias=biased)
+                                for biased in (True, False, True)))
+    blocks, mask_inputs, scoring = _frames(rng, c, h, w)
+    values = _rand(rng, len(blocks), c, h, w)
 
     def mean_score(mix):
         def f(_):
-            scores = sequence_scores(relations, values, mask_inputs, mix, scoring)
+            scores = sequence_scores(blocks, values, mask_inputs, None, mix, scoring)
             return scores.sum() * (1.0 / scores.size)
 
         return f
 
-    checked = [*relations, values, temporal.k_proj.weight, temporal.k_proj.bias,
+    checked = [*blocks, values, temporal.k_proj.weight, temporal.k_proj.bias,
                temporal.q_proj.weight, temporal.v_proj.weight, temporal.v_proj.bias,
                scoring.mask_embed.weight, scoring.score_head.weight]
     return ([(mean_score(temporal), x) for x in checked]
-            + [(mean_score(None), x) for x in (relations[0], values)])
+            + [(mean_score(None), x) for x in (blocks[0], values)])
 
 
 def _rank_loss(rng):

@@ -4,7 +4,8 @@ Four configurations mirror the ablation grid:
 
 * ``basic``    -- raw features are the relation blocks, and each frame is
                   scored against its object-mean features as its value map.
-* ``spatial``  -- the per-frame relation attention is enabled; still no
+* ``spatial``  -- the per-frame relation attention is enabled, over value
+                  maps projected from the object means; still no
                   cross-frame mixing.
 * ``temporal`` -- raw features feed the cross-frame attention directly.
 * ``full``     -- both attention stages enabled.
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, conv1x1
 from .dataset import FrameSample, write_tensor_file
-from .spatial import Projection, SpatialParams, object_means, spatial_forward, spatial_params_init
+from .spatial import Projection, SpatialParams, object_means, spatial_params_init
 from .temporal import (
     ScoringParams,
     TemporalParams,
@@ -75,14 +76,15 @@ def model_scores(frames: list[FrameSample], params: ModelParams, variant: str) -
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     features = [Tensor(frame.features) for frame in frames]
+    values, kq_proj = object_means(features), None
     if variant in ("spatial", "full"):
-        attended = spatial_forward(features, params.spatial)
-        relations, values = attended.relations, attended.values
-    else:
-        relations, values = features, object_means(features)
+        # A 1x1 projection is affine, so projecting the object means gives the
+        # mean of the objects' value projections.
+        v_proj, kq_proj = params.spatial.v_proj, params.spatial.kq_proj
+        values = conv1x1(values, v_proj.weight, v_proj.bias)
     temporal = params.temporal if variant in ("temporal", "full") else None
-    return sequence_scores(relations, values, [frame.mask_inputs for frame in frames],
-                           temporal, params.scoring)
+    return sequence_scores(features, values, [frame.mask_inputs for frame in frames],
+                           kq_proj, temporal, params.scoring)
 
 
 def model_forward(frames: list[FrameSample], params: ModelParams,

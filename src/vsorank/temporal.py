@@ -1,4 +1,4 @@
-"""Cross-frame attention and the object scoring / ranking heads.
+"""Cross-frame attention, the scoring op and the ranking heads.
 
 Each frame has one value map, and the T maps come as one (T, C, H, W)
 tensor.  With cross-frame attention, they attend over each other (a T x T
@@ -12,10 +12,12 @@ In closed form, with ``s`` a frame's context summed over channels, ``R_n``
 object n's (C, HW) relation block, ``m_n`` its resized mask, ``E`` the mask
 embedding and ``[w_r, w_m]`` the score head,
 ``score_n = w_r·(R_n s)/C + w_m·(E m_n)``.  With the spatial stage,
-``R_n s = x_n s + v (A_nᵀ s)`` (``x_n`` the input block, ``v`` the frame's
-value map, ``A_n`` the object's attention); without it ``R_n = x_n``.  A
-frame's value map is the object mean of its input blocks, put through the
-spatial stage's value projection when that stage runs.
+``R_n = x_n + v A_nᵀ`` (``x_n`` the input block, ``v`` the frame's value
+map, ``A_n`` the object's attention over its own positions); without it
+``R_n = x_n``.  Only ``R_n s = x_n s + v (A_nᵀ s)`` reaches the score, so
+``frame_scores`` runs the spatial attention inside and never builds
+``R_n``.  A frame's value map is the object mean of its input blocks, put
+through the spatial stage's value projection when that stage runs.
 The loss compares scores within a frame only, so neither the head nor the
 embedding has a bias: it would shift a whole frame's scores alike.
 """
@@ -146,39 +148,69 @@ def temporal_mix(values: Tensor, params: TemporalParams) -> Tensor:
     return op(data, operands, vjp)
 
 
-def frame_scores(relations: list[Tensor], contexts: Tensor, mask_inputs: list[np.ndarray],
+def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
+                 mask_inputs: list[np.ndarray], kq_proj: Projection | None,
                  scoring: ScoringParams) -> Tensor:
     """Saliency score per object of every frame, stacked in frame order, (ΣN,).
 
-    ``relations[t]`` is frame t's (N_t, C, H, W) relation block,
-    ``contexts`` holds every frame's (C, H, W) context map, (T, C, H, W),
-    and ``mask_inputs[t]`` is frame t's (N_t, H, W) masks on the same grid.
-    Each object's (C, HW) relation block ``R_n`` is pooled against its
-    frame's context summed over channels, ``s``, as ``R_n s / C``; that,
+    ``blocks[t]`` is frame t's (N_t, C, H, W) input block, ``values`` and
+    ``contexts`` hold every frame's (C, H, W) value and context maps,
+    (T, C, H, W), and ``mask_inputs[t]`` is frame t's (N_t, H, W) masks on
+    the same grid.  With ``kq_proj`` the spatial attention runs, with
+    ``kq_n = W x_n + b`` per position and ``A_n = softmax(kq_nᵀ kq_n / sqrt(C))``,
+    and object n's pooled vector is ``(x_n s + v u_n) / C``, where
+    ``u_n = A_nᵀ s`` is computed as ``s A_n``; without it, the pooled vector
+    is ``x_n s / C`` and ``values`` is not read.  The pooled vector,
     concatenated with the embedded mask, feeds the score head.
 
-    One op with a closed-form vjp.  With ``dp`` the gradient of the pooled
-    rows, ``dR[n, a, :] = dp[n, a] s / C``, and each frame's context
-    gradient is ``sum_{n,a} dp[n, a] R[n, a, :] / C`` on every channel over
-    that frame's objects.  The mask embedding, the score head and their
-    gradients are single products over the stacked (ΣN, ·) rows.
+    One op with a closed-form vjp.  With ``p_n`` object n's pooled gradient,
+    ``dx_n = p_n sᵀ`` and ``ds = sum_n x_nᵀ p_n``, on every channel of the
+    context; with the attention, ``w_n = vᵀ p_n``, ``dv = sum_n p_n u_nᵀ``,
+    ``ds += sum_n A_n w_n``, ``dL_n = softmax_rows_vjp(s w_nᵀ)`` and
+    ``dkq_n = kq_n (dL_n + dL_nᵀ)``, so ``dx_n += Wᵀ dkq_n``,
+    ``dW = sum_n dkq_n x_nᵀ`` and ``db = sum dkq_n``.  A frame whose pooled
+    gradient is zero, such as one that no ranked pair reaches, is skipped.
     """
-    if not relations or contexts.ndim != 4 or len(relations) != contexts.shape[0]:
+    if not blocks or contexts.ndim != 4 or len(blocks) != contexts.shape[0]:
         raise ShapeError(f"need one (C, H, W) context per frame, got contexts of shape "
-                         f"{contexts.shape} for {len(relations)} frames")
+                         f"{contexts.shape} for {len(blocks)} frames")
     c, h, w = contexts.shape[1:]
     hw = h * w
     embed, head = scoring.mask_embed.weight, scoring.score_head.weight
     _check_projection("mask_embed", scoring.mask_embed, c, hw, biased=False)
     _check_projection("score_head", scoring.score_head, 1, 2 * c, biased=False)
+    operands = [*blocks, contexts, embed, head]
+    attend = kq_proj is not None
+    if attend:
+        _check_projection("kq_proj", kq_proj, c, c)
+        if values.shape != contexts.shape:
+            raise ShapeError(f"value maps of shape {values.shape} do not match the "
+                             f"contexts' {contexts.shape}")
+        weight, bias, scale = kq_proj.weight, kq_proj.bias, math.sqrt(c)
+        maps = values.data.reshape(-1, c, hw)
+        operands += [values, weight, bias]
+    # Only a pass that records a node keeps each frame's attention.
+    keep = any(operand.requires_grad for operand in operands)
 
-    ends = list(accumulate(relation.shape[0] for relation in relations))
+    ends = list(accumulate(block.shape[0] for block in blocks))
     rows = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
     sums = contexts.data.reshape(-1, c, hw).sum(axis=1)  # (T, HW)
     masks = np.concatenate(mask_inputs).reshape(-1, hw)
     joint = np.empty((ends[-1], 2 * c))  # pooled relations, then embedded masks
-    for relation, s, frame in zip(relations, sums, rows):
-        joint[frame, :c] = relation.data.reshape(-1, c, hw) @ s
+    saved = []  # per frame: kq, the attention and u, for the vjp
+    for t, (block, s, frame) in enumerate(zip(blocks, sums, rows)):
+        x3 = block.data.reshape(-1, c, hw)
+        joint[frame, :c] = x3 @ s
+        if attend:
+            kq = np.matmul(weight.data, x3)  # (N, C, HW)
+            kq += bias.data[None, :, None]
+            # One (N, HW, HW) buffer per frame: the logits, then the attention.
+            logits = np.matmul(np.swapaxes(kq, 1, 2), kq)
+            attention = softmax_rows(logits, scale, out=logits)
+            u = s @ attention  # (N, HW)
+            joint[frame, :c] += u @ maps[t].T
+            if keep:
+                saved.append((kq, attention, u))
     joint[:, :c] /= c
     joint[:, c:] = masks @ embed.data.T
     data = joint @ head.data.T
@@ -187,50 +219,79 @@ def frame_scores(relations: list[Tensor], contexts: Tensor, mask_inputs: list[np
         g_col = g.reshape(-1, 1)
         d_joint = g_col @ head.data  # (ΣN, 2C)
         d_pooled = d_joint[:, :c] / c
-        d_relations = [(d_pooled[frame, :, None] * s).reshape(relation.shape) if need else None
-                       for relation, s, frame, need in zip(relations, sums, rows, needed)]
-        d_contexts = None
-        if needed[len(relations)]:
-            d_sums = np.stack([d_pooled[frame].reshape(-1) @ relation.data.reshape(-1, hw)
-                               for relation, frame in zip(relations, rows)])
-            d_contexts = np.broadcast_to(d_sums.reshape(-1, 1, h, w), contexts.shape)
-        return d_relations + [d_contexts, d_joint[:, c:].T @ masks, g_col.T @ joint]
+        d_blocks = [np.zeros(block.shape) if need else None
+                    for block, need in zip(blocks, needed)]
+        d_sums, need_contexts = np.zeros((len(blocks), hw)), needed[len(blocks)]
+        if attend:
+            d_maps, d_weight, d_bias = np.zeros(maps.shape), np.zeros((c, c)), np.zeros(c)
+        for t, (block, s, frame, need) in enumerate(zip(blocks, sums, rows, needed)):
+            p = d_pooled[frame]  # (N, C)
+            if not p.any() or not (need or need_contexts or attend):
+                continue
+            x3 = block.data.reshape(-1, c, hw)
+            d_x3 = p[:, :, None] * s if need else None
+            d_sums[t] = p.reshape(-1) @ x3.reshape(-1, hw)
+            if attend:
+                kq, attention, u = saved[t]
+                d_maps[t] = p.T @ u
+                w_p = p @ maps[t]  # (N, HW): each object's vᵀ p_n
+                d_sums[t] += np.matmul(attention, w_p[:, :, None]).sum(axis=0)[:, 0]
+                d_attention = s[:, None] * w_p[:, None, :]  # (N, HW, HW)
+                d_logits = softmax_rows_vjp(d_attention, attention, scale, out=d_attention)
+                d_kq = np.matmul(kq, d_logits)
+                d_kq += np.matmul(kq, np.swapaxes(d_logits, 1, 2))
+                d_weight += np.matmul(d_kq, np.swapaxes(x3, 1, 2)).sum(axis=0)
+                d_bias += d_kq.sum(axis=(0, 2))
+                if need:
+                    d_x3 += np.matmul(weight.data.T, d_kq)
+            if need:
+                d_blocks[t] = d_x3.reshape(block.shape)
+        d_contexts = np.broadcast_to(d_sums.reshape(-1, 1, h, w), contexts.shape)
+        shares = [*d_blocks, d_contexts, d_joint[:, c:].T @ masks, g_col.T @ joint]
+        if attend:
+            shares += [d_maps.reshape(values.shape), d_weight, d_bias]
+        return shares
 
-    return op(data.reshape(-1), [*relations, contexts, embed, head], vjp)
+    return op(data.reshape(-1), operands, vjp)
 
 
-def sequence_scores(relations: list[Tensor], values: Tensor, mask_inputs: list[np.ndarray],
-                    temporal: TemporalParams | None, scoring: ScoringParams) -> Tensor:
+def sequence_scores(blocks: list[Tensor], values: Tensor, mask_inputs: list[np.ndarray],
+                    kq_proj: Projection | None, temporal: TemporalParams | None,
+                    scoring: ScoringParams) -> Tensor:
     """Differentiable scores of a whole sequence's objects, stacked in frame order, (ΣN,).
 
-    Frame t has its (N_t, C, H, W) ``relations[t]``, its (C, H, W) value
+    Frame t has its (N_t, C, H, W) input ``blocks[t]``, its (C, H, W) value
     map ``values[t]`` and its masks resized to the (H, W) grid in
     ``mask_inputs[t]``, (N_t, H, W) (see ``FrameSample.mask_inputs``).
-    Each frame's context is its value map, mixed across frames by
-    ``temporal`` unless that is None.
+    The spatial relation attention runs with the key/query projection
+    ``kq_proj`` unless that is None, and each frame's context is its value
+    map, mixed across frames by ``temporal`` unless that is None.
     """
-    if not relations:
+    if not blocks:
         raise ValueError("need at least one frame")
-    if values.ndim != 4 or values.shape[0] != len(relations):
+    if values.ndim != 4 or values.shape[0] != len(blocks):
         raise ShapeError(f"need one (C, H, W) value map per frame, got value maps of shape "
-                         f"{values.shape} for {len(relations)} frames")
-    block = values.shape[1:]
-    for t, (relation, frame_masks) in enumerate(zip(relations, mask_inputs, strict=True)):
-        if relation.ndim != 4 or relation.shape[1:] != block:
-            raise ShapeError(f"frame {t}: relation {relation.shape} is not (N, C, H, W) "
-                             f"over the value maps' block shape {block}")
-        if relation.shape[0] == 0:
+                         f"{values.shape} for {len(blocks)} frames")
+    if len(mask_inputs) != len(blocks):
+        raise ShapeError(f"need one mask stack per frame, got {len(mask_inputs)} mask "
+                         f"stacks for {len(blocks)} frames")
+    block_shape = values.shape[1:]
+    for t, (block, frame_masks) in enumerate(zip(blocks, mask_inputs)):
+        if block.ndim != 4 or block.shape[1:] != block_shape:
+            raise ShapeError(f"frame {t}: block {block.shape} is not (N, C, H, W) "
+                             f"over the value maps' block shape {block_shape}")
+        if block.shape[0] == 0:
             raise EmptyFrameError(f"frame {t} has zero objects")
         mask_shape = np.shape(frame_masks)
-        if len(mask_shape) != 3 or mask_shape[0] != relation.shape[0]:
+        if len(mask_shape) != 3 or mask_shape[0] != block.shape[0]:
             raise ShapeError(f"frame {t}: need one mask per object, got masks of shape "
-                             f"{mask_shape} for {relation.shape[0]} objects")
-        if mask_shape[1:] != block[1:]:
+                             f"{mask_shape} for {block.shape[0]} objects")
+        if mask_shape[1:] != block_shape[1:]:
             raise ShapeError(f"frame {t}: masks of shape {mask_shape} are not on the "
-                             f"{block[1:]} feature grid")
+                             f"{block_shape[1:]} feature grid")
 
     contexts = values if temporal is None else temporal_mix(values, temporal)
-    return frame_scores(relations, contexts, mask_inputs, scoring)
+    return frame_scores(blocks, values, contexts, mask_inputs, kq_proj, scoring)
 
 
 def rank_assign(scores) -> np.ndarray:

@@ -1,26 +1,27 @@
 """The model stages as compositions of small autodiff ops: a test oracle.
 
 ``vsorank`` runs each stage as one op with a hand-derived vjp
-(``spatial.object_means``, ``spatial._relation``, ``temporal.temporal_mix``,
-``temporal.frame_scores`` and ``losses.rank_loss``).  This module keeps the
-form those ops replaced, so that the tests can ask both forms for the same
-values and gradients.  It holds the small ops that the package no longer
-needs: the matrix product ``matmul`` (plain, batched and with a shared right
-operand), the affine map ``linear`` (a linear map when given no bias),
+(``spatial.object_means``, ``temporal.temporal_mix``,
+``temporal.frame_scores``, which runs the spatial relation attention
+inside, and ``losses.rank_loss``).  This module keeps the form those ops
+replaced, so that the tests can ask both forms for the same values and
+gradients.  It holds the small ops that the package no longer needs: the
+matrix product ``matmul`` (plain, batched and with a shared right operand),
+the affine map ``linear`` (a linear map when given no bias),
 ``scaled_softmax`` (over the package's ``softmax_rows`` kernel),
 ``mean_axis``, ``mean``, ``relu``, ``neg`` and ``sub``, and the shape ops
 ``reshape``, ``transpose_last2``, ``stack``, ``take`` and ``concat``
 (``vsorank``'s ``Tensor`` has only ``+``, ``*`` and ``sum``).  The stage
-functions here return what their fused counterparts return, but one frame
-at a time: ``spatial_forward``, ``frame_scores`` and ``rank_loss`` take one
-frame, where the package's ops take a sequence.  The package projects each
-frame's object-mean features once, as one value map per frame;
-``spatial_forward`` here projects every object and takes the mean of the
-projections (``mean_axis``), so the two stay independent routes.  Both
-forms' ``sequence_scores`` and ``temporal_mix`` take the value maps stacked
-to (T, C, H, W).  ``frame_scores`` keeps the (N, C, C) product whose row
-means the package's op computes directly as ``R_n s / C``, for the same
-reason.
+functions here take one frame, where the package's ops take a sequence.
+The package projects each frame's object-mean features once, as one value
+map per frame; ``value_map`` here projects every object and takes the mean
+of the projections (``mean_axis``), so the two stay independent routes.
+``relation`` builds each object's (C, H, W) relation block, which the
+package never builds, and ``frame_scores`` keeps the (N, C, C) product of
+those blocks with the context whose row means the package's op computes
+directly as ``(x_n s + v A_nᵀ s) / C``, for the same reason.  Both forms'
+``sequence_scores`` and ``temporal_mix`` take the value maps stacked to
+(T, C, H, W).
 """
 
 import math
@@ -170,25 +171,27 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 # -- stages --------------------------------------------------------------------
 
 
-def spatial_forward(x: Tensor, params) -> tuple[Tensor, Tensor]:
-    """One frame's relation, (N, C, H, W), and its value map, (C, H, W): the
-    object mean of every object's value projection."""
+def value_map(x: Tensor, v_proj) -> Tensor:
+    """One frame's (C, H, W) value map: the object mean of every object's
+    value projection."""
+    return mean_axis(conv1x1(x, v_proj.weight, v_proj.bias), 0)
+
+
+def relation(x: Tensor, frame_value: Tensor, kq_proj) -> Tensor:
+    """One frame's (N, C, H, W) relation blocks: each object's Gram attention
+    over its own positions applied to the frame's (C, H, W) value map, added
+    to the object's block."""
     n, c, h, w = x.shape
     hw = h * w
 
-    kq = conv1x1(x, params.kq_proj.weight, params.kq_proj.bias)  # (N, C, H, W)
+    kq = conv1x1(x, kq_proj.weight, kq_proj.bias)  # (N, C, H, W)
     queries = reshape(kq, n, c, hw)  # (N, C, HW)
     keys = transpose_last2(queries)  # (N, HW, C)
     attention = scaled_softmax(matmul(keys, queries), c)  # (N, HW, HW)
 
-    value = conv1x1(x, params.v_proj.weight, params.v_proj.bias)  # (N, C, H, W)
-    value_map = mean_axis(value, 0)  # (C, H, W)
-    global_value = transpose_last2(reshape(value_map, c, hw))  # (HW, C)
-
+    global_value = transpose_last2(reshape(frame_value, c, hw))  # (HW, C)
     aggregated = matmul(attention, global_value)  # (N, HW, C)
-    aggregated = reshape(transpose_last2(aggregated), n, c, h, w)
-
-    return x + aggregated, value_map
+    return x + reshape(transpose_last2(aggregated), n, c, h, w)
 
 
 def temporal_mix(stacked: Tensor, params) -> Tensor:

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from test_metrics import frame_score, mae_oracle, overlapping_scene, random_scene, sa_sor_oracle
-from test_spatial import random_params, reference_forward
+from test_spatial import (
+    random_params,
+    random_scoring_inputs,
+    reference_spatial_scores,
+    spatial_scores,
+)
 from test_temporal import frame_score_list, random_setup, reference_scores
 
 from vsorank.autodiff import Tensor, softmax_rows
@@ -30,7 +35,7 @@ from vsorank.dataset import (
 from vsorank.gradcheck import run_suite
 from vsorank.metrics import render_rank_map
 from vsorank.model import init_model_params
-from vsorank.spatial import spatial_forward, spatial_params_init
+from vsorank.spatial import spatial_params_init
 from vsorank.temporal import temporal_mix, temporal_params_init
 from vsorank.trainer import ModelConfig, build_dataset, evaluate, train
 
@@ -70,15 +75,18 @@ def test_criterion_2_attention_invariants():
         assert softmax_rows(logits, math.sqrt(scale), out=logits) is logits
         assert np.array_equal(logits.view(np.uint64), out.view(np.uint64))
 
-    # Object-permutation equivariance of the per-frame stage.
+    # Object-permutation equivariance of the per-frame stage, read through
+    # the scores of the op that runs it.
     params = spatial_params_init(4, 3)
     x = rng.standard_normal((3, 4, 2, 2))
-    base = spatial_forward([Tensor(x)], params)
+    contexts, mask_inputs, scoring = random_scoring_inputs(rng, [x])
+    base_scores, base_maps = spatial_scores([x], params, contexts, mask_inputs, scoring)
     for _ in range(5):
         perm = rng.permutation(3)
-        permuted = spatial_forward([Tensor(x[perm])], params)
-        assert np.abs(permuted.relations[0].data - base.relations[0].data[perm]).max() < 1e-12
-        assert np.abs(permuted.values.data - base.values.data).max() < 1e-12
+        scores, maps = spatial_scores([x[perm]], params, contexts, [mask_inputs[0][perm]],
+                                      scoring)
+        assert np.abs(scores - base_scores[perm]).max() < 1e-12
+        assert np.abs(maps - base_maps).max() < 1e-12
 
     # Single-frame temporal case is an exact identity mix.
     values = Tensor(rng.standard_normal((1, 3, 2, 2)))
@@ -135,13 +143,11 @@ def test_criterion_4_module_oracles():
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         x = rng.standard_normal((n, c, h, w))
         params = random_params(rng, c)
-        out = spatial_forward([Tensor(x)], params)
-        expected_relation, expected_value = reference_forward(
-            x, params.kq_proj.weight.data, params.kq_proj.bias.data,
-            params.v_proj.weight.data, params.v_proj.bias.data,
-        )
-        assert np.abs(out.relations[0].data - expected_relation).max() < 1e-10
-        assert np.abs(out.values.data[0] - expected_value).max() < 1e-10
+        inputs = random_scoring_inputs(rng, [x])
+        scores, maps = spatial_scores([x], params, *inputs)
+        expected_scores, expected_maps = reference_spatial_scores([x], params, *inputs)
+        assert np.abs(scores - expected_scores).max() < 1e-10
+        assert np.abs(maps - expected_maps).max() < 1e-10
 
     for seed in range(50):
         rng = np.random.default_rng((920, seed))

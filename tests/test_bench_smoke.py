@@ -86,14 +86,15 @@ def test_tracer_finds_the_autodiff_layers(tmp_path):
     assert calls["autodiff.backward"] == positive
     # Each model stage is one op of its own; of the autodiff primitives, only
     # the value projection's ``conv1x1`` is left in a training step.
-    for layer in ("autodiff.conv1x1", "spatial.spatial_forward", "temporal.temporal_mix",
-                  "temporal.frame_scores", "losses.rank_loss"):
+    for layer in ("autodiff.conv1x1", "temporal.temporal_mix", "temporal.frame_scores",
+                  "losses.rank_loss"):
         assert calls.get(layer, 0) > 0, layer
     # Rows for functions the program no longer has: the four autodiff ops
-    # moved to the test oracle, and ``FrameMatch`` replaced the three
-    # one-shot metric functions.
+    # moved to the test oracle, ``FrameMatch`` replaced the three one-shot
+    # metric functions, and ``frame_scores`` runs the spatial relation.
     assert sorted(tracer.missing) == ["autodiff.linear", "autodiff.matmul",
                                       "autodiff.mean_axis", "autodiff.scaled_softmax",
                                       "dataset.annotation_to_rank_map", "metrics.iou",
                                       "metrics.mae", "metrics.match_instances",
-                                      "metrics.sa_sor", "temporal.render_rank_map"]
+                                      "metrics.sa_sor", "spatial.spatial_forward",
+                                      "temporal.render_rank_map"]

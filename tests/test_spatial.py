@@ -1,18 +1,21 @@
-"""Per-frame relation attention: oracle match, invariants, initialization."""
+"""The spatial relation attention, which ``frame_scores`` runs inside the
+scoring op, and the value maps it reads: oracle match, invariants,
+initialization."""
 
 import re
 
 import numpy as np
 import pytest
 
-from vsorank.autodiff import ShapeError, Tensor, grad_check
+from vsorank.autodiff import ShapeError, Tensor, conv1x1, grad_check
 from vsorank.spatial import (
     EmptyFrameError,
+    Projection,
     SpatialParams,
     object_means,
-    spatial_forward,
     spatial_params_init,
 )
+from vsorank.temporal import ScoringParams, frame_scores
 
 
 def reference_forward(x, kq_w, kq_b, v_w, v_b):
@@ -86,26 +89,62 @@ def random_params(rng, c):
     )
 
 
-def assert_matches_reference(blocks, params, atol):
-    """``spatial_forward`` on a sequence of frame blocks against
-    ``reference_forward`` on each frame alone."""
-    out = spatial_forward([Tensor(x) for x in blocks], params)
-    assert len(out.relations) == len(blocks)
-    assert out.values.shape == (len(blocks), *blocks[0].shape[1:])
-    for x, relation, value in zip(blocks, out.relations, out.values.data):
-        expected_relation, expected_value = reference_forward(
+def random_scoring_inputs(rng, blocks):
+    """Random (T, C, H, W) contexts, masks on the blocks' grid and scoring
+    parameters for frames with the given (N_t, C, H, W) blocks."""
+    _, c, h, w = blocks[0].shape
+    contexts = Tensor(rng.standard_normal((len(blocks), c, h, w)))
+    mask_inputs = [rng.random((len(x), h, w)) for x in blocks]
+    scoring = ScoringParams(Projection(Tensor(rng.standard_normal((c, h * w))), None),
+                            Projection(Tensor(rng.standard_normal((1, 2 * c))), None))
+    return contexts, mask_inputs, scoring
+
+
+def spatial_scores(blocks, params, contexts, mask_inputs, scoring):
+    """``frame_scores`` with the relation attention, over the value maps
+    projected from the object means of the blocks: (ΣN,) scores and the
+    (T, C, H, W) value maps."""
+    tensors = [Tensor(x) for x in blocks]
+    maps = conv1x1(object_means(tensors), params.v_proj.weight, params.v_proj.bias)
+    scores = frame_scores(tensors, maps, contexts, mask_inputs, params.kq_proj, scoring)
+    return scores.data, maps.data
+
+
+def reference_spatial_scores(blocks, params, contexts, mask_inputs, scoring):
+    """``spatial_scores`` from the relation blocks of ``reference_forward``:
+    each object's score is ``w_r·(R_n s)/C + w_m·(E m_n)``, with ``s`` its
+    frame's context summed over channels."""
+    scores, maps = [], []
+    head, embed = scoring.score_head.weight.data[0], scoring.mask_embed.weight.data
+    for x, context, masks in zip(blocks, contexts.data, mask_inputs):
+        n, c, h, w = x.shape
+        relation, value_map = reference_forward(
             x, params.kq_proj.weight.data, params.kq_proj.bias.data,
             params.v_proj.weight.data, params.v_proj.bias.data,
         )
-        np.testing.assert_allclose(relation.data, expected_relation, atol=atol)
-        np.testing.assert_allclose(value, expected_value, atol=atol)
+        pooled = relation.reshape(n, c, h * w) @ context.reshape(c, h * w).sum(axis=0) / c
+        scores.append(pooled @ head[:c] + masks.reshape(n, h * w) @ embed.T @ head[c:])
+        maps.append(value_map)
+    return np.concatenate(scores), np.stack(maps)
+
+
+def assert_matches_reference(rng, blocks, params, atol):
+    """``spatial_scores`` on a sequence of frame blocks against the scores
+    read from ``reference_forward`` on each frame alone."""
+    inputs = random_scoring_inputs(rng, blocks)
+    scores, maps = spatial_scores(blocks, params, *inputs)
+    expected_scores, expected_maps = reference_spatial_scores(blocks, params, *inputs)
+    assert scores.shape == (sum(len(x) for x in blocks),)
+    assert maps.shape == (len(blocks), *blocks[0].shape[1:])
+    np.testing.assert_allclose(maps, expected_maps, atol=atol)
+    np.testing.assert_allclose(scores, expected_scores, atol=atol)
 
 
 class TestOracle:
     def test_hand_sized_case_matches_reference(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 2, 1, 1))
-        assert_matches_reference([x], random_params(rng, 2), atol=1e-12)
+        assert_matches_reference(rng, [x], random_params(rng, 2), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_tiny_instances_match_reference(self, seed):
@@ -114,44 +153,60 @@ class TestOracle:
         c = int(rng.integers(1, 5))
         h, w = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         blocks = [rng.standard_normal((n, c, h, w)) for n in counts]
-        assert_matches_reference(blocks, random_params(rng, c), atol=1e-10)
+        assert_matches_reference(rng, blocks, random_params(rng, c), atol=1e-10)
 
 
 class TestContracts:
     def test_default_scale_shapes(self):
         rng = np.random.default_rng(1)
-        blocks = [Tensor(rng.standard_normal((n, 256, 7, 7))) for n in (3, 5)]
-        out = spatial_forward(blocks, spatial_params_init(256, 0))
-        assert [relation.shape for relation in out.relations] == [(3, 256, 7, 7), (5, 256, 7, 7)]
-        assert out.values.shape == (2, 256, 7, 7)
+        blocks = [rng.standard_normal((n, 256, 7, 7)) for n in (3, 5)]
+        scores, maps = spatial_scores(blocks, spatial_params_init(256, 0),
+                                      *random_scoring_inputs(rng, blocks))
+        assert scores.shape == (8,)
+        assert maps.shape == (2, 256, 7, 7)
 
-    def test_zero_value_projection_gives_identity_relation(self):
+    def test_zero_value_projection_gives_the_input_blocks(self):
+        """With all-zero value maps the relation blocks are the input blocks,
+        so the scores are those without the attention, bit for bit."""
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 4, 2, 2))
-        params = spatial_params_init(4, 0)
-        zeroed = SpatialParams(
-            kq_proj=params.kq_proj,
-            v_proj=type(params.v_proj)(
-                weight=Tensor(np.zeros((4, 4))), bias=Tensor(np.zeros(4))
-            ),
-        )
-        out = spatial_forward([Tensor(x)], zeroed)
-        assert np.array_equal(out.relations[0].data, x)
+        blocks = [Tensor(rng.standard_normal((3, 4, 2, 2)))]
+        contexts, mask_inputs, scoring = random_scoring_inputs(rng, [blocks[0].data])
+        zero = Tensor(np.zeros((1, 4, 2, 2)))
+        kq_proj = spatial_params_init(4, 0).kq_proj
+        attended = frame_scores(blocks, zero, contexts, mask_inputs, kq_proj, scoring)
+        plain = frame_scores(blocks, zero, contexts, mask_inputs, None, scoring)
+        assert np.array_equal(attended.data, plain.data)
 
     def test_empty_frame_rejected(self):
         blocks = [Tensor(np.ones((2, 4, 2, 2))), Tensor(np.zeros((0, 4, 2, 2)))]
         with pytest.raises(EmptyFrameError, match="^frame 1 has zero objects$"):
-            spatial_forward(blocks, spatial_params_init(4, 0))
+            object_means(blocks)
 
     def test_channel_mismatch_rejected(self):
-        x = Tensor(np.zeros((2, 3, 2, 2)))
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((2, 3, 2, 2))]
         with pytest.raises(ShapeError, match="channel"):
-            spatial_forward([x], spatial_params_init(4, 0))
+            spatial_scores(blocks, spatial_params_init(4, 0), *random_scoring_inputs(rng, blocks))
+        contexts, mask_inputs, scoring = random_scoring_inputs(rng, blocks)
+        message = "kq_proj: shapes (4, 4), (4,) do not map 3 to 3 features"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            frame_scores([Tensor(blocks[0])], contexts, contexts, mask_inputs,
+                         spatial_params_init(4, 0).kq_proj, scoring)
+
+    def test_value_maps_of_another_shape_rejected(self):
+        rng = np.random.default_rng(4)
+        blocks = [rng.standard_normal((2, 3, 2, 2))]
+        contexts, mask_inputs, scoring = random_scoring_inputs(rng, blocks)
+        maps = Tensor(np.zeros((2, 3, 2, 2)))
+        message = "value maps of shape (2, 3, 2, 2) do not match the contexts' (1, 3, 2, 2)"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            frame_scores([Tensor(blocks[0])], maps, contexts, mask_inputs,
+                         spatial_params_init(3, 0).kq_proj, scoring)
 
     def test_non_4d_features_rejected(self):
         x = Tensor(np.zeros((2, 4, 4)))
         with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
-            spatial_forward([x], spatial_params_init(4, 0))
+            object_means([x])
 
 
 class TestObjectMeans:
@@ -191,31 +246,36 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4, 2, 2))
         params = spatial_params_init(4, 9)
-        out = spatial_forward([Tensor(x)], params)
+        contexts, mask_inputs, scoring = random_scoring_inputs(rng, [x])
+        scores, maps = spatial_scores([x], params, contexts, mask_inputs, scoring)
         perm = rng.permutation(3)
-        out_perm = spatial_forward([Tensor(x[perm])], params)
-        np.testing.assert_allclose(out_perm.relations[0].data, out.relations[0].data[perm],
-                                   atol=1e-12)
-        np.testing.assert_allclose(out_perm.values.data, out.values.data, atol=1e-12)
+        scores_perm, maps_perm = spatial_scores([x[perm]], params, contexts,
+                                                [mask_inputs[0][perm]], scoring)
+        np.testing.assert_allclose(scores_perm, scores[perm], atol=1e-12)
+        np.testing.assert_allclose(maps_perm, maps, atol=1e-12)
 
     def test_single_object_global_map_is_own_value(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, 2, 2))
         params = spatial_params_init(3, 5)
-        out = spatial_forward([Tensor(x)], params)
+        _, maps = spatial_scores([x], params, *random_scoring_inputs(rng, [x]))
         # With one object the frame-global map is that object's value map, so
         # the stage reduces to plain per-object spatial self-attention.
         w, b = params.v_proj.weight.data, params.v_proj.bias.data
         own_value = np.einsum("oc,chw->ohw", w, x[0]) + b[:, None, None]
-        np.testing.assert_allclose(out.values.data[0], own_value, atol=1e-12)
+        np.testing.assert_allclose(maps[0], own_value, atol=1e-12)
 
     def test_end_to_end_gradient(self):
         rng = np.random.default_rng(5)
         params = spatial_params_init(3, 11)
         x = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
+        contexts, mask_inputs, scoring = random_scoring_inputs(rng, [x.data])
+        weights = Tensor(rng.standard_normal(2))
 
         def f(t):
-            return spatial_forward([t], params).relations[0].sum()
+            maps = conv1x1(object_means([t]), params.v_proj.weight, params.v_proj.bias)
+            scores = frame_scores([t], maps, contexts, mask_inputs, params.kq_proj, scoring)
+            return (scores * weights).sum()
 
         assert grad_check(f, x) < 1e-5
 

@@ -1,15 +1,18 @@
 """The stage ops against the composed form they replaced.
 
-Each model stage is one autodiff op with a hand-derived vjp; scoring and the
-rank loss each take a whole sequence.  ``composed`` keeps the stages as they
-were built before, one frame at a time, from matrix products, softmax,
-means and the shape ops ``transpose_last2``, ``stack``, ``take`` and
-``concat``.  The property tests here ask both forms for the same forward
-values and the same gradient of every operand, each within a relative 1e-12
-of the largest element, on frames whose object counts vary, on one-frame
-sequences, on one-object frames and on sequences with no pair to rank.  The forms are not bit-identical: a
-composed op copies each transposed operand to C order before its product,
-and BLAS rounds a product by operand layout.  The shape ops, which live on
+Each model stage is one autodiff op with a hand-derived vjp; scoring, with
+the spatial relation attention inside, and the rank loss each take a whole
+sequence.  ``composed`` keeps the stages as they were built before, one
+frame at a time, from matrix products, softmax, means and the shape ops
+``transpose_last2``, ``stack``, ``take`` and ``concat``, and builds every
+relation block that the package's scoring op reads only through its
+product with the context.  The property tests here ask both forms for the
+same forward values and the same gradient of every operand, each within a
+relative 1e-12 of the largest element, on frames whose object counts vary,
+on one-frame sequences, on one-object frames and on sequences with no pair
+to rank.  The forms are not bit-identical: a composed op copies each
+transposed operand to C order before its product, and BLAS rounds a
+product by operand layout.  The shape ops, which live on
 only in the oracle, keep their own tests here.
 """
 
@@ -25,8 +28,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import composed
 from composed import relu
-from vsorank import spatial
-from vsorank.autodiff import ShapeError, Tensor, _reached, grad_check
+from vsorank.autodiff import ShapeError, Tensor, _reached, conv1x1, grad_check, softmax_rows_vjp
 from vsorank.dataset import (
     FrameSample,
     RankAnnotation,
@@ -36,7 +38,7 @@ from vsorank.dataset import (
 )
 from vsorank.losses import RankPairs, RankTarget, rank_loss
 from vsorank.model import VARIANTS, ModelParams, init_model_params, named_params
-from vsorank.spatial import Projection, SpatialParams, spatial_forward
+from vsorank.spatial import Projection, SpatialParams, object_means
 from vsorank.temporal import ScoringParams, TemporalParams, downsample_mask, sequence_scores
 from vsorank.trainer import ModelConfig, _sequence_loss
 
@@ -115,50 +117,53 @@ def _sequence(case):
 @given(SEQUENCES)
 @example(ONE_FRAME_ONE_OBJECT)
 @example(VARYING_COUNTS)
-def test_spatial_forward_matches_composed(case):
-    """Every frame's relation and value map, and the gradients of every block
-    and spatial parameter, against the composed form run frame by frame."""
+def test_value_maps_match_composed(case):
+    """The value projection of every frame's object means, and the gradients
+    of every block and of the projection, against the composed form's mean
+    of every object's projection, frame by frame, under random weights."""
     params, blocks, _, _, _ = _sequence(case)
     rng = np.random.default_rng(case["seed"] + 1)
-    weights = [Tensor(rng.standard_normal(x.shape)) for x in blocks]
-    value_weights = Tensor(rng.standard_normal((len(blocks), *blocks[0].shape[1:])))
-    leaves = [*blocks, *(t for _, t in named_params(params)[:4])]
-
-    def weighted(relations, values):
-        return sum(((r * u).sum() for r, u in zip(relations, weights)),
-                   (values * value_weights).sum())
-
-    out = spatial_forward(blocks, params.spatial)
-    fused = _gradients(weighted(out.relations, out.values), leaves)
-    frames = [composed.spatial_forward(x, params.spatial) for x in blocks]
-    maps = composed.stack([value_map for _, value_map in frames])
-    want = _gradients(weighted([relation for relation, _ in frames], maps), leaves)
-    for got, relation_map in zip(out.relations, frames):
-        assert_close(got.data, relation_map[0].data, "relation")
-    assert_close(out.values.data, maps.data, "value maps")
+    weights = Tensor(rng.standard_normal((len(blocks), *blocks[0].shape[1:])))
+    v_proj = params.spatial.v_proj
+    leaves = [*blocks, v_proj.weight, v_proj.bias]
+    maps = conv1x1(object_means(blocks), v_proj.weight, v_proj.bias)
+    fused = _gradients((maps * weights).sum(), leaves)
+    want_maps = composed.stack([composed.value_map(x, v_proj) for x in blocks])
+    want = _gradients((want_maps * weights).sum(), leaves)
+    assert_close(maps.data, want_maps.data, "value maps")
     for name, got, expect in zip(range(len(leaves)), fused, want):
         assert_close(got, expect, name)
 
 
-def _on_grid(masks, relations):
-    h, w = relations[0].shape[2:]
+def _on_grid(masks, blocks):
+    h, w = blocks[0].shape[2:]
     return [downsample_mask(frame_masks, h, w) for frame_masks in masks]
 
 
 @FUZZ
-@given(SEQUENCES, st.booleans())
-@example(ONE_FRAME_ONE_OBJECT, True)
-@example(VARYING_COUNTS, True)
-@example(VARYING_COUNTS, False)
-def test_sequence_scores_match_composed(case, mix):
-    """The stacked scores against the composed form's per-frame scores."""
-    params, relations, values, masks, cotangents = _sequence(case)
-    temporal = params.temporal if mix else None
-    leaves = [*relations, values, *(t for _, t in named_params(params)[4:])]
-    scores = sequence_scores(relations, values, _on_grid(masks, relations), temporal,
+@given(st.sampled_from(VARIANTS), SEQUENCES)
+@example("full", ONE_FRAME_ONE_OBJECT)
+@example("full", VARYING_COUNTS)
+@example("spatial", VARYING_COUNTS)
+@example("temporal", VARYING_COUNTS)
+@example("basic", VARYING_COUNTS)
+def test_sequence_scores_match_composed(variant, case):
+    """The stacked scores, which never build a relation block, against the
+    composed form's per-frame scores, read from the (N, C, C) product of
+    each relation block with its context: the forward values and the
+    gradient of every block, of the value maps and of every parameter."""
+    params, blocks, values, masks, cotangents = _sequence(case)
+    kq_proj = params.spatial.kq_proj if variant in ("spatial", "full") else None
+    temporal = params.temporal if variant in ("temporal", "full") else None
+    leaves = [*blocks, values, *(t for _, t in named_params(params))]
+    scores = sequence_scores(blocks, values, _on_grid(masks, blocks), kq_proj, temporal,
                              params.scoring)
     cotangent = Tensor(np.concatenate([u.data for u in cotangents]))
     fused = _gradients((scores * cotangent).sum(), leaves)
+    relations = blocks
+    if kq_proj is not None:
+        relations = [composed.relation(x, composed.take(values, t), kq_proj)
+                     for t, x in enumerate(blocks)]
     frame_scores = composed.sequence_scores(relations, values, masks, temporal, params.scoring)
     loss = sum(((s * u).sum() for s, u in zip(frame_scores[1:], cotangents[1:])),
                (frame_scores[0] * cotangents[0]).sum())
@@ -166,8 +171,8 @@ def test_sequence_scores_match_composed(case, mix):
     assert_close(scores.data, np.concatenate([s.data for s in frame_scores]), "forward")
     for name, got, expect in zip(range(len(leaves)), fused, want):
         if expect is None:
-            # A parameter of the temporal stage when it does not run.
-            assert got is None and not mix, name
+            # A parameter of a stage that the variant does not run.
+            assert got is None, name
         else:
             assert_close(got, expect, name)
 
@@ -254,11 +259,13 @@ def test_training_step_gradients_match_composed(variant, case):
 
     features = [Tensor(frame.features) for frame in sample.frames]
     if variant in ("spatial", "full"):
-        relations, maps = zip(*(composed.spatial_forward(x, params.spatial) for x in features))
+        maps = [composed.value_map(x, params.spatial.v_proj) for x in features]
+        relations = [composed.relation(x, value_map, params.spatial.kq_proj)
+                     for x, value_map in zip(features, maps)]
     else:
         relations, maps = features, [composed.mean_axis(x, 0) for x in features]
     temporal = params.temporal if variant in ("temporal", "full") else None
-    scores = composed.sequence_scores(relations, composed.stack(list(maps)),
+    scores = composed.sequence_scores(relations, composed.stack(maps),
                                       [frame.masks for frame in sample.frames],
                                       temporal, params.scoring)
     terms = [composed.rank_loss(s, RankTarget(tuple(a.ranks_in_id_order())), config.margin)
@@ -278,15 +285,16 @@ def _nodes(loss):
 
 
 def test_sequence_loss_uses_the_stage_ops():
-    """A ``full`` step records one node per stage: the value projection of
-    the object means, which need no gradient, the relation per frame, then
-    the mix, the scores and the loss."""
+    """A ``full`` step records one node per stage, whatever the number of
+    frames: the value projection of the object means, which need no
+    gradient, the mix, the scores with the relation attention inside, then
+    the loss."""
     sample = synth_generate(SynthConfig(), 0)
     config = ModelConfig(variant="full")
     params = init_model_params(config.C, config.H, config.W, config.seed)
     loss = _sequence_loss(sample, params, config)
     assert len(sample.frames) == 3
-    assert _nodes(loss) == 3 + 4 == 7
+    assert _nodes(loss) == 4
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -295,27 +303,29 @@ def test_step_node_count_per_variant(variant):
     config = ModelConfig(variant=variant, C=2, H=2, W=2)
     params = init_model_params(config.C, config.H, config.W, config.seed)
     loss = _sequence_loss(sample, params, config)
-    # The value projection and a relation per frame; the mix; the scores;
-    # the loss.  The object means of the input features record no node.
-    spatial_nodes = len(sample.frames) + 1 if variant in ("spatial", "full") else 0
+    # The value projection; the mix; the scores; the loss.  The object means
+    # of the input features record no node, and the relation attention runs
+    # inside the scores.
+    spatial_nodes = variant in ("spatial", "full")
     mix_nodes = variant in ("temporal", "full")
     assert _nodes(loss) == spatial_nodes + mix_nodes + 2
-    assert _nodes(loss) == {"basic": 2, "temporal": 3, "spatial": 4 + 3, "full": 4 + 4}[variant]
+    assert _nodes(loss) == {"basic": 2, "temporal": 3, "spatial": 3, "full": 4}[variant]
 
 
 def test_unranked_frame_runs_no_attention_backward(monkeypatch):
     """A one-object frame is in no pair, so no gradient reaches its scores:
-    its relation's vjp returns zeros without the (N, HW, HW) backward.  The
+    the scores' vjp skips it, with no (N, HW, HW) attention backward.  The
     margin is wide enough that every pair of the ranked frames is active,
-    whatever the scores."""
+    whatever the scores.  The cross-frame mix's (T, T) backward is not
+    counted."""
     calls = []
-    inner = spatial.softmax_rows_vjp
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return inner(*args, **kwargs)
+        if args[0].ndim == 3:
+            calls.append(args[0].shape[0])
+        return softmax_rows_vjp(*args, **kwargs)
 
-    monkeypatch.setattr(spatial, "softmax_rows_vjp", counted)
+    monkeypatch.setattr("vsorank.temporal.softmax_rows_vjp", counted)
     sample = _sample([1, 3, 1, 2], 2, 2, 2, seed=6)
     params = _model_params(np.random.default_rng(6), 2, 2, 2)
     loss = _sequence_loss(sample, params,

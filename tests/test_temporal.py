@@ -154,7 +154,7 @@ def frame_score_list(relations, values, masks, temporal, scoring):
     """``sequence_scores`` on the object means of the value blocks and on masks
     at frame resolution, one array per frame."""
     scores = sequence_scores(relations, object_means(values), on_grid(masks, relations),
-                             temporal, scoring)
+                             None, temporal, scoring)
     return np.split(scores.data, np.cumsum([len(r.data) for r in relations])[:-1])
 
 
@@ -280,8 +280,8 @@ class TestScoring:
         grid = on_grid(masks, relations)
 
         def f(t):
-            scores = sequence_scores(relations, object_means([t, values[1]]), grid, temporal,
-                                     scoring)
+            scores = sequence_scores(relations, object_means([t, values[1]]), grid, None,
+                                     temporal, scoring)
             return scores.sum() * (1.0 / scores.size)
 
         assert grad_check(f, target) < 1e-5
@@ -292,7 +292,7 @@ class TestScoring:
         odd_relation = Tensor(rng.standard_normal((2, 3, 2, 2)))
         with pytest.raises(ShapeError, match="frame 1: .* block shape"):
             sequence_scores([relations[0], odd_relation], object_means(values),
-                            on_grid(masks, relations), temporal, scoring)
+                            on_grid(masks, relations), None, temporal, scoring)
 
     def test_empty_frame_rejected(self):
         rng = np.random.default_rng(8)
@@ -300,7 +300,8 @@ class TestScoring:
         empty = Tensor(np.zeros((0, 2, 2, 2)))
         with pytest.raises(EmptyFrameError, match="frame 1"):
             sequence_scores([relations[0], empty], Tensor(np.zeros((2, 2, 2, 2))),
-                            [on_grid(masks, relations)[0], np.zeros((0, 2, 2))], temporal, scoring)
+                            [on_grid(masks, relations)[0], np.zeros((0, 2, 2))], None, temporal,
+                            scoring)
 
     def test_scoring_projection_of_another_grid_rejected(self):
         rng = np.random.default_rng(13)
@@ -309,7 +310,7 @@ class TestScoring:
         message = "mask_embed: shapes (2, 9), None do not map 4 to 2 features"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             sequence_scores(relations, object_means(values), on_grid(masks, relations), None,
-                            scoring)
+                            None, scoring)
 
     def test_one_context_per_frame_required(self):
         rng = np.random.default_rng(14)
@@ -321,7 +322,7 @@ class TestScoring:
             message = (f"need one (C, H, W) context per frame, got contexts of shape "
                        f"{contexts.shape} for {len(frames)} frames")
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-                frame_scores(frames, contexts, grid, scoring)
+                frame_scores(frames, contexts, contexts, grid, None, scoring)
 
     @pytest.mark.parametrize("temporal_on", [True, False])
     def test_malformed_frames_rejected(self, temporal_on):
@@ -331,21 +332,33 @@ class TestScoring:
         grid = on_grid(masks, relations)
         maps = object_means(values)
         with pytest.raises(ValueError, match="at least one frame"):
-            sequence_scores([], maps, [], temporal, scoring)
+            sequence_scores([], maps, [], None, temporal, scoring)
         for odd_maps in (object_means(values[:1]), Tensor(maps.data[0])):
             message = (f"need one (C, H, W) value map per frame, got value maps of shape "
                        f"{odd_maps.shape} for 2 frames")
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-                sequence_scores(relations, odd_maps, grid, temporal, scoring)
-        with pytest.raises(ShapeError, match=re.escape("relation (2, 2, 4) is not (N, C, H, W)")):
+                sequence_scores(relations, odd_maps, grid, None, temporal, scoring)
+        with pytest.raises(ShapeError, match=re.escape("block (2, 2, 4) is not (N, C, H, W)")):
             sequence_scores([relations[0], Tensor(relations[1].data.reshape(2, 2, 4))], maps,
-                            grid, temporal, scoring)
+                            grid, None, temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, maps, [grid[0], grid[1][:1]], temporal, scoring)
+            sequence_scores(relations, maps, [grid[0], grid[1][:1]], None, temporal, scoring)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, maps, [grid[0], grid[1][0]], temporal, scoring)
+            sequence_scores(relations, maps, [grid[0], grid[1][0]], None, temporal, scoring)
         with pytest.raises(ShapeError, match=re.escape("are not on the (2, 2) feature grid")):
-            sequence_scores(relations, maps, [grid[0], masks[1]], temporal, scoring)
+            sequence_scores(relations, maps, [grid[0], masks[1]], None, temporal, scoring)
+
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_one_mask_stack_per_frame_required(self, kept):
+        """A mask list shorter or longer than the frames names both counts."""
+        rng = np.random.default_rng(15)
+        relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
+        grid = on_grid(masks, relations)
+        mask_inputs = (grid + grid)[:kept]
+        message = f"need one mask stack per frame, got {kept} mask stacks for 2 frames"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            sequence_scores(relations, object_means(values), mask_inputs, None, temporal,
+                            scoring)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_variant_checks_its_frames(self, variant):

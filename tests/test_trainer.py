@@ -394,14 +394,11 @@ class TestInferenceBuildsNoGraph:
         params = init_model_params(config.C, config.H, config.W, config.seed)
         evaluate(params, config, [sample])
         model_forward(sample.frames, params, variant)
-        frames = len(sample.frames)
-        # Per pass: the object means; conv1x1 and a relation per frame when
-        # the variant has spatial attention; the mix when it has cross-frame
-        # attention; and one op scoring every frame.
-        per_pass = ((frames + 1 if variant in ("spatial", "full") else 0)
-                    + (variant in ("temporal", "full")) + 2)
-        assert per_pass == {"basic": 2, "temporal": 3, "spatial": frames + 3,
-                            "full": frames + 4}[variant]
+        # Per pass: the object means; conv1x1 when the variant has spatial
+        # attention; the mix when it has cross-frame attention; and one op
+        # scoring every frame, with the relation attention inside.
+        per_pass = ((variant in ("spatial", "full")) + (variant in ("temporal", "full")) + 2)
+        assert per_pass == {"basic": 2, "temporal": 3, "spatial": 3, "full": 4}[variant]
         assert len(results) == 2 * per_pass
         assert not any(out.requires_grad or out._node is not None for out in results)
 
