@@ -1,8 +1,8 @@
 """Finite-difference verification of every node a training step records:
 ``conv1x1``, the spatial stage (the value maps that ``conv1x1`` projects
 from the object means, read by ``frame_scores`` with the relation
-attention), the temporal stage with ``frame_scores`` without it, and the
-rank loss.
+attention), ``temporal_mix`` composed with ``frame_scores`` without it, as
+``model.model_scores`` composes them, and the rank loss.
 
 Each check runs over several random seeds at small shapes and records the
 worst relative error between analytic and central-difference gradients.
@@ -21,7 +21,7 @@ from .temporal import (
     TemporalParams,
     downsample_mask,
     frame_scores,
-    sequence_scores,
+    temporal_mix,
 )
 
 __all__ = ["CheckResult", "run_suite", "DEFAULT_TOLERANCE"]
@@ -120,8 +120,9 @@ def _spatial_module(rng):
 
 
 def _temporal_module(rng):
-    """Every operand of ``temporal_mix`` and ``frame_scores`` without the
-    relation attention; the value maps are one (T, C, H, W) operand."""
+    """Every operand of ``frame_scores`` without the relation attention, on
+    contexts mixed by ``temporal_mix`` or, for the last two cases, on the
+    value maps themselves; the value maps are one (T, C, H, W) operand."""
     c, h, w = 2, 2, 2
     temporal = TemporalParams(*(projection_init(c, c, rng, bias=biased)
                                 for biased in (True, False, True)))
@@ -130,7 +131,8 @@ def _temporal_module(rng):
 
     def mean_score(mix):
         def f(_):
-            scores = sequence_scores(blocks, values, mask_inputs, None, mix, scoring)
+            contexts = values if mix is None else temporal_mix(values, mix)
+            scores = frame_scores(blocks, values, contexts, mask_inputs, None, scoring)
             return scores.sum() * (1.0 / scores.size)
 
         return f

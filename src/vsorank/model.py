@@ -9,6 +9,9 @@ Four configurations mirror the ablation grid:
                   cross-frame mixing.
 * ``temporal`` -- raw features feed the cross-frame attention directly.
 * ``full``     -- both attention stages enabled.
+
+``model_scores`` is the one place a variant picks its stages: it calls
+``object_means``, ``conv1x1``, ``temporal_mix`` and ``frame_scores``.
 """
 
 import json
@@ -23,9 +26,10 @@ from .spatial import Projection, SpatialParams, object_means, spatial_params_ini
 from .temporal import (
     ScoringParams,
     TemporalParams,
+    frame_scores,
     rank_assign,
     scoring_params_init,
-    sequence_scores,
+    temporal_mix,
     temporal_params_init,
 )
 
@@ -82,9 +86,9 @@ def model_scores(frames: list[FrameSample], params: ModelParams, variant: str) -
         # mean of the objects' value projections.
         v_proj, kq_proj = params.spatial.v_proj, params.spatial.kq_proj
         values = conv1x1(values, v_proj.weight, v_proj.bias)
-    temporal = params.temporal if variant in ("temporal", "full") else None
-    return sequence_scores(features, values, [frame.mask_inputs for frame in frames],
-                           kq_proj, temporal, params.scoring)
+    contexts = temporal_mix(values, params.temporal) if variant in ("temporal", "full") else values
+    return frame_scores(features, values, contexts, [frame.mask_inputs for frame in frames],
+                        kq_proj, params.scoring)
 
 
 def model_forward(frames: list[FrameSample], params: ModelParams,

@@ -41,6 +41,9 @@ def projection_init(out_features: int, in_features: int, rng: np.random.Generato
                     zero: bool = False, bias: bool = True) -> Projection:
     """Uniform(-1/sqrt(in), 1/sqrt(in)) weights, all-zero if asked; a zero
     bias, or none."""
+    if out_features < 1 or in_features < 1:
+        raise ValueError(f"projection sizes must be positive, got {out_features} out "
+                         f"and {in_features} in features")
     if zero:
         weight = np.zeros((out_features, in_features))
     else:
@@ -62,8 +65,6 @@ class SpatialParams:
 
 def spatial_params_init(channels: int, rng_seed: int) -> SpatialParams:
     """Deterministic parameter initialization for a given channel width."""
-    if channels < 1:
-        raise ValueError(f"channels must be positive, got {channels}")
     rng = np.random.default_rng(rng_seed)
     return SpatialParams(
         kq_proj=projection_init(channels, channels, rng),

@@ -16,8 +16,9 @@ embedding and ``[w_r, w_m]`` the score head,
 map, ``A_n`` the object's attention over its own positions); without it
 ``R_n = x_n``.  Only ``R_n s = x_n s + v (A_nᵀ s)`` reaches the score, so
 ``frame_scores`` runs the spatial attention inside and never builds
-``R_n``.  A frame's value map is the object mean of its input blocks, put
-through the spatial stage's value projection when that stage runs.
+``R_n``; it checks each frame's block and masks against the contexts.  A
+frame's value map is the object mean of its input blocks, put through the
+spatial stage's value projection when that stage runs.
 The loss compares scores within a frame only, so neither the head nor the
 embedding has a bias: it would shift a whole frame's scores alike.
 """
@@ -30,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, op, softmax_rows, softmax_rows_vjp
-from .spatial import EmptyFrameError, Projection, projection_init
+from .spatial import Projection, projection_init
 
 __all__ = [
     "TemporalParams",
@@ -39,7 +40,6 @@ __all__ = [
     "scoring_params_init",
     "temporal_mix",
     "frame_scores",
-    "sequence_scores",
     "rank_assign",
     "downsample_mask",
 ]
@@ -156,9 +156,11 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
     ``blocks[t]`` is frame t's (N_t, C, H, W) input block, ``values`` and
     ``contexts`` hold every frame's (C, H, W) value and context maps,
     (T, C, H, W), and ``mask_inputs[t]`` is frame t's (N_t, H, W) masks on
-    the same grid.  With ``kq_proj`` the spatial attention runs, with
-    ``kq_n = W x_n + b`` per position and ``A_n = softmax(kq_nᵀ kq_n / sqrt(C))``,
-    and object n's pooled vector is ``(x_n s + v u_n) / C``, where
+    the same grid (see ``FrameSample.mask_inputs``); each frame is checked
+    against those shapes, and one of zero objects gets no score.  With
+    ``kq_proj`` the spatial attention runs, with ``kq_n = W x_n + b`` per
+    position and ``A_n = softmax(kq_nᵀ kq_n / sqrt(C))``, and object n's
+    pooled vector is ``(x_n s + v u_n) / C``, where
     ``u_n = A_nᵀ s`` is computed as ``s A_n``; without it, the pooled vector
     is ``x_n s / C`` and ``values`` is not read.  The pooled vector,
     concatenated with the embedded mask, feeds the score head.
@@ -175,6 +177,20 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
         raise ShapeError(f"need one (C, H, W) context per frame, got contexts of shape "
                          f"{contexts.shape} for {len(blocks)} frames")
     c, h, w = contexts.shape[1:]
+    if len(mask_inputs) != len(blocks):
+        raise ShapeError(f"need one mask stack per frame, got {len(mask_inputs)} mask "
+                         f"stacks for {len(blocks)} frames")
+    for t, (block, frame_masks) in enumerate(zip(blocks, mask_inputs)):
+        if block.ndim != 4 or block.shape[1:] != (c, h, w):
+            raise ShapeError(f"frame {t}: block {block.shape} is not (N, C, H, W) "
+                             f"over the contexts' block shape {(c, h, w)}")
+        mask_shape = np.shape(frame_masks)
+        if len(mask_shape) != 3 or mask_shape[0] != block.shape[0]:
+            raise ShapeError(f"frame {t}: need one mask per object, got masks of shape "
+                             f"{mask_shape} for {block.shape[0]} objects")
+        if mask_shape[1:] != (h, w):
+            raise ShapeError(f"frame {t}: masks of shape {mask_shape} are not on the "
+                             f"{(h, w)} feature grid")
     hw = h * w
     embed, head = scoring.mask_embed.weight, scoring.score_head.weight
     _check_projection("mask_embed", scoring.mask_embed, c, hw, biased=False)
@@ -253,45 +269,6 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
         return shares
 
     return op(data.reshape(-1), operands, vjp)
-
-
-def sequence_scores(blocks: list[Tensor], values: Tensor, mask_inputs: list[np.ndarray],
-                    kq_proj: Projection | None, temporal: TemporalParams | None,
-                    scoring: ScoringParams) -> Tensor:
-    """Differentiable scores of a whole sequence's objects, stacked in frame order, (ΣN,).
-
-    Frame t has its (N_t, C, H, W) input ``blocks[t]``, its (C, H, W) value
-    map ``values[t]`` and its masks resized to the (H, W) grid in
-    ``mask_inputs[t]``, (N_t, H, W) (see ``FrameSample.mask_inputs``).
-    The spatial relation attention runs with the key/query projection
-    ``kq_proj`` unless that is None, and each frame's context is its value
-    map, mixed across frames by ``temporal`` unless that is None.
-    """
-    if not blocks:
-        raise ValueError("need at least one frame")
-    if values.ndim != 4 or values.shape[0] != len(blocks):
-        raise ShapeError(f"need one (C, H, W) value map per frame, got value maps of shape "
-                         f"{values.shape} for {len(blocks)} frames")
-    if len(mask_inputs) != len(blocks):
-        raise ShapeError(f"need one mask stack per frame, got {len(mask_inputs)} mask "
-                         f"stacks for {len(blocks)} frames")
-    block_shape = values.shape[1:]
-    for t, (block, frame_masks) in enumerate(zip(blocks, mask_inputs)):
-        if block.ndim != 4 or block.shape[1:] != block_shape:
-            raise ShapeError(f"frame {t}: block {block.shape} is not (N, C, H, W) "
-                             f"over the value maps' block shape {block_shape}")
-        if block.shape[0] == 0:
-            raise EmptyFrameError(f"frame {t} has zero objects")
-        mask_shape = np.shape(frame_masks)
-        if len(mask_shape) != 3 or mask_shape[0] != block.shape[0]:
-            raise ShapeError(f"frame {t}: need one mask per object, got masks of shape "
-                             f"{mask_shape} for {block.shape[0]} objects")
-        if mask_shape[1:] != block_shape[1:]:
-            raise ShapeError(f"frame {t}: masks of shape {mask_shape} are not on the "
-                             f"{block_shape[1:]} feature grid")
-
-    contexts = values if temporal is None else temporal_mix(values, temporal)
-    return frame_scores(blocks, values, contexts, mask_inputs, kq_proj, scoring)
 
 
 def rank_assign(scores) -> np.ndarray:

@@ -19,9 +19,11 @@ of the projections (``mean_axis``), so the two stay independent routes.
 ``relation`` builds each object's (C, H, W) relation block, which the
 package never builds, and ``frame_scores`` keeps the (N, C, C) product of
 those blocks with the context whose row means the package's op computes
-directly as ``(x_n s + v A_nᵀ s) / C``, for the same reason.  Both forms'
-``sequence_scores`` and ``temporal_mix`` take the value maps stacked to
-(T, C, H, W).
+directly as ``(x_n s + v A_nᵀ s) / C``, for the same reason.
+``sequence_scores`` here mixes the value maps, stacked to (T, C, H, W), by
+``temporal_mix`` and scores each frame against its row, as
+``model.model_scores`` composes the package's ``temporal_mix`` and
+``frame_scores``.
 """
 
 import math

@@ -15,7 +15,13 @@ from vsorank.spatial import (
     object_means,
     spatial_params_init,
 )
-from vsorank.temporal import ScoringParams, frame_scores
+from vsorank.model import init_model_params
+from vsorank.temporal import (
+    ScoringParams,
+    frame_scores,
+    scoring_params_init,
+    temporal_params_init,
+)
 
 
 def reference_forward(x, kq_w, kq_b, v_w, v_b):
@@ -292,10 +298,23 @@ class TestParamsInit:
         b = spatial_params_init(8, 2)
         assert not np.array_equal(a.kq_proj.weight.data, b.kq_proj.weight.data)
 
-    @pytest.mark.parametrize("channels", [0, -1])
-    def test_non_positive_channels_rejected(self, channels):
-        with pytest.raises(ValueError, match=f"^channels must be positive, got {channels}$"):
-            spatial_params_init(channels, 0)
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("init, sizes", [
+        (lambda n: spatial_params_init(n, 0), lambda n: (n, n)),
+        (lambda n: temporal_params_init(n, 0), lambda n: (n, n)),
+        (lambda n: scoring_params_init(n, 2, 3, 0), lambda n: (n, 6)),
+        (lambda n: init_model_params(n, 2, 3, 0), lambda n: (n, n)),
+        (lambda n: init_model_params(4, n, 3, 0), lambda n: (4, n * 3)),
+        (lambda n: init_model_params(4, 2, n, 0), lambda n: (4, 2 * n)),
+    ], ids=["spatial", "temporal", "scoring", "model-C", "model-H", "model-W"])
+    def test_non_positive_channels_rejected(self, init, sizes, size):
+        """``projection_init`` rejects a size below 1 for every stage that
+        calls it, before drawing any weight."""
+        out_features, in_features = sizes(size)
+        message = (f"projection sizes must be positive, got {out_features} out "
+                   f"and {in_features} in features")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init(size)
 
     def test_extents_and_bounds(self):
         params = spatial_params_init(256, 0)

@@ -39,7 +39,13 @@ from vsorank.dataset import (
 from vsorank.losses import RankPairs, RankTarget, rank_loss
 from vsorank.model import VARIANTS, ModelParams, init_model_params, named_params
 from vsorank.spatial import Projection, SpatialParams, object_means
-from vsorank.temporal import ScoringParams, TemporalParams, downsample_mask, sequence_scores
+from vsorank.temporal import (
+    ScoringParams,
+    TemporalParams,
+    downsample_mask,
+    frame_scores,
+    temporal_mix,
+)
 from vsorank.trainer import ModelConfig, _sequence_loss
 
 # Hypothesis caches constants read from the source while collecting tests,
@@ -138,6 +144,15 @@ def test_value_maps_match_composed(case):
 def _on_grid(masks, blocks):
     h, w = blocks[0].shape[2:]
     return [downsample_mask(frame_masks, h, w) for frame_masks in masks]
+
+
+def sequence_scores(blocks, values, mask_inputs, kq_proj, temporal, scoring):
+    """The stage ops wired as ``model.model_scores`` wires them, from given
+    value maps: ``temporal_mix`` makes the contexts unless ``temporal`` is
+    None, and ``frame_scores`` runs the spatial attention unless ``kq_proj``
+    is None."""
+    contexts = values if temporal is None else temporal_mix(values, temporal)
+    return frame_scores(blocks, values, contexts, mask_inputs, kq_proj, scoring)
 
 
 @FUZZ

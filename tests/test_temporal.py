@@ -17,7 +17,6 @@ from vsorank.temporal import (
     downsample_mask,
     frame_scores,
     rank_assign,
-    sequence_scores,
     temporal_mix,
     temporal_params_init,
 )
@@ -151,10 +150,11 @@ def on_grid(masks, relations):
 
 
 def frame_score_list(relations, values, masks, temporal, scoring):
-    """``sequence_scores`` on the object means of the value blocks and on masks
-    at frame resolution, one array per frame."""
-    scores = sequence_scores(relations, object_means(values), on_grid(masks, relations),
-                             None, temporal, scoring)
+    """``frame_scores`` against the ``temporal_mix`` of the object means of
+    the value blocks, on masks at frame resolution, one array per frame."""
+    maps = object_means(values)
+    scores = frame_scores(relations, maps, temporal_mix(maps, temporal),
+                          on_grid(masks, relations), None, scoring)
     return np.split(scores.data, np.cumsum([len(r.data) for r in relations])[:-1])
 
 
@@ -280,8 +280,9 @@ class TestScoring:
         grid = on_grid(masks, relations)
 
         def f(t):
-            scores = sequence_scores(relations, object_means([t, values[1]]), grid, None,
-                                     temporal, scoring)
+            maps = object_means([t, values[1]])
+            scores = frame_scores(relations, maps, temporal_mix(maps, temporal), grid, None,
+                                  scoring)
             return scores.sum() * (1.0 / scores.size)
 
         assert grad_check(f, target) < 1e-5
@@ -290,27 +291,38 @@ class TestScoring:
         rng = np.random.default_rng(7)
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
         odd_relation = Tensor(rng.standard_normal((2, 3, 2, 2)))
+        maps = object_means(values)
         with pytest.raises(ShapeError, match="frame 1: .* block shape"):
-            sequence_scores([relations[0], odd_relation], object_means(values),
-                            on_grid(masks, relations), None, temporal, scoring)
+            frame_scores([relations[0], odd_relation], maps, temporal_mix(maps, temporal),
+                         on_grid(masks, relations), None, scoring)
 
-    def test_empty_frame_rejected(self):
+    @pytest.mark.parametrize("attend", [False, True])
+    def test_zero_object_frame_gets_no_scores(self, attend):
+        """Only ``object_means`` rejects a frame of no objects; ``frame_scores``
+        gives it no score and a gradient of its (0, C, H, W) shape."""
         rng = np.random.default_rng(8)
-        relations, values, masks, temporal, scoring = random_setup(rng, (2,), 2, 2, 2)
-        empty = Tensor(np.zeros((0, 2, 2, 2)))
-        with pytest.raises(EmptyFrameError, match="frame 1"):
-            sequence_scores([relations[0], empty], Tensor(np.zeros((2, 2, 2, 2))),
-                            [on_grid(masks, relations)[0], np.zeros((0, 2, 2))], None, temporal,
-                            scoring)
+        relations, _, masks, _, scoring = random_setup(rng, (2,), 2, 2, 2)
+        empty = Tensor(np.zeros((0, 2, 2, 2)), requires_grad=True)
+        maps = rng.standard_normal((2, 2, 2, 2))
+        kq_proj = (Projection(Tensor(rng.standard_normal((2, 2))), Tensor(rng.standard_normal(2)))
+                   if attend else None)
+        grid = on_grid(masks, relations)
+        scores = frame_scores([relations[0], empty], Tensor(maps), Tensor(maps),
+                              [grid[0], np.zeros((0, 2, 2))], kq_proj, scoring)
+        alone = frame_scores(relations, Tensor(maps[:1]), Tensor(maps[:1]), grid, kq_proj,
+                             scoring)
+        assert np.array_equal(scores.data, alone.data)
+        scores.sum().backward()
+        assert empty.grad.shape == (0, 2, 2, 2)
 
     def test_scoring_projection_of_another_grid_rejected(self):
         rng = np.random.default_rng(13)
         relations, values, masks, _, _ = random_setup(rng, (2, 2), 2, 2, 2)
         scoring = random_setup(rng, (1,), 2, 3, 3)[4]  # mask_embed maps 9 features
         message = "mask_embed: shapes (2, 9), None do not map 4 to 2 features"
+        maps = object_means(values)
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            sequence_scores(relations, object_means(values), on_grid(masks, relations), None,
-                            None, scoring)
+            frame_scores(relations, maps, maps, on_grid(masks, relations), None, scoring)
 
     def test_one_context_per_frame_required(self):
         rng = np.random.default_rng(14)
@@ -328,25 +340,21 @@ class TestScoring:
     def test_malformed_frames_rejected(self, temporal_on):
         rng = np.random.default_rng(9)
         relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
-        temporal = temporal if temporal_on else None
         grid = on_grid(masks, relations)
         maps = object_means(values)
-        with pytest.raises(ValueError, match="at least one frame"):
-            sequence_scores([], maps, [], None, temporal, scoring)
-        for odd_maps in (object_means(values[:1]), Tensor(maps.data[0])):
-            message = (f"need one (C, H, W) value map per frame, got value maps of shape "
-                       f"{odd_maps.shape} for 2 frames")
-            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-                sequence_scores(relations, odd_maps, grid, None, temporal, scoring)
+        contexts = temporal_mix(maps, temporal) if temporal_on else maps
+
+        def scores(blocks, mask_inputs):
+            return frame_scores(blocks, maps, contexts, mask_inputs, None, scoring)
+
         with pytest.raises(ShapeError, match=re.escape("block (2, 2, 4) is not (N, C, H, W)")):
-            sequence_scores([relations[0], Tensor(relations[1].data.reshape(2, 2, 4))], maps,
-                            grid, None, temporal, scoring)
+            scores([relations[0], Tensor(relations[1].data.reshape(2, 2, 4))], grid)
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, maps, [grid[0], grid[1][:1]], None, temporal, scoring)
+            scores(relations, [grid[0], grid[1][:1]])
         with pytest.raises(ShapeError, match="one mask per object"):
-            sequence_scores(relations, maps, [grid[0], grid[1][0]], None, temporal, scoring)
+            scores(relations, [grid[0], grid[1][0]])
         with pytest.raises(ShapeError, match=re.escape("are not on the (2, 2) feature grid")):
-            sequence_scores(relations, maps, [grid[0], masks[1]], None, temporal, scoring)
+            scores(relations, [grid[0], masks[1]])
 
     @pytest.mark.parametrize("kept", [1, 3])
     def test_one_mask_stack_per_frame_required(self, kept):
@@ -356,9 +364,36 @@ class TestScoring:
         grid = on_grid(masks, relations)
         mask_inputs = (grid + grid)[:kept]
         message = f"need one mask stack per frame, got {kept} mask stacks for 2 frames"
+        maps = object_means(values)
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            sequence_scores(relations, object_means(values), mask_inputs, None, temporal,
-                            scoring)
+            frame_scores(relations, maps, temporal_mix(maps, temporal), mask_inputs, None,
+                         scoring)
+
+    @pytest.mark.parametrize("attend", [False, True])
+    @pytest.mark.parametrize("case", ["short mask list", "block of another width",
+                                      "masks off the grid"])
+    def test_frame_scores_names_the_bad_frame(self, case, attend):
+        """Called directly, as the gradient checks call it, ``frame_scores``
+        checks each frame it reads and names the one that is malformed."""
+        rng = np.random.default_rng(16)
+        relations, values, masks, temporal, scoring = random_setup(rng, (2, 2), 2, 2, 2)
+        grid = on_grid(masks, relations)
+        maps = object_means(values)
+        blocks, mask_inputs, message = {
+            "short mask list": (
+                relations, grid[:1],
+                "need one mask stack per frame, got 1 mask stacks for 2 frames"),
+            "block of another width": (
+                [relations[0], Tensor(rng.standard_normal((2, 3, 2, 2)))], grid,
+                "frame 1: block (2, 3, 2, 2) is not (N, C, H, W) over the contexts' "
+                "block shape (2, 2, 2)"),
+            "masks off the grid": (
+                relations, [grid[0], masks[1]],
+                "frame 1: masks of shape (2, 6, 6) are not on the (2, 2) feature grid"),
+        }[case]
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            frame_scores(blocks, maps, maps, mask_inputs, temporal.k_proj if attend else None,
+                         scoring)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_variant_checks_its_frames(self, variant):
@@ -367,7 +402,7 @@ class TestScoring:
         params = init_model_params(2, 2, 2, seed=10)
         good = FrameSample(features=values[0].data, masks=masks[0])
         empty = FrameSample(features=np.zeros((0, 2, 2, 2)), masks=np.zeros((0, 6, 6), bool))
-        with pytest.raises(EmptyFrameError):
+        with pytest.raises(EmptyFrameError, match="^frame 1 has zero objects$"):
             model_scores([good, empty], params, variant)
         extra_mask = FrameSample(features=values[1].data,
                                  masks=np.concatenate([masks[1], masks[1][:1]]))
