@@ -1,10 +1,14 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Only what a training step runs is implemented: 1x1 convolution over NCHW
-blocks (the value projection), the row softmax kernel that both attention
-stages run in place, ``op`` for the stage ops' hand-derived vjps, and
-``Tensor``'s ``+``, ``*`` and ``sum``.  Every matrix product, forward
-and backward, is an ``np.matmul`` (``@``) call, which numpy hands to BLAS.
+blocks (the value projection), the row softmax kernel and its vjp, ``op``
+for the stage ops' hand-derived vjps, and ``Tensor``'s ``+``, ``*`` and
+``sum``.  The softmax kernel serves the cross-frame mix and the test
+oracle; the spatial relation attention inside frame scoring runs its own
+kernel, which folds the scale into its projection and the normaliser into
+the vector it is applied to (``temporal._spatial_attention``).  Every
+matrix product, forward and backward, is an ``np.matmul`` (``@``) call,
+which numpy hands to BLAS.
 
 The graph is built define-by-run, and ``op`` builds every node: it records
 the operands, their ``requires_grad`` flags and one vjp.  ``Tensor.backward``
@@ -222,8 +226,9 @@ def softmax_rows(x: np.ndarray, scale: float, out: np.ndarray | None = None) -> 
 
     Stabilized by max subtraction, so finite inputs give finite outputs and
     each last-axis slice sums to one.  With ``out=x`` the logits buffer
-    becomes the attention: both attention stages hold one buffer per
-    attention this way.
+    becomes the attention, as in ``temporal_mix``; the composed test oracle
+    runs it too.  The spatial relation attention does not: its logits are
+    symmetric, and ``temporal._spatial_attention`` keeps them unnormalised.
     """
     y = np.divide(x, scale, out=out)
     y -= y.max(axis=-1, keepdims=True)

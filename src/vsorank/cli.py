@@ -56,13 +56,23 @@ def _parse_scalar(text: str):
 
 
 def load_config_file(path) -> dict:
-    """Read a config as JSON (leading '{') or line-based key=value pairs."""
+    """Read a config as JSON (leading '{') or line-based key=value pairs;
+    in either, a key set twice is an error."""
     return read_text(path, lambda content: _parse_config(path, content))
 
 
 def _parse_config(path, content: str) -> dict:
     if content.lstrip().startswith("{"):
-        return json.loads(content)  # text that starts with "{" parses to an object or fails
+        def unique(pairs):
+            config = {}
+            for key, value in pairs:
+                if key in config:
+                    raise CliError(f"{path}: config key {key!r} is set twice")
+                config[key] = value
+            return config
+
+        # Text that starts with "{" parses to an object or fails.
+        return json.loads(content, object_pairs_hook=unique)
     config = {}
     for line_no, line in enumerate(content.splitlines(), start=1):
         line = line.strip()
@@ -71,6 +81,8 @@ def _parse_config(path, content: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key in config:
+            raise CliError(f"{path}:{line_no}: config key {key!r} is set twice")
         # A directory name is text even when it reads as a number.
         config[key] = value if key == "out_dir" else _parse_scalar(value)
     return config

@@ -148,6 +148,47 @@ def temporal_mix(values: Tensor, params: TemporalParams) -> Tensor:
     return op(data, operands, vjp)
 
 
+def _spatial_attention(kq: np.ndarray, s: np.ndarray):
+    """Each object's Gram attention over its own positions, applied to its
+    frame's context sum ``s`` (HW,).
+
+    ``kq`` is the (N, C, HW) projection scaled by C^(-1/4), so ``kq_nᵀ kq_n``
+    are the logits and ``A_n`` their row softmax.  Returns the exponentials
+    ``e`` (N, HW, HW), in the one buffer that first holds the logits, the
+    inverse row sums ``1/z`` (N, HW), and ``u_n = A_nᵀ s`` (N, HW), computed
+    as ``(s / z_n) e_n`` so that ``e`` is never normalised.  The logits are
+    symmetric, so each column's max is the max of the row of the same index,
+    and the shift reduces over the strided axis, which numpy vectorises.
+    """
+    exps = np.matmul(np.swapaxes(kq, 1, 2), kq)
+    exps -= exps.max(axis=1)[:, :, None]
+    np.exp(exps, out=exps)
+    inv_sums = 1.0 / exps.sum(axis=-1)
+    u = np.matmul((s * inv_sums)[:, None, :], exps)[:, 0]
+    return exps, inv_sums, u
+
+
+def _spatial_attention_vjp(kq, exps, inv_sums, s, w_p, root: float):
+    """``_spatial_attention``'s backward, from each object's (HW,) gradient
+    ``w_n`` of ``u_n``, stacked as ``w_p``: the gradients of the unscaled
+    projection ``kq / root`` and of ``s``.
+
+    With ``aw_n = A_n w_n``, ``ds = sum_n aw_n``, the logits' gradient is
+    ``dL_n = (s/z_n)_i e_ij (w_j - aw_i)``, the softmax vjp of ``s w_nᵀ``
+    without that outer product, and ``dkq_n = root kq_n (dL_n + dL_nᵀ)``.
+    The subtraction stays inside each row, so an attention over one position
+    gives exactly zero.
+    """
+    aw = np.matmul(exps, w_p[:, :, None])[:, :, 0]  # (N, HW)
+    aw *= inv_sums
+    d_logits = w_p[:, None, :] - aw[:, :, None]  # (N, HW, HW)
+    d_logits *= exps
+    d_logits *= (s * inv_sums)[:, :, None]
+    d_kq = np.matmul(kq, d_logits + np.swapaxes(d_logits, 1, 2))
+    d_kq *= root
+    return d_kq, aw.sum(axis=0)
+
+
 def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
                  mask_inputs: list[np.ndarray], kq_proj: Projection | None,
                  scoring: ScoringParams) -> Tensor:
@@ -160,18 +201,19 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
     against those shapes, and one of zero objects gets no score.  With
     ``kq_proj`` the spatial attention runs, with ``kq_n = W x_n + b`` per
     position and ``A_n = softmax(kq_nᵀ kq_n / sqrt(C))``, and object n's
-    pooled vector is ``(x_n s + v u_n) / C``, where
-    ``u_n = A_nᵀ s`` is computed as ``s A_n``; without it, the pooled vector
-    is ``x_n s / C`` and ``values`` is not read.  The pooled vector,
-    concatenated with the embedded mask, feeds the score head.
+    pooled vector is ``(x_n s + v u_n) / C``, where ``u_n = A_nᵀ s``;
+    without it, the pooled vector is ``x_n s / C`` and ``values`` is not
+    read.  The pooled vector, concatenated with the embedded mask, feeds the
+    score head.
 
     One op with a closed-form vjp.  With ``p_n`` object n's pooled gradient,
     ``dx_n = p_n sᵀ`` and ``ds = sum_n x_nᵀ p_n``, on every channel of the
     context; with the attention, ``w_n = vᵀ p_n``, ``dv = sum_n p_n u_nᵀ``,
-    ``ds += sum_n A_n w_n``, ``dL_n = softmax_rows_vjp(s w_nᵀ)`` and
-    ``dkq_n = kq_n (dL_n + dL_nᵀ)``, so ``dx_n += Wᵀ dkq_n``,
-    ``dW = sum_n dkq_n x_nᵀ`` and ``db = sum dkq_n``.  A frame whose pooled
-    gradient is zero, such as one that no ranked pair reaches, is skipped.
+    ``ds += sum_n A_n w_n`` and ``dkq_n = kq_n (dL_n + dL_nᵀ)``, with
+    ``dL_n`` the softmax vjp of ``s w_nᵀ`` (``_spatial_attention_vjp``), so
+    ``dx_n += Wᵀ dkq_n``, ``dW = sum_n dkq_n x_nᵀ`` and ``db = sum dkq_n``.
+    A frame whose pooled gradient is zero, such as one that no ranked pair
+    reaches, is skipped.
     """
     if not blocks or contexts.ndim != 4 or len(blocks) != contexts.shape[0]:
         raise ShapeError(f"need one (C, H, W) context per frame, got contexts of shape "
@@ -202,7 +244,11 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
         if values.shape != contexts.shape:
             raise ShapeError(f"value maps of shape {values.shape} do not match the "
                              f"contexts' {contexts.shape}")
-        weight, bias, scale = kq_proj.weight, kq_proj.bias, math.sqrt(c)
+        weight, bias = kq_proj.weight, kq_proj.bias
+        # kq is projected scaled by C^(-1/4), so its Gram products are the
+        # logits: exactly so when C^(1/4) is a power of two, as at C = 16.
+        root = c ** -0.25
+        scaled_weight, scaled_bias = weight.data * root, bias.data * root
         maps = values.data.reshape(-1, c, hw)
         operands += [values, weight, bias]
     # Only a pass that records a node keeps each frame's attention.
@@ -213,20 +259,17 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
     sums = contexts.data.reshape(-1, c, hw).sum(axis=1)  # (T, HW)
     masks = np.concatenate(mask_inputs).reshape(-1, hw)
     joint = np.empty((ends[-1], 2 * c))  # pooled relations, then embedded masks
-    saved = []  # per frame: kq, the attention and u, for the vjp
+    saved = []  # per frame: kq, the attention's exponentials and 1/z, and u, for the vjp
     for t, (block, s, frame) in enumerate(zip(blocks, sums, rows)):
         x3 = block.data.reshape(-1, c, hw)
         joint[frame, :c] = x3 @ s
         if attend:
-            kq = np.matmul(weight.data, x3)  # (N, C, HW)
-            kq += bias.data[None, :, None]
-            # One (N, HW, HW) buffer per frame: the logits, then the attention.
-            logits = np.matmul(np.swapaxes(kq, 1, 2), kq)
-            attention = softmax_rows(logits, scale, out=logits)
-            u = s @ attention  # (N, HW)
+            kq = np.matmul(scaled_weight, x3)  # (N, C, HW)
+            kq += scaled_bias[None, :, None]
+            exps, inv_sums, u = _spatial_attention(kq, s)
             joint[frame, :c] += u @ maps[t].T
             if keep:
-                saved.append((kq, attention, u))
+                saved.append((kq, exps, inv_sums, u))
     joint[:, :c] /= c
     joint[:, c:] = masks @ embed.data.T
     data = joint @ head.data.T
@@ -248,14 +291,11 @@ def frame_scores(blocks: list[Tensor], values: Tensor, contexts: Tensor,
             d_x3 = p[:, :, None] * s if need else None
             d_sums[t] = p.reshape(-1) @ x3.reshape(-1, hw)
             if attend:
-                kq, attention, u = saved[t]
+                kq, exps, inv_sums, u = saved[t]
                 d_maps[t] = p.T @ u
                 w_p = p @ maps[t]  # (N, HW): each object's vᵀ p_n
-                d_sums[t] += np.matmul(attention, w_p[:, :, None]).sum(axis=0)[:, 0]
-                d_attention = s[:, None] * w_p[:, None, :]  # (N, HW, HW)
-                d_logits = softmax_rows_vjp(d_attention, attention, scale, out=d_attention)
-                d_kq = np.matmul(kq, d_logits)
-                d_kq += np.matmul(kq, np.swapaxes(d_logits, 1, 2))
+                d_kq, d_s = _spatial_attention_vjp(kq, exps, inv_sums, s, w_p, root)
+                d_sums[t] += d_s
                 d_weight += np.matmul(d_kq, np.swapaxes(x3, 1, 2)).sum(axis=0)
                 d_bias += d_kq.sum(axis=(0, 2))
                 if need:

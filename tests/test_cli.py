@@ -469,6 +469,25 @@ class TestSettings:
                        encoding="utf-8")
         assert cli.load_config_file(cfg) == {"T": 4, "noise_level": "0.5 # kept"}
 
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("content, where, key", [
+        pytest.param("C=4\nC=5", ":2: ", "C", id="key=value"),
+        pytest.param("# sizes\nT = 2\nC=4\n\n C = 4 \n", ":5: ", "C", id="key=value-same-value"),
+        pytest.param('{"C": 4, "C": 5}', ": ", "C", id="json"),
+        pytest.param('{"T": 2, "C": 4, "T": 2}', ": ", "T", id="json-same-value"),
+    ])
+    def test_key_set_twice_rejected(self, tmp_path, capsys, command, content, where, key):
+        """The error names the file, the line of key=value text, and the key."""
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(content, encoding="utf-8")
+        out = tmp_path / "d"
+        extra = ["--out", str(out)] if command == "synth" else []
+        code, stdout, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {cfg}{where}config key {key!r} is set twice\n"
+        assert not out.exists()
+
     def test_readme_config_gives_the_defaults(self, tmp_path, capsys, monkeypatch):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("Keys and defaults:", 1)[1].split("```")[1]

@@ -28,7 +28,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import composed
 from composed import relu
-from vsorank.autodiff import ShapeError, Tensor, _reached, conv1x1, grad_check, softmax_rows_vjp
+from vsorank.autodiff import ShapeError, Tensor, _reached, conv1x1, grad_check
 from vsorank.dataset import (
     FrameSample,
     RankAnnotation,
@@ -42,6 +42,7 @@ from vsorank.spatial import Projection, SpatialParams, object_means
 from vsorank.temporal import (
     ScoringParams,
     TemporalParams,
+    _spatial_attention_vjp as attention_vjp,
     downsample_mask,
     frame_scores,
     temporal_mix,
@@ -331,16 +332,14 @@ def test_unranked_frame_runs_no_attention_backward(monkeypatch):
     """A one-object frame is in no pair, so no gradient reaches its scores:
     the scores' vjp skips it, with no (N, HW, HW) attention backward.  The
     margin is wide enough that every pair of the ranked frames is active,
-    whatever the scores.  The cross-frame mix's (T, T) backward is not
-    counted."""
+    whatever the scores."""
     calls = []
 
-    def counted(*args, **kwargs):
-        if args[0].ndim == 3:
-            calls.append(args[0].shape[0])
-        return softmax_rows_vjp(*args, **kwargs)
+    def counted(kq, *args):
+        calls.append(kq.shape[0])
+        return attention_vjp(kq, *args)
 
-    monkeypatch.setattr("vsorank.temporal.softmax_rows_vjp", counted)
+    monkeypatch.setattr("vsorank.temporal._spatial_attention_vjp", counted)
     sample = _sample([1, 3, 1, 2], 2, 2, 2, seed=6)
     params = _model_params(np.random.default_rng(6), 2, 2, 2)
     loss = _sequence_loss(sample, params,

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import composed
 from vsorank.autodiff import ShapeError, Tensor, grad_check
 from vsorank.dataset import FrameSample, SynthConfig, synth_generate
 from vsorank.metrics import render_rank_map
@@ -456,6 +457,59 @@ def test_scores_have_the_closed_form(variant):
 
     got = model_scores(sample.frames, params, variant).data
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attention_stays_finite_at_large_logits(seed):
+    """A key/query projection scaled up 100-fold makes each row's largest
+    Gram logit 1e5 to 1e6 or more.  The scores and the gradient of every
+    operand stay finite, and match the composed form, whose softmax shifts
+    each row by its own max, within 1e-12 of each tensor's largest element.
+    The kernel shifts by the column max instead, which is the row max only
+    because the logits are symmetric: logits from separate key and query
+    projections would overflow ``exp`` here.  At this size every attention
+    row is one-hot in both forms.  Nearer 1e3 to 1e5, where a row is only
+    nearly one-hot, the ``kq_proj`` gradient is ill-conditioned in every
+    float64 form (the softmax vjp's ``w_j - (A w)_i`` cancels), so no two
+    forms agree to 1e-12 there."""
+    rng = np.random.default_rng(seed)
+    c, h, w, counts = 16, 3, 3, (3, 4)
+
+    def leaf(*shape, gain=1.0):
+        return Tensor(gain * rng.standard_normal(shape), requires_grad=True)
+
+    kq_proj = Projection(leaf(c, c, gain=100.0), leaf(c, gain=100.0))
+    scoring = ScoringParams(Projection(leaf(c, h * w), None), Projection(leaf(1, 2 * c), None))
+    blocks = [leaf(n, c, h, w) for n in counts]
+    values = leaf(len(counts), c, h, w)
+    masks = [rng.random((n, 6, 6)) > 0.5 for n in counts]
+    cotangents = [Tensor(rng.standard_normal(n)) for n in counts]
+    leaves = [*blocks, values, kq_proj.weight, kq_proj.bias, scoring.mask_embed.weight,
+              scoring.score_head.weight]
+
+    kq = [np.matmul(kq_proj.weight.data, x.data.reshape(-1, c, h * w))
+          + kq_proj.bias.data[:, None] for x in blocks]
+    row_max = np.concatenate([(np.swapaxes(k, 1, 2) @ k).max(axis=-1).ravel()
+                              for k in kq]) / np.sqrt(c)
+    assert 1e5 <= row_max.min() and row_max.max() <= 1e7
+
+    scores = frame_scores(blocks, values, values, on_grid(masks, blocks), kq_proj, scoring)
+    cotangent = Tensor(np.concatenate([u.data for u in cotangents]))
+    (scores * cotangent).sum().backward()
+    got = [scores.data] + [tensor.grad for tensor in leaves]
+    for tensor in leaves:
+        tensor.grad = None
+
+    relations = [composed.relation(x, composed.take(values, t), kq_proj)
+                 for t, x in enumerate(blocks)]
+    want_scores = composed.sequence_scores(relations, values, masks, None, scoring)
+    loss = sum(((s * u).sum() for s, u in zip(want_scores[1:], cotangents[1:])),
+               (want_scores[0] * cotangents[0]).sum())
+    loss.backward()
+    want = [np.concatenate([s.data for s in want_scores])] + [tensor.grad for tensor in leaves]
+    for name, a, b in zip(["scores", *range(len(leaves))], got, want):
+        assert np.isfinite(a).all(), name
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
